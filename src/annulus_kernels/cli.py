@@ -75,7 +75,6 @@ class CliConfig:
     n_ang: int = 128
     n_rad: int = 96
     seed: int = 7
-    workers: int = 1
     out: str | None = None
     format: str | None = None
 
@@ -136,16 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--n-rad", type=int, default=None, help="radial node / grid count"
         )
         p.add_argument("--seed", type=int, default=None, help="sampling seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help=(
-                "bound on internal parallelism; evaluation runs "
-                "single-process, so any bound >= 1 is honored and output "
-                "ordering never depends on it"
-            ),
-        )
         p.add_argument(
             "--config", type=str, default=None, help="JSON file with flag values"
         )
@@ -215,13 +204,10 @@ def merge_config(args: argparse.Namespace) -> CliConfig:
         if value is not None:
             setattr(cfg, name, value)
     # basic type/range checks before any computation
-    if int(cfg.workers) < 1:
-        raise DomainError(f"workers must be at least 1, got {cfg.workers}")
     cfg.R, cfg.B = float(cfg.R), float(cfg.B)
     cfg.m, cfg.seed = int(cfg.m), int(cfg.seed)
     cfg.n_ang, cfg.n_rad = int(cfg.n_ang), int(cfg.n_rad)
     cfg.tol, cfg.max_terms = float(cfg.tol), int(cfg.max_terms)
-    cfg.workers = int(cfg.workers)
     return cfg
 
 

@@ -11,6 +11,20 @@ Four independent evaluation paths are implemented and cross-checked:
                    Gamma-pair product,
   product_formula  integer B, m = 0 only: the elementary-coefficient series.
 
+Each series is written once, as a term function vectorised over the window
+j = -J..J, and summed by one driver (_sum_window): the window doubles until
+the rigorous geometric tail bound falls below the tolerance.  Every kernel
+built from sigma_{k,l} goes through one (k, l) contraction (_contract) and
+one K_m prefactor (_prefactor).
+
+Extended precision re-runs the same term and contraction code at 34 digits.
+When machine epsilon times the condition (the gross-to-net ratio of the
+summed series) exceeds the caller's rounding budget, the pair geometry is
+rebuilt from the binary64 inputs in mpmath numbers, and the series is summed
+again over the window widened to J + J//2 + 16.  The number type of the pair
+selects the elementwise functions: numpy and scipy for binary64, mpmath over
+numpy object arrays for the extended evaluation.
+
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
 choices are fixed here against the basis_sum oracle (which follows from the
@@ -22,33 +36,57 @@ and the prefactor carries no alternating sign.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
 import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
-from .geometry import (
-    AnnulusParams,
-    as_complex,
-    require_interior,
-    xi_coordinate,
-)
+from .geometry import AnnulusParams, as_complex, require_interior
 from .special import (
     DEFAULT_SERIES,
+    JacobiParams,
     SeriesControl,
-    log_gamma,
+    jacobi_poly,
     pochhammer,
-    routh_romanovski,
     theta4_log_derivative,
 )
-from .basis import log_basis_norm_sq, require_admissible
+from .basis import basis_norm_sq, require_admissible
 
 KERNEL_PATHS = ("closed_form", "basis_sum", "theta", "product_formula")
 
 _EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True)
+class _Numbers:
+    """The functions a number type is evaluated with.  exp and loggamma act
+    elementwise on arrays; index arrays j have dtype."""
+
+    dtype: type
+    convert: Callable
+    pi: object
+    log: Callable
+    clog: Callable
+    cot: Callable
+    gamma: Callable
+    exp: Callable
+    loggamma: Callable
+
+
+_BINARY64 = _Numbers(
+    float, lambda x: x, math.pi, math.log, cmath.log,
+    lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp, sc.loggamma,
+)
+# mpmath numbers at the working precision, held in numpy object arrays
+_MPMATH = _Numbers(
+    object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
+    np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.loggamma, 1, 1),
+)
 
 
 @dataclass(frozen=True)
@@ -71,6 +109,19 @@ class PairGeometry:
 
 
 @dataclass(frozen=True)
+class _Pair(PairGeometry):
+    """The pair coordinates in one number type, with the points and the
+    parameters in that type."""
+
+    num: _Numbers
+    params: AnnulusParams
+    z: complex
+    w: complex
+    R: float
+    log_R: float
+
+
+@dataclass(frozen=True)
 class KernelEvaluation:
     """A kernel value with its evaluation path and truncation diagnostics.
 
@@ -88,98 +139,208 @@ class KernelEvaluation:
     precision: str = "binary64"
 
 
-def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
-    """Pair coordinates (t, X, Y, V) of two interior points."""
+def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> _Pair:
     zc, wc = as_complex(z), as_complex(w)
     require_interior(zc, params)
     require_interior(wc, params)
-    X = xi_coordinate(zc, params)
-    Y = xi_coordinate(wc, params)
-    return PairGeometry(
-        t=zc * wc.conjugate() / params.R,
+    zn, wn = num.convert(zc), num.convert(wc)
+    R, B = num.convert(params.R), num.convert(params.B)
+    log_R = num.log(R)
+    X, Y = (num.cot(num.pi * num.log(abs(v)) / log_R) for v in (zn, wn))
+    return _Pair(
+        t=zn * wn.conjugate() / R,
         X=X,
         Y=Y,
-        V=0.25 * (1.0 + 1j * X) * (1.0 + 1j * Y),
-        B=params.B,
-        radial_scale=params.radial_scale,
+        V=0.25 * (1 + 1j * X) * (1 + 1j * Y),
+        B=B,
+        radial_scale=log_R / num.pi,
+        num=num,
+        params=params,
+        z=zn,
+        w=wn,
+        R=R,
+        log_R=log_R,
     )
 
 
-def _decay_ratios(t: complex, params: AnnulusParams) -> tuple[float, float]:
+def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
+    """Pair coordinates (t, X, Y, V) of two interior points."""
+    return _pair(z, w, params)
+
+
+def _at_34_digits(evaluate: Callable[[_Pair], object], z, w, params: AnnulusParams) -> complex:
+    """evaluate(pair) re-run on 34-digit numbers: the pair geometry rebuilt
+    from the binary64 inputs, the result rounded back to binary64."""
+    with mp.workdps(34):
+        return complex(evaluate(_pair(z, w, params, _MPMATH)))
+
+
+def _widened(J: int) -> int:
+    """The window of an extended re-evaluation after a binary64 window J."""
+    return J + J // 2 + 16
+
+
+def _integer_B(params: AnnulusParams, what: str) -> int:
+    """B of a path that needs it integer; what names the path."""
+    if not params.is_integer_B():
+        raise UnsupportedPathError(f"{what} requires integer B, got B={params.B}")
+    return int(round(params.B))
+
+
+def _decay_ratios(g: _Pair, ctrl: SeriesControl) -> tuple[float, float]:
     """Geometric decay ratios of the bilateral series: q_plus for j -> +inf,
-    q_minus for j -> -inf.  Both are < 1 exactly when 1/R < |t| < R."""
-    return abs(t) / params.R, 1.0 / (params.R * abs(t))
-
-
-def _require_ratios(t: complex, params: AnnulusParams, ctrl: SeriesControl) -> None:
-    q_plus, q_minus = _decay_ratios(t, params)
+    q_minus for j -> -inf.  Both are < 1 exactly when 1/R < |t| < R; a pair
+    with either ratio within ctrl.boundary_margin of 1 is refused."""
+    q_plus, q_minus = abs(g.t) / g.R, 1.0 / (g.R * abs(g.t))
     if min(1.0 - q_plus, 1.0 - q_minus) < ctrl.boundary_margin:
         raise ConvergenceError(
             f"pair too close to the boundary: decay ratios q+={q_plus:.6g}, "
             f"q-={q_minus:.6g} must stay below 1 - {ctrl.boundary_margin}"
         )
+    return q_plus, q_minus
+
+
+def _sum_window(
+    terms: Callable[[int], np.ndarray],
+    p,
+    shift: float,
+    g: _Pair,
+    ctrl: SeriesControl,
+    window: int | None = None,
+):
+    """Sum one or more bilateral series over the window j = -J..J.
+
+    terms(J) gives the terms of each series along the last axis.  Their
+    moduli decay like q_plus^j and q_minus^|j| (_decay_ratios) times a
+    polynomial growth |j + shift|^p, which the rigorous tail bound (edge
+    term x q_eff/(1-q_eff)) absorbs into the effective ratio
+    q_eff = q ((|j + shift| + 1)/|j + shift|)^p at the window's edge.  J
+    doubles from 32 until every tail is below ctrl.tolerance times the
+    largest sum; an explicit window is summed as it is.  Returns the sums,
+    the tail bounds, the gross magnitudes (sums of |term|, the rounding
+    majorants) and J.
+    """
+    q_plus, q_minus = _decay_ratios(g, ctrl)
+    # edge terms j = -J, J on a last axis: few numpy calls on small arrays
+    ratios = np.array([q_minus, q_plus])
+    p_edges = np.asarray(p)[..., None]
+    J = 32 if window is None else int(window)
+    while True:
+        values = terms(J)
+        total = values.sum(axis=-1)
+        moduli = np.abs(values)
+        gross = moduli.sum(axis=-1)
+        lo, hi = abs(-J + shift), abs(J + shift)
+        q_eff = ratios * np.array([(lo + 1.0) / lo, (hi + 1.0) / hi]) ** p_edges
+        if q_eff.max() < 1.0:  # the step takes j = -J and j = J (the one term at J = 0)
+            tails = (moduli[..., :: max(2 * J, 1)] * q_eff / (1.0 - q_eff)).sum(axis=-1)
+        else:  # no geometric bound at this window
+            tails = np.full(gross.shape, math.inf)
+        scale = max(float(abs(total).max()), 1e-300)
+        if window is not None or tails.max() <= ctrl.tolerance * scale:
+            return total, tails, gross, J
+        if 4 * J + 1 > ctrl.max_terms:
+            raise ConvergenceError(
+                f"bilateral series did not reach tolerance {ctrl.tolerance} "
+                f"within {ctrl.max_terms} terms (J={J}, q+={q_plus:.4g}, "
+                f"q-={q_minus:.4g})"
+            )
+        J *= 2
+
+
+def _ladder(g: _Pair, J: int, offsets, inner: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """The log-Gamma ladders loggamma(B - k + i y_j), y_j = (j + B) log(R)/pi,
+    over the j in -J..J with |j| > inner (all by default), one row per k in
+    offsets; and those j."""
+    j = np.arange(-J, J + 1, dtype=g.num.dtype)
+    j = j[abs(j) > inner]
+    k = np.array(offsets, dtype=g.num.dtype)
+    return g.num.loggamma((g.B - k)[:, None] + g.mu(j)[None, :]), j
+
+
+def _sigma_log_terms(g: _Pair, J: int, m: int, log_t, inner: int = -1) -> np.ndarray:
+    """log of the terms Gamma(B-k + i y_j) Gamma(B-l - i y_j) t^j of every
+    sigma_{k,l}, 0 <= k, l <= m (axes 0 and 1), over the j of _ladder (axis 2).
+
+    The ladder of each k is computed once and shared by every l: the second
+    factor is the Schwarz conjugate of row l.
+    """
+    lg, j = _ladder(g, J, range(m + 1), inner)
+    return lg[:, None] + lg.conj()[None] + j * log_t
 
 
 def _sigma_family(
-    m: int, geo: PairGeometry, params: AnnulusParams, ctrl: SeriesControl
+    m: int, g: _Pair, ctrl: SeriesControl
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """All sigma_{k,l} for 0 <= k, l <= m over one shared Gamma ladder.
+    """All sigma_{k,l} for 0 <= k, l <= m over one shared Gamma ladder,
 
-    sigma_{k,l} = sum_{j in Z} Gamma(B-k + i alpha_j/2) Gamma(B-l - i alpha_j/2) t^j
+        sigma_{k,l} = sum_{j in Z} Gamma(B-k + i y_j) Gamma(B-l - i y_j) t^j,
 
-    with alpha_j/2 = (j+B) log(R)/pi.  The ladder loggamma(B-k + i y_j) is
-    computed once per k and shared by every l (the second factor is its
-    Schwarz conjugate at row l).  Window [-J, J] doubles until the rigorous
-    geometric tail bounds (edge term x q_eff/(1-q_eff), with the polynomial
-    growth |y|^(2B-k-l-1) absorbed into q_eff) fall below tolerance times
-    the family scale.  Returns (sigma, tails, gross, J), where gross[k, l]
-    is the non-cancelling sum of term magnitudes (the rounding majorant).
+    with their tail bounds relative to the family scale (the polynomial
+    growth |y|^(2B-k-l-1) of the Gamma pair absorbed into the ratio).
+    Returns (sigma, tails, gross, J), where gross[k, l] is the
+    non-cancelling sum of term magnitudes (the rounding majorant).
     """
-    B, c = params.B, params.radial_scale
-    t = geo.t
-    _require_ratios(t, params, ctrl)
-    if B - m <= 0.0:
+    if g.params.B - m <= 0.0:
         raise DomainError(f"sigma series needs B - k > 0 for all k <= m={m}")
-    q_plus, q_minus = _decay_ratios(t, params)
-    log_t = cmath.log(t)
+    k = np.arange(m + 1)
+    p = np.maximum(2.0 * g.B - (k[:, None] + k[None, :]) - 1.0, 0.0)
+    log_t = cmath.log(g.t)
+    values = np.empty((m + 1, m + 1, 0), dtype=complex)
 
-    J = 32
-    while True:
-        j = np.arange(-J, J + 1)
-        y = (j + B) * c
-        lg = sc.loggamma((B - np.arange(m + 1))[:, None] + 1j * y[None, :])
-        log_pow = j * log_t
-        sigma = np.empty((m + 1, m + 1), dtype=complex)
-        tails = np.empty((m + 1, m + 1))
-        gross = np.empty((m + 1, m + 1))
-        y_hi, y_lo = abs(y[-1]), abs(y[0])
-        scale = 0.0
-        converged = True
-        for k in range(m + 1):
-            for l in range(m + 1):
-                terms = np.exp(lg[k] + np.conj(lg[l]) + log_pow)
-                sigma[k, l] = terms.sum()
-                gross[k, l] = np.abs(terms).sum()
-                p = max(2.0 * B - k - l - 1.0, 0.0)
-                q_hi = q_plus * ((y_hi + c) / y_hi) ** p
-                q_lo = q_minus * ((y_lo + c) / y_lo) ** p
-                if q_hi >= 1.0 or q_lo >= 1.0:
-                    converged = False
-                    tails[k, l] = math.inf
-                    continue
-                tails[k, l] = (
-                    abs(terms[-1]) * q_hi / (1.0 - q_hi)
-                    + abs(terms[0]) * q_lo / (1.0 - q_lo)
-                )
-                scale = max(scale, abs(sigma[k, l]))
-        if converged and np.all(tails <= ctrl.tolerance * max(scale, 1e-300)):
-            return sigma, tails, gross, J
-        if 2 * (2 * J) + 1 > ctrl.max_terms:
-            raise ConvergenceError(
-                f"sigma family did not reach tolerance {ctrl.tolerance} within "
-                f"{ctrl.max_terms} terms (J={J}, q+={q_plus:.4g}, q-={q_minus:.4g})"
+    def terms(J: int) -> np.ndarray:
+        # keeps the previous window's terms: each term is evaluated once
+        nonlocal values
+        inner = (values.shape[-1] - 1) // 2  # the previous J; -1 at first
+        new = np.exp(_sigma_log_terms(g, J, m, log_t, inner))
+        cut = J - inner  # new terms with j < 0 (and j = 0 at first)
+        values = np.concatenate((new[..., :cut], values, new[..., cut:]), axis=-1)
+        return values
+
+    return _sum_window(terms, p, g.B, g, ctrl)
+
+
+def _sigma_sums(g: _Pair, J: int, m: int) -> Callable:
+    """(k, l) -> (sigma_{k,l},) summed over the fixed window [-J, J]; only
+    the requested series are exponentiated."""
+    log_terms = _sigma_log_terms(g, J, m, g.num.clog(g.t))
+    return lambda k, l: (g.num.exp(log_terms[k, l]).sum(),)
+
+
+def _contract(m: int, B, V, family: Callable) -> list:
+    """The closed-form double sum over (k, l) with k + l <= m:
+
+        sum (1-2B+m)_(k+l) / ((m-k-l)! k! l!) * V^l conj(V)^k * sigma_{k,l}
+
+    (arrangement pinned against the basis-sum oracle; see module docstring).
+    family(k, l) returns (sigma_{k,l}, *moduli); the result is the sum above
+    followed by the same sum of each modulus with the weights' magnitudes
+    (tail bounds and rounding majorants of the contraction).
+    """
+    sums = None
+    for l in range(m + 1):
+        for k in range(m + 1 - l):
+            weight = (
+                pochhammer(1 - 2 * B + m, k + l)
+                / (math.factorial(m - k - l) * math.factorial(k) * math.factorial(l))
+                * V**l
+                * V.conjugate() ** k
             )
-        J *= 2
+            value, *moduli = family(k, l)
+            terms = [weight * value] + [abs(weight) * x for x in moduli]
+            sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
+    return sums
+
+
+def _prefactor(m: int, g: _Pair):
+    """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
+    the (k, l) contraction."""
+    B = g.B
+    return (
+        (2 * g.num.pi) ** (2 * B - 3)
+        * (2 * B - 2 * m - 1)
+        / (g.R**B * g.log_R ** (2 * B - 1) * g.num.gamma(2 * B - m))
+    )
 
 
 def sigma_kl(
@@ -202,9 +363,8 @@ def sigma_kl(
     if not (0 <= k <= m_context and 0 <= l <= m_context):
         raise DomainError(f"need 0 <= k,l <= m={m_context}, got k={k}, l={l}")
     require_admissible(m_context, params)
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    sigma, _, gross, J = _sigma_family(m_context, geo, params, ctrl)
+    g = _pair(z, w, params)
+    sigma, _, gross, J = _sigma_family(m_context, g, ctrl)
     condition = gross[k, l] / max(abs(sigma[k, l]), 1e-300)
     # truncation (relative to the family scale) and rounding are both
     # amplified by the gross-to-net ratio of this entry
@@ -212,372 +372,28 @@ def sigma_kl(
         rounding_rtol is not None
         and max(_EPS, ctrl.tolerance) * condition > rounding_rtol
     ):
-        return _sigma_extended(k, l, zc, wc, params, J + J // 2 + 16)
+        J = _widened(J)
+        return _at_34_digits(lambda e: _sigma_sums(e, J, max(k, l))(k, l)[0], z, w, params)
     return complex(sigma[k, l])
 
 
-def _kernel_prefactor(m: int, params: AnnulusParams) -> float:
-    B, R = params.B, params.R
-    return (
-        (2.0 * math.pi) ** (2.0 * B - 3.0)
-        * (2.0 * B - 2.0 * m - 1.0)
-        / (R**B * math.log(R) ** (2.0 * B - 1.0) * math.gamma(2.0 * B - m))
-    )
-
-
-def _double_sum(
-    m: int,
-    geo: PairGeometry,
-    sigma: np.ndarray,
-    tails: np.ndarray,
-    gross: np.ndarray,
-    params: AnnulusParams,
-) -> tuple[complex, float, float]:
-    """The closed-form double sum over (k, l) with k + l <= m:
-
-        sum (1-2B+m)_(k+l) / ((m-k-l)! k! l!) * V^l conj(V)^k * sigma_{k,l}
-
-    (arrangement pinned against the basis-sum oracle; see module docstring).
-    Returns the sum, the matching weighted tail bound, and the weighted
-    gross magnitude (rounding majorant of the whole contraction).
-    """
-    B = params.B
-    total = 0.0 + 0.0j
-    bound = 0.0
-    majorant = 0.0
-    for l in range(m + 1):
-        for k in range(m + 1 - l):
-            coeff = pochhammer(1.0 - 2.0 * B + m, k + l) / (
-                math.factorial(m - k - l) * math.factorial(k) * math.factorial(l)
-            )
-            weight = coeff * geo.V**l * np.conj(geo.V) ** k
-            total += weight * sigma[k, l]
-            bound += abs(weight) * tails[k, l]
-            majorant += abs(weight) * gross[k, l]
-    return total, bound, majorant
-
-
-def _kernel_km_extended(
-    m: int, zc: complex, wc: complex, params: AnnulusParams, J: int
-) -> complex:
-    """The same pinned closed form summed in extended precision (34 digits)
-    over the fixed window [-J, J].
-
-    Used when the binary64 ladder is cancellation-limited: near an
-    off-diagonal zero of the kernel the gross-to-net ratio of the series
-    makes binary64 rounding, not truncation, the dominant error.  All
-    geometry (t, X, Y, V), the Gamma ladders, the Pochhammer coefficients
-    and the prefactor are rebuilt from scratch at working precision.
-    """
-    B, R = params.B, params.R
-    with mp.workdps(34):
-        zm, wm = mp.mpc(zc), mp.mpc(wc)
-        log_R = mp.log(R)
-        c = log_R / mp.pi
-        X = mp.cot(mp.pi * mp.log(abs(zm)) / log_R)
-        Y = mp.cot(mp.pi * mp.log(abs(wm)) / log_R)
-        V = (1 + 1j * X) * (1 + 1j * Y) / 4
-        log_t = mp.log(zm * mp.conj(wm) / R)
-        ladders = [
-            [mp.loggamma(B - k + 1j * (jj + B) * c) for jj in range(-J, J + 1)]
-            for k in range(m + 1)
-        ]
-        powers = [(jj * log_t) for jj in range(-J, J + 1)]
-        total = mp.mpc(0)
-        for l in range(m + 1):
-            for k in range(m + 1 - l):
-                coeff = mp.rf(1 - 2 * B + m, k + l) / (
-                    mp.factorial(m - k - l) * mp.factorial(k) * mp.factorial(l)
-                )
-                weight = coeff * V**l * mp.conj(V) ** k
-                fam = mp.fsum(
-                    mp.e ** (ladders[k][i] + mp.conj(ladders[l][i]) + powers[i])
-                    for i in range(2 * J + 1)
-                )
-                total += weight * fam
-        pref = (
-            (2 * mp.pi) ** (2 * B - 3)
-            * (2 * B - 2 * m - 1)
-            / (mp.mpf(R) ** B * log_R ** (2 * B - 1) * mp.gamma(2 * B - m))
+def _closed_form(m: int, g: _Pair, ctrl: SeriesControl):
+    """K_m in binary64, refining the truncation tolerance (twice, 100x each)
+    until the weighted tail bound is within ctrl.tolerance x |value|.
+    Returns (value, tail, condition, J, certified)."""
+    pref = _prefactor(m, g)
+    eff = ctrl
+    for _ in range(3):
+        sigma, tails, gross, J = _sigma_family(m, g, eff)
+        total, bound, majorant = _contract(
+            m, g.B, g.V, lambda k, l: (sigma[k, l], tails[k, l], gross[k, l])
         )
-        return complex(pref * total)
-
-
-def _mp_pair(zc: complex, wc: complex, params: AnnulusParams):
-    """Pair geometry (log_R, c, X, Y, V, t) rebuilt at working precision.
-
-    Must be called inside an mp.workdps context.
-    """
-    zm, wm = mp.mpc(zc), mp.mpc(wc)
-    log_R = mp.log(params.R)
-    c = log_R / mp.pi
-    X = mp.cot(mp.pi * mp.log(abs(zm)) / log_R)
-    Y = mp.cot(mp.pi * mp.log(abs(wm)) / log_R)
-    V = (1 + 1j * X) * (1 + 1j * Y) / 4
-    t = zm * mp.conj(wm) / params.R
-    return zm, wm, log_R, c, X, Y, V, t
-
-
-def _mp_jacobi(alpha, beta, k: int, x):
-    """Jacobi P_k^(alpha, beta)(x) by the exact finite binomial sum at
-    working precision (same formula as special.jacobi_poly)."""
-    xm = (x - 1) / 2
-    xp = (x + 1) / 2
-    total = mp.mpc(0)
-    for l in range(k + 1):
-        coeff = mp.rf(alpha + l + 1, k - l) * mp.rf(beta + k - l + 1, l)
-        coeff = coeff / (mp.factorial(k - l) * mp.factorial(l))
-        total += coeff * xm**l * xp ** (k - l)
-    return total
-
-
-def _mp_routh(m: int, a, b, x):
-    """RR_m^(a,b)(x) = (-2i)^m m! P_m^(b-1+ia/2, b-1-ia/2)(ix) at working
-    precision; returns the complex evaluation (imaginary part ~ working eps).
-    """
-    val = _mp_jacobi(b - 1 + 1j * a / 2, b - 1 - 1j * a / 2, m, 1j * x)
-    return mp.mpc(0, -2) ** m * mp.factorial(m) * val
-
-
-def _mp_polymul(A: list, B: list) -> list:
-    """Convolution of ascending mp coefficient lists."""
-    out = [mp.mpc(0)] * (len(A) + len(B) - 1)
-    for i, ai in enumerate(A):
-        for j, bj in enumerate(B):
-            out[i + j] += ai * bj
-    return out
-
-
-def _oracle_extended(
-    m: int, zc: complex, wc: complex, params: AnnulusParams, J: int
-) -> complex:
-    """Basis-sum oracle re-summed at extended precision over [-J, J].
-
-    Per-term formula identical to kernel_basis_sum_oracle: the closed-form
-    log-norm and the Routh-Romanovski radial factors are rebuilt in mp."""
-    B = params.B
-    with mp.workdps(34):
-        zm, wm, log_R, c, X, Y, _, _ = _mp_pair(zc, wc, params)
-        log_u = mp.log(zm * mp.conj(wm))
-        log_const = (
-            (3 - 2 * (B - m)) * mp.log(2)
-            + B * log_R
-            + (2 * B - 1) * mp.log(log_R)
-            - (2 * B - 3) * mp.log(mp.pi)
-            + mp.loggamma(m + 1)
-            + mp.loggamma(2 * B - m)
-            - mp.log(2 * (B - m) - 1)
-        )
-        total = mp.mpc(0)
-        for j in range(-J, J + 1):
-            a = -2 * (j + B) * c
-            log_norm = (
-                log_const
-                + j * log_R
-                - 2 * mp.re(mp.loggamma(B - m + 1j * (j + B) * c))
-            )
-            radial = _mp_routh(m, a, 1 - B, X) * _mp_routh(m, a, 1 - B, Y)
-            total += mp.e ** (j * log_u - log_norm) * radial
-        return complex(total)
-
-
-def _jacobi_product_extended(
-    m: int, zc: complex, wc: complex, params: AnnulusParams, J: int
-) -> complex:
-    """Jacobi-product series re-summed at extended precision over [-J, J]."""
-    B, R = params.B, params.R
-    with mp.workdps(34):
-        _, _, log_R, c, X, Y, _, t = _mp_pair(zc, wc, params)
-        log_t = mp.log(t)
-        gamma_m = (
-            (2 * mp.pi) ** (2 * B - 3)
-            * mp.factorial(m)
-            * (2 * B - 2 * m - 1)
-            / (mp.mpf(R) ** B * log_R ** (2 * B - 1) * mp.gamma(2 * B - m))
-        )
-        total = mp.mpc(0)
-        for j in range(-J, J + 1):
-            mu = 1j * (j + B) * c
-            pair = mp.e ** (2 * mp.re(mp.loggamma(B - m + mu)))
-            pz = _mp_jacobi(-B - mu, -B + mu, m, 1j * X)
-            pw = _mp_jacobi(-B + mu, -B - mu, m, -1j * Y)
-            total += mp.e ** (j * log_t) * pair * pz * pw
-        return complex(gamma_m * total)
-
-
-def _b1_extended(zc: complex, wc: complex, R: float, J: int) -> complex:
-    """B = 1 elementary kernel series re-summed at extended precision."""
-    with mp.workdps(34):
-        zm, wm = mp.mpc(zc), mp.mpc(wc)
-        Rm = mp.mpf(R)
-        u = zm * mp.conj(wm) / Rm**2
-        log_u = mp.log(u)
-        log_R = mp.log(Rm)
-
-        def coeff(j: int):
-            if j == 0:
-                return 1 / (2 * log_R)
-            if j > 0:
-                return j / (1 - Rm ** (-2 * j))
-            n = -j
-            return n * Rm ** (-2 * n) / (1 - Rm ** (-2 * n))
-
-        total = mp.fsum(coeff(j) * mp.e ** (j * log_u) for j in range(-J, J + 1))
-        return complex(total / (mp.pi * zm * mp.conj(wm)))
-
-
-def _product_extended(
-    zc: complex, wc: complex, params: AnnulusParams, J: int
-) -> complex:
-    """Integer-B product series re-summed at extended precision."""
-    B = int(round(params.B))
-    with mp.workdps(34):
-        zm, wm = mp.mpc(zc), mp.mpc(wc)
-        Rm = mp.mpf(params.R)
-        log_R = mp.log(Rm)
-        u = zm * mp.conj(wm)
-        log_u = mp.log(u)
-        pref = (
-            (2 * mp.pi) ** (2 * B - 2)
-            * mp.factorial(B - 1) ** 2
-            / (mp.pi * mp.gamma(2 * B - 1) * u**B * log_R ** (2 * B - 2))
-        )
-
-        def coeff(j: int):
-            if j == 0:
-                base = 1 / (2 * log_R)
-            elif j > 0:
-                base = j * Rm ** (-2 * j) / (1 - Rm ** (-2 * j))
-            else:
-                n = -j
-                base = n / (1 - Rm ** (-2 * n))
-            poly = mp.mpf(1)
-            for q in range(1, B):
-                poly *= 1 + (j * log_R) ** 2 / (mp.pi * q) ** 2
-            return base * poly
-
-        total = mp.fsum(coeff(j) * mp.e ** (j * log_u) for j in range(-J, J + 1))
-        return complex(pref * total)
-
-
-def _sigma_extended(
-    k: int, l: int, zc: complex, wc: complex, params: AnnulusParams, J: int
-) -> complex:
-    """The Gamma-pair bilateral series sigma_{k,l} re-summed at extended
-    precision over [-J, J]."""
-    B = params.B
-    with mp.workdps(34):
-        _, _, _, c, _, _, _, t = _mp_pair(zc, wc, params)
-        log_t = mp.log(t)
-        return complex(
-            mp.fsum(
-                mp.e
-                ** (
-                    mp.loggamma(B - k + 1j * (j + B) * c)
-                    + mp.conj(mp.loggamma(B - l + 1j * (j + B) * c))
-                    + j * log_t
-                )
-                for j in range(-J, J + 1)
-            )
-        )
-
-
-def _mp_theta_log_derivative(s: int, z0, R: float):
-    """(log theta_4)^(s)(z0) by the Lambert-type series at working precision."""
-    total = mp.mpc(0)
-    phase = (s - 1) * mp.pi / 2
-    im0 = abs(mp.im(z0))
-    Rm = mp.mpf(R)
-    scale = mp.mpf(0)
-    for j in range(1, 100001):
-        g = Rm ** (-j) / (1 - Rm ** (-2 * j))
-        term = 4 * (2 * j) ** (s - 1) * g * mp.sin(2 * j * z0 + phase)
-        total += term
-        bound = 4 * (2 * j) ** (s - 1) * g * mp.e ** (2 * j * im0)
-        scale = max(scale, abs(term))
-        if j > 4 and bound < mp.mpf("1e-45") * max(scale, mp.mpf("1e-300")):
-            return total
-    raise ConvergenceError("extended theta log-derivative series stalled")
-
-
-def _mp_sigma_theta(k: int, l: int, B: int, c, log_R, t, L):
-    """sigma_{k,l} by the theta contraction at working precision.
-
-    Mirrors _sigma_theta_with_gross: the gap/weight polynomial contracts
-    against the cached log-derivative callable L(s)."""
-    c0 = B - max(k, l)
-    P = [mp.mpc(1)]
-    sign = 1 if k < l else -1
-    for p in range(abs(k - l)):
-        P = _mp_polymul(P, [mp.mpc(c0 + p), sign * 1j * c])
-    for q in range(1, c0):
-        P = _mp_polymul(
-            P, [mp.mpc(1), mp.mpc(0), mp.mpc((log_R / (mp.pi * q)) ** 2)]
-        )
-    sig = mp.mpc(0)
-    for p, cp in enumerate(P):
-        if cp == 0:
-            continue
-        if p % 2 == 0:
-            sp = (-1) ** (p // 2) * L(p + 2) / mp.mpf(2) ** (p + 2)
-        else:
-            sp = -1j * (-1) ** ((p + 1) // 2) * L(p + 2) / mp.mpf(2) ** (p + 2)
-        if p == 0:
-            sp = sp + 1 / (2 * log_R)
-        sig += cp * sp
-    return t ** (-B) * 2 * log_R * mp.factorial(c0 - 1) ** 2 * sig
-
-
-def _theta_sigma_extended(
-    k: int, l: int, zc: complex, wc: complex, params: AnnulusParams
-) -> complex:
-    """Single sigma_{k,l} through the theta path at extended precision."""
-    B = int(round(params.B))
-    with mp.workdps(34):
-        _, _, log_R, c, _, _, _, t = _mp_pair(zc, wc, params)
-        z0 = 0.5j * mp.log(t)
-        cache: dict[int, object] = {}
-
-        def L(s: int):
-            if s not in cache:
-                cache[s] = _mp_theta_log_derivative(s, z0, params.R)
-            return cache[s]
-
-        return complex(_mp_sigma_theta(k, l, B, c, log_R, t, L))
-
-
-def _theta_extended(m: int, zc: complex, wc: complex, params: AnnulusParams) -> complex:
-    """Theta-path kernel rebuilt at extended precision.
-
-    Same structure as kernel_km_theta / sigma_theta_path: per (k, l), the
-    gap/weight polynomial contracts against theta_4 log-derivatives at
-    z0 = (i/2) log t, each log-derivative summed by its Lambert-type series
-    to working precision."""
-    B = int(round(params.B))
-    with mp.workdps(34):
-        _, _, log_R, c, _, _, V, t = _mp_pair(zc, wc, params)
-        z0 = 0.5j * mp.log(t)
-        cache: dict[int, object] = {}
-
-        def L(s: int):
-            if s not in cache:
-                cache[s] = _mp_theta_log_derivative(s, z0, params.R)
-            return cache[s]
-
-        total = mp.mpc(0)
-        for l in range(m + 1):
-            for k in range(m + 1 - l):
-                coeff = mp.rf(1 - 2 * B + m, k + l) / (
-                    mp.factorial(m - k - l) * mp.factorial(k) * mp.factorial(l)
-                )
-                weight = coeff * V**l * mp.conj(V) ** k
-                total += weight * _mp_sigma_theta(k, l, B, c, log_R, t, L)
-        pref = (
-            (2 * mp.pi) ** (2 * B - 3)
-            * (2 * B - 2 * m - 1)
-            / (mp.mpf(params.R) ** B * log_R ** (2 * B - 1) * mp.gamma(2 * B - m))
-        )
-        return complex(pref * total)
+        value, tail = pref * total, abs(pref) * bound
+        condition = majorant / max(abs(total), 1e-300)
+        if tail <= ctrl.tolerance * abs(value):
+            return value, tail, condition, J, True
+        eff = replace(eff, tolerance=eff.tolerance / 100.0)
+    return value, tail, condition, J, False
 
 
 def kernel_km(
@@ -601,51 +417,24 @@ def kernel_km(
     and reported with precision="extended".
     """
     require_admissible(m, params)
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    pref = _kernel_prefactor(m, params)
-    eff = ctrl
-    for _ in range(3):
-        sigma, tails, gross, J = _sigma_family(m, geo, params, eff)
-        total, bound, majorant = _double_sum(m, geo, sigma, tails, gross, params)
-        value = pref * total
-        tail = abs(pref) * bound
-        if tail <= ctrl.tolerance * abs(value):
-            condition = majorant / max(abs(total), 1e-300)
-            if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-                J_ext = J + J // 2 + 16
-                return KernelEvaluation(
-                    value=_kernel_km_extended(m, zc, wc, params, J_ext),
-                    path="closed_form",
-                    terms_used=2 * J_ext + 1,
-                    tail_bound=tail,
-                    condition=condition,
-                    precision="extended",
-                )
-            return KernelEvaluation(
-                value=complex(value),
-                path="closed_form",
-                terms_used=2 * J + 1,
-                tail_bound=tail,
-                condition=condition,
-            )
-        eff = replace(eff, tolerance=eff.tolerance / 100.0)
-    if rounding_rtol is not None:
-        # binary64 truncation cannot certify the requested accuracy at this
-        # gross-to-net ratio; the extended evaluation covers both error terms
-        condition = majorant / max(abs(total), 1e-300)
-        J_ext = J + J // 2 + 16
-        return KernelEvaluation(
-            value=_kernel_km_extended(m, zc, wc, params, J_ext),
-            path="closed_form",
-            terms_used=2 * J_ext + 1,
-            tail_bound=tail,
-            condition=condition,
-            precision="extended",
+    g = _pair(z, w, params)
+    value, tail, condition, J, certified = _closed_form(m, g, ctrl)
+    if rounding_rtol is None and not certified:
+        raise ConvergenceError(
+            f"kernel tail bound {tail:.3g} exceeds tolerance x |value| = "
+            f"{ctrl.tolerance * abs(value):.3g} after refinement"
         )
-    raise ConvergenceError(
-        f"kernel tail bound {tail:.3g} exceeds tolerance x |value| = "
-        f"{ctrl.tolerance * abs(value):.3g} after refinement"
+    precision = "binary64"
+    # an uncertified binary64 truncation escalates as well: the extended
+    # evaluation covers both error terms
+    if rounding_rtol is not None and (not certified or _EPS * condition > rounding_rtol):
+        J, precision = _widened(J), "extended"
+        value = _at_34_digits(
+            lambda e: _prefactor(m, e) * _contract(m, e.B, e.V, _sigma_sums(e, J, m))[0],
+            z, w, params,
+        )
+    return KernelEvaluation(
+        complex(value), "closed_form", 2 * J + 1, tail, condition, precision
     )
 
 
@@ -660,26 +449,44 @@ def kernel_k0_closed(
     Identical series to kernel_km at m = 0; the prefactors agree through
     Gamma(2B) = (2B-1) Gamma(2B-1).
     """
-    geo = pair_geometry(z, w, params)
-    B, R = params.B, params.R
-    pref = (2.0 * math.pi) ** (2.0 * B - 3.0) / (
-        math.gamma(2.0 * B - 1.0) * R**B * math.log(R) ** (2.0 * B - 1.0)
-    )
-    eff = ctrl
-    for _ in range(3):
-        sigma, tails, gross, J = _sigma_family(0, geo, params, eff)
-        value = pref * sigma[0, 0]
-        tail = abs(pref) * tails[0, 0]
-        if tail <= ctrl.tolerance * abs(value):
-            return KernelEvaluation(
-                value=complex(value),
-                path="closed_form",
-                terms_used=2 * J + 1,
-                tail_bound=tail,
-                condition=gross[0, 0] / max(abs(sigma[0, 0]), 1e-300),
-            )
-        eff = replace(eff, tolerance=eff.tolerance / 100.0)
-    raise ConvergenceError("K_0 tail bound failed to reach tolerance x |value|")
+    value, tail, condition, J, certified = _closed_form(0, _pair(z, w, params), ctrl)
+    if not certified:
+        raise ConvergenceError("K_0 tail bound failed to reach tolerance x |value|")
+    return KernelEvaluation(complex(value), "closed_form", 2 * J + 1, tail, condition)
+
+
+def _series(
+    path: str,
+    terms: Callable[[_Pair, int], np.ndarray],
+    const: Callable[[_Pair], object],
+    p: float,
+    shift: float,
+    z,
+    w,
+    params: AnnulusParams,
+    ctrl: SeriesControl,
+    rounding_rtol: float | None,
+    window: int | None = None,
+) -> KernelEvaluation:
+    """const(pair) x the bilateral series of terms(pair, J), summed by the
+    window driver.  Unless the window is fixed, a sum whose machine epsilon
+    times condition exceeds rounding_rtol is summed again at 34 digits over
+    the widened window."""
+    g = _pair(z, w, params)
+    total, tail, gross, J = _sum_window(lambda J: terms(g, J), p, shift, g, ctrl, window)
+    condition = float(gross / max(abs(total), 1e-300))
+    value, precision = const(g) * total, "binary64"
+    if window is None and rounding_rtol is not None and _EPS * condition > rounding_rtol:
+        J, precision = _widened(J), "extended"
+        value = _at_34_digits(lambda e: const(e) * terms(e, J).sum(), z, w, params)
+    tail = abs(const(g)) * float(tail)
+    return KernelEvaluation(complex(value), path, 2 * J + 1, tail, condition, precision)
+
+
+def _gamma_pair_terms(g: _Pair, J: int, m: int):
+    """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, and mu_j."""
+    lg, j = _ladder(g, J, [m])
+    return lg[0] + lg[0].conj() + j * g.num.clog(g.t), g.mu(j)
 
 
 def kernel_basis_sum_oracle(
@@ -693,70 +500,39 @@ def kernel_basis_sum_oracle(
 ) -> KernelEvaluation:
     """Ground-truth kernel oracle: K_m = sum_j Phi_j(z) conj(Phi_j(w)).
 
-    Summed directly from the orthogonal basis and the closed-form norms in
-    log space.  With window=None the range |j| <= J grows until the edge-term
-    geometric estimate (polynomial growth of the radial factors absorbed into
-    the effective ratio) drops below tol * |partial sum|; an explicit window
-    gives the fixed partial sum with its reported tail estimate (and never
-    escalates).  In the automatic mode, when rounding_rtol is given and
-    machine epsilon times the gross-to-net condition exceeds it, the same
-    per-term formula is re-summed at extended precision over a widened
-    window.
+    Summed directly from the orthogonal basis and the closed-form norms,
+
+        ||phi_j||^2 = ||phi_0||^2 R^j |Gamma(B-m + i B c)|^2
+                      / |Gamma(B-m + i (j+B) c)|^2,   c = log(R)/pi,
+
+    with the radial factors RR_m^(-2 y_j, 1-B)(x) = (-2i)^m m!
+    P_m^(-B-mu_j, -B+mu_j)(ix) at x = X and Y.  With window=None the range
+    |j| <= J grows until the edge-term geometric estimate (polynomial growth
+    of the radial factors absorbed into the effective ratio) drops below
+    tol * |partial sum|; an explicit window gives the fixed partial sum with
+    its reported tail estimate (and never escalates).  In the automatic
+    mode, when rounding_rtol is given and machine epsilon times the
+    gross-to-net condition exceeds it, the same per-term formula is
+    re-summed at extended precision over a widened window.
     """
     require_admissible(m, params)
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    _require_ratios(geo.t, params, SeriesControl(tolerance=tol))
-    q_plus, q_minus = _decay_ratios(geo.t, params)
-    B, c = params.B, params.radial_scale
-    log_u = cmath.log(zc * wc.conjugate())
 
-    def term(j: int) -> complex:
-        radial = routh_romanovski(
-            m, -2.0 * (j + B) * c, 1.0 - B, geo.X
-        ) * routh_romanovski(m, -2.0 * (j + B) * c, 1.0 - B, geo.Y)
-        return cmath.exp(j * log_u - log_basis_norm_sq(j, m, params)) * radial
+    def terms(g: _Pair, J: int):
+        log_terms, mu = _gamma_pair_terms(g, J, m)
+        jac = JacobiParams(-g.B - mu, -g.B + mu, m)
+        radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
+        return g.num.exp(log_terms - log_terms[J]) * radial  # j = 0 sits at J
 
-    J = 32 if window is None else int(window)
-    while True:
-        values = [term(j) for j in range(-J, J + 1)]
-        total = sum(values)
-        gross = sum(abs(v) for v in values)
-        condition = gross / max(abs(total), 1e-300)
-        y_hi, y_lo = (J + B) * c, abs((-J + B) * c)
-        p = 2.0 * B - 1.0  # |Gamma|^-2 growth (2(B-m)-1) plus radial degree 2m
-        q_hi = q_plus * ((y_hi + c) / y_hi) ** p
-        q_lo = q_minus * ((y_lo + c) / y_lo) ** p
-        if q_hi < 1.0 and q_lo < 1.0:
-            tail = (
-                abs(values[-1]) * q_hi / (1.0 - q_hi)
-                + abs(values[0]) * q_lo / (1.0 - q_lo)
-            )
-        else:
-            tail = math.inf
-        if window is not None:
-            return KernelEvaluation(
-                complex(total), "basis_sum", 2 * J + 1, tail, condition
-            )
-        if tail <= tol * abs(total):
-            if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-                J_ext = J + J // 2 + 16
-                return KernelEvaluation(
-                    value=_oracle_extended(m, zc, wc, params, J_ext),
-                    path="basis_sum",
-                    terms_used=2 * J_ext + 1,
-                    tail_bound=tail,
-                    condition=condition,
-                    precision="extended",
-                )
-            return KernelEvaluation(
-                complex(total), "basis_sum", 2 * J + 1, tail, condition
-            )
-        if 2 * (2 * J) + 1 > 8192:
-            raise ConvergenceError(
-                f"basis-sum oracle did not reach tol={tol} by J={J}"
-            )
-        J *= 2
+    # ||phi_0||^2 is a common factor: its binary64 rounding (about
+    # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
+    # the extended sum as well
+    norm0 = basis_norm_sq(0, m, params)
+    return _series(
+        "basis_sum", terms, lambda g: (-4) ** m * math.factorial(m) ** 2 / norm0,
+        2.0 * params.B - 1.0, params.B,
+        z, w, params, SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol,
+        window,
+    )
 
 
 def kernel_jacobi_product_sum(
@@ -777,52 +553,18 @@ def kernel_jacobi_product_sum(
     precision (same formula, widened window).
     """
     require_admissible(m, params)
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    B, c = params.B, params.radial_scale
-    _require_ratios(geo.t, params, SeriesControl(tolerance=tol))
-    q_plus, q_minus = _decay_ratios(geo.t, params)
-    gamma_m = (
-        (2.0 * math.pi) ** (2.0 * B - 3.0)
-        * math.factorial(m)
-        * (2.0 * B - 2.0 * m - 1.0)
-        / (params.R**B * math.log(params.R) ** (2.0 * B - 1.0) * math.gamma(2.0 * B - m))
-    )
-    log_t = cmath.log(geo.t)
 
-    from .special import JacobiParams, jacobi_poly
+    def terms(g: _Pair, J: int):
+        log_terms, mu = _gamma_pair_terms(g, J, m)
+        pz = jacobi_poly(JacobiParams(-g.B - mu, -g.B + mu, m), 1j * g.X)
+        pw = jacobi_poly(JacobiParams(-g.B + mu, -g.B - mu, m), -1j * g.Y)
+        return g.num.exp(log_terms) * pz * pw
 
-    def term(j: int) -> complex:
-        mu = geo.mu(j)
-        y = (j + B) * c
-        pair = math.exp(2.0 * log_gamma(complex(B - m, y)).real)
-        pz = jacobi_poly(JacobiParams(-B - mu, -B + mu, m), 1j * geo.X)
-        pw = jacobi_poly(JacobiParams(-B + mu, -B - mu, m), -1j * geo.Y)
-        return cmath.exp(j * log_t) * pair * pz * pw
-
-    J = 32
-    while True:
-        values = [term(j) for j in range(-J, J + 1)]
-        total = sum(values)
-        gross = sum(abs(v) for v in values)
-        condition = gross / max(abs(total), 1e-300)
-        y_hi, y_lo = (J + B) * c, abs((-J + B) * c)
-        p = 2.0 * B - 1.0
-        q_hi = q_plus * ((y_hi + c) / y_hi) ** p
-        q_lo = q_minus * ((y_lo + c) / y_lo) ** p
-        if q_hi < 1.0 and q_lo < 1.0:
-            tail = (
-                abs(values[-1]) * q_hi / (1.0 - q_hi)
-                + abs(values[0]) * q_lo / (1.0 - q_lo)
-            )
-            if tail <= tol * abs(total):
-                if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-                    J_ext = J + J // 2 + 16
-                    return _jacobi_product_extended(m, zc, wc, params, J_ext)
-                return gamma_m * complex(total)
-        if 2 * (2 * J) + 1 > 8192:
-            raise ConvergenceError("Jacobi-product series did not converge")
-        J *= 2
+    return _series(
+        "jacobi_product", terms, lambda g: _prefactor(m, g) * math.factorial(m),
+        2.0 * params.B - 1.0, params.B, z, w, params,
+        SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol,
+    ).value
 
 
 def kernel_k0_b1(
@@ -833,53 +575,46 @@ def kernel_k0_b1(
 
         K_0^(R,1) = (1/(pi z conj(w))) sum_j [j/(1 - R^(-2j))] (z conj(w)/R^2)^j,
 
-    the j = 0 coefficient being its limit 1/(2 log R).  With rounding_rtol
-    set, cancellation-limited sums escalate to extended precision.
+    the j = 0 coefficient being its limit 1/(2 log R).  Term by term this is
+    the integer-B product series at B = 1 (an empty product), and it is
+    summed as that series.  With rounding_rtol set, cancellation-limited
+    sums escalate to extended precision.
     """
-    params = AnnulusParams(R=R, B=1.0)
-    zc, wc = as_complex(z), as_complex(w)
-    require_interior(zc, params)
-    require_interior(wc, params)
-    u = zc * wc.conjugate() / R**2
-    q_plus = abs(u)
-    q_minus = 1.0 / (abs(u) * R**2)
-    if min(1.0 - q_plus, 1.0 - q_minus) < ctrl.boundary_margin:
-        raise ConvergenceError(
-            f"B=1 series ratios q+={q_plus:.6g}, q-={q_minus:.6g} too close to 1"
+    return _k0_product(z, w, AnnulusParams(R=R, B=1.0), ctrl, rounding_rtol).value
+
+
+def _k0_product(
+    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None
+) -> KernelEvaluation:
+    B = _integer_B(params, "product-formula path")
+
+    # j/(R^(2j)-1): decays like j R^(-2j) for j -> +inf but grows linearly
+    # for j -> -inf (the decay there comes from (z conj(w))^j); evaluated
+    # overflow-free per sign (n = |j|), with the j = 0 limit 1/(2 log R)
+    def terms(g: _Pair, J: int):
+        j = np.arange(-J, J + 1, dtype=g.num.dtype)
+        n = np.where(j == 0, 1, abs(j))
+        decay = g.R ** (-2 * n)
+        base = np.where(
+            j > 0, n * decay / (1 - decay), np.where(j < 0, n / (1 - decay), 1 / (2 * g.log_R))
         )
-    log_R = math.log(R)
+        poly = 1
+        for q in range(1, B):
+            poly = poly * (1 + (j * g.log_R) ** 2 / (g.num.pi * q) ** 2)
+        return base * poly * g.num.exp(j * g.num.clog(g.z * g.w.conjugate()))
 
-    # the coefficient j/(1 - R^(-2j)) is evaluated overflow-free per sign,
-    # with the removable j = 0 singularity replaced by its limit
-    def coeff_exact(j: int) -> float:
-        if j == 0:
-            return 1.0 / (2.0 * log_R)
-        if j > 0:
-            return j / (1.0 - R ** (-2 * j))
-        n = -j
-        # j/(1 - R^(2n)) = n / (R^(2n) - 1) = n R^(-2n) / (1 - R^(-2n))
-        return n * R ** (-2 * n) / (1.0 - R ** (-2 * n))
+    def const(g: _Pair):
+        u = g.z * g.w.conjugate()
+        return (
+            (2 * g.num.pi) ** (2 * B - 2)
+            * math.factorial(B - 1) ** 2
+            / (g.num.pi * g.num.gamma(2 * B - 1) * u**B * g.log_R ** (2 * B - 2))
+        )
 
-    J = 32
-    log_u = cmath.log(u)
-    while True:
-        values = [coeff_exact(j) * cmath.exp(j * log_u) for j in range(-J, J + 1)]
-        total = sum(values)
-        condition = sum(abs(v) for v in values) / max(abs(total), 1e-300)
-        q_hi = q_plus * (J + 1.0) / J
-        q_lo = q_minus * (J + 1.0) / J
-        if q_hi < 1.0 and q_lo < 1.0:
-            tail = (
-                abs(values[-1]) * q_hi / (1.0 - q_hi)
-                + abs(values[0]) * q_lo / (1.0 - q_lo)
-            )
-            if tail <= ctrl.tolerance * abs(total):
-                if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-                    return _b1_extended(zc, wc, R, J + J // 2 + 16)
-                return complex(total) / (math.pi * zc * wc.conjugate())
-        if 2 * (2 * J) + 1 > ctrl.max_terms:
-            raise ConvergenceError("B=1 kernel series did not converge")
-        J *= 2
+    return _series(
+        "product_formula", terms, const, 2 * B - 1, 0.0, z, w, params, ctrl,
+        rounding_rtol,
+    )
 
 
 def kernel_k0_integer_product(
@@ -897,67 +632,7 @@ def kernel_k0_integer_product(
     With rounding_rtol set, cancellation-limited sums escalate to extended
     precision.
     """
-    if not params.is_integer_B():
-        raise UnsupportedPathError(
-            f"product-formula path requires integer B, got B={params.B}"
-        )
-    B = int(round(params.B))
-    zc, wc = as_complex(z), as_complex(w)
-    require_interior(zc, params)
-    require_interior(wc, params)
-    R = params.R
-    log_R = math.log(R)
-    u = zc * wc.conjugate()
-    q_plus = abs(u) / R**2
-    q_minus = 1.0 / abs(u)
-    if min(1.0 - q_plus, 1.0 - q_minus) < ctrl.boundary_margin:
-        raise ConvergenceError(
-            f"product series ratios q+={q_plus:.6g}, q-={q_minus:.6g} too close to 1"
-        )
-    pref = (
-        (2.0 * math.pi) ** (2 * B - 2)
-        * math.factorial(B - 1) ** 2
-        / (math.pi * math.gamma(2.0 * B - 1.0) * u**B * log_R ** (2 * B - 2))
-    )
-
-    # j/(R^(2j)-1): decays like j R^(-2j) for j -> +inf but grows linearly
-    # for j -> -inf (the decay there comes from (z conj(w))^j); evaluated
-    # overflow-free per sign, with the j = 0 limit 1/(2 log R)
-    def coeff_term(j: int) -> float:
-        if j == 0:
-            base = 1.0 / (2.0 * log_R)
-        elif j > 0:
-            base = j * R ** (-2 * j) / (1.0 - R ** (-2 * j))
-        else:
-            n = -j
-            # j/(R^(-2n) - 1) = n / (1 - R^(-2n))
-            base = n / (1.0 - R ** (-2 * n))
-        poly = 1.0
-        for q in range(1, B):
-            poly *= 1.0 + (j * log_R) ** 2 / (math.pi * q) ** 2
-        return base * poly
-
-    J = 32
-    log_u = cmath.log(u)
-    while True:
-        values = [coeff_term(j) * cmath.exp(j * log_u) for j in range(-J, J + 1)]
-        total = sum(values)
-        condition = sum(abs(v) for v in values) / max(abs(total), 1e-300)
-        growth = ((J + 1.0) / J) ** (2 * B - 1)
-        q_hi = q_plus * growth
-        q_lo = q_minus * growth
-        if q_hi < 1.0 and q_lo < 1.0:
-            tail = (
-                abs(values[-1]) * q_hi / (1.0 - q_hi)
-                + abs(values[0]) * q_lo / (1.0 - q_lo)
-            )
-            if tail <= ctrl.tolerance * abs(total):
-                if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-                    return _product_extended(zc, wc, params, J + J // 2 + 16)
-                return complex(pref * total)
-        if 2 * (2 * J) + 1 > ctrl.max_terms:
-            raise ConvergenceError("integer-B product series did not converge")
-        J *= 2
+    return _k0_product(z, w, params, ctrl, rounding_rtol).value
 
 
 def kernel_limit_R_inf(
@@ -994,6 +669,58 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
+def _theta_log_derivatives(g: _Pair, ctrl: SeriesControl) -> Callable[[int], complex]:
+    """s -> (log theta_4)^(s)(z0) at z0 = (i/2) log t, each order summed
+    once.  The extended evaluation truncates far below its 34-digit
+    rounding."""
+    if g.num is _MPMATH:
+        ctrl = replace(ctrl, tolerance=1e-40, max_terms=100_000)
+    z0 = 0.5j * g.num.clog(g.t)
+    return functools.cache(lambda s: theta4_log_derivative(s, z0, g.R, ctrl))
+
+
+def _sigma_theta(k: int, l: int, g: _Pair, L: Callable[[int], complex]):
+    """sigma_{k,l} via the theta contraction, with its rounding majorant.
+
+    The second return value is the non-cancelling magnitude of the
+    contraction (|prefactor| times the summed |c_p s_p| pieces, the p = 0
+    constant counted separately): the cancellation between the theta
+    log-derivative terms and the 1/(2 log R) constant is exactly what makes
+    sigma small near off-diagonal kernel zeros.
+    """
+    B = int(round(g.params.B))
+    c, log_R = g.radial_scale, g.log_R
+    c0 = B - max(k, l)
+
+    # gap polynomial G(n): prod_(p=0)^(|k-l|-1) (c0 + p +- i n c), sign +i for
+    # k < l (gap sits in the first Gamma factor), -i for k > l
+    poly = np.polynomial.polynomial
+    P = np.array([1.0 + 0.0j])
+    sign = 1.0 if k < l else -1.0
+    for p in range(abs(k - l)):
+        P = poly.polymul(P, np.array([c0 + p, sign * 1j * c]))
+    for q in range(1, c0):
+        P = poly.polymul(P, np.array([1.0, 0.0, (log_R / (g.num.pi * q)) ** 2]))
+
+    total = 0.0 + 0.0j
+    gross = 0.0
+    for p, cp in enumerate(P):
+        if cp == 0.0:
+            continue
+        if p % 2 == 0:
+            s_p = (-1.0) ** (p // 2) * L(p + 2) / 2.0 ** (p + 2)
+        else:
+            s_p = -1j * (-1.0) ** ((p + 1) // 2) * L(p + 2) / 2.0 ** (p + 2)
+        gross += abs(cp) * abs(s_p)
+        if p == 0:
+            s_p = s_p + 1.0 / (2.0 * log_R)
+            gross += abs(cp) / (2.0 * log_R)
+        total += cp * s_p
+
+    pref = g.t ** (-B) * 2.0 * log_R * math.factorial(c0 - 1) ** 2
+    return pref * total, abs(pref) * gross
+
+
 def sigma_theta_path(
     k: int,
     l: int,
@@ -1023,19 +750,14 @@ def sigma_theta_path(
     L_s = (log theta_4)^(s)(z0).  The result carries the t^(-B) prefactor
     from the shift.
     """
-    if not params.is_integer_B():
-        raise UnsupportedPathError(
-            f"theta path requires integer B, got B={params.B}"
-        )
-    B = int(round(params.B))
+    B = _integer_B(params, "theta path")
     if k < 0 or l < 0 or B - max(k, l) < 1:
         raise DomainError(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    _require_ratios(geo.t, params, ctrl)
-    value, gross = _sigma_theta_with_gross(k, l, geo, params, ctrl)
+    g = _pair(z, w, params)
+    _decay_ratios(g, ctrl)
+    value, gross = _sigma_theta(k, l, g, _theta_log_derivatives(g, ctrl))
     condition = gross / max(abs(value), 1e-300)
     # the log-derivative series truncate relative to their own magnitude,
     # so truncation error is amplified by the contraction's gross-to-net
@@ -1044,61 +766,18 @@ def sigma_theta_path(
         rounding_rtol is not None
         and max(_EPS, ctrl.tolerance) * condition > rounding_rtol
     ):
-        return _theta_sigma_extended(k, l, zc, wc, params)
-    return value
+        return _at_34_digits(
+            lambda e: _sigma_theta(k, l, e, _theta_log_derivatives(e, ctrl))[0],
+            z, w, params,
+        )
+    return complex(value)
 
 
-def _sigma_theta_with_gross(
-    k: int, l: int, geo: PairGeometry, params: AnnulusParams, ctrl: SeriesControl
-) -> tuple[complex, float]:
-    """sigma_{k,l} via the theta contraction, with its rounding majorant.
-
-    The second return value is the non-cancelling magnitude of the
-    contraction (|prefactor| times the summed |c_p s_p| pieces, the p = 0
-    constant counted separately): the cancellation between the theta
-    log-derivative terms and the 1/(2 log R) constant is exactly what makes
-    sigma small near off-diagonal kernel zeros.
-    """
-    B = int(round(params.B))
-    c = params.radial_scale
-    log_R = params.log_R
-    c0 = B - max(k, l)
-
-    # gap polynomial G(n): prod_(p=0)^(|k-l|-1) (c0 + p +- i n c), sign +i for
-    # k < l (gap sits in the first Gamma factor), -i for k > l
-    poly = np.polynomial.polynomial
-    P = np.array([1.0 + 0.0j])
-    sign = 1.0 if k < l else -1.0
-    for p in range(abs(k - l)):
-        P = poly.polymul(P, np.array([c0 + p, sign * 1j * c]))
-    for q in range(1, c0):
-        P = poly.polymul(P, np.array([1.0, 0.0, (log_R / (math.pi * q)) ** 2]))
-
-    z0 = 0.5j * cmath.log(geo.t)
-    log_derivs: dict[int, complex] = {}
-
-    def L(s: int) -> complex:
-        if s not in log_derivs:
-            log_derivs[s] = theta4_log_derivative(s, z0, params.R, ctrl)
-        return log_derivs[s]
-
-    total = 0.0 + 0.0j
-    gross = 0.0
-    for p, cp in enumerate(P):
-        if cp == 0.0:
-            continue
-        if p % 2 == 0:
-            s_p = (-1.0) ** (p // 2) * L(p + 2) / 2.0 ** (p + 2)
-        else:
-            s_p = -1j * (-1.0) ** ((p + 1) // 2) * L(p + 2) / 2.0 ** (p + 2)
-        gross += abs(cp) * abs(s_p)
-        if p == 0:
-            s_p = s_p + 1.0 / (2.0 * log_R)
-            gross += abs(cp) / (2.0 * log_R)
-        total += cp * s_p
-
-    pref = geo.t ** (-B) * 2.0 * log_R * math.factorial(c0 - 1) ** 2
-    return complex(pref * total), abs(pref) * gross
+def _theta_kernel(m: int, g: _Pair, ctrl: SeriesControl):
+    """K_m through the theta path and its rounding majorant."""
+    L = _theta_log_derivatives(g, ctrl)
+    total, majorant = _contract(m, g.B, g.V, lambda k, l: _sigma_theta(k, l, g, L))
+    return _prefactor(m, g) * total, total, majorant
 
 
 def kernel_km_theta(
@@ -1115,65 +794,42 @@ def kernel_km_theta(
     evaluations are redone at extended precision.
     """
     require_admissible(m, params)
-    if not params.is_integer_B():
-        raise UnsupportedPathError(
-            f"theta path requires integer B, got B={params.B}"
-        )
-    zc, wc = as_complex(z), as_complex(w)
-    geo = pair_geometry(zc, wc, params)
-    _require_ratios(geo.t, params, ctrl)
-    pref = _kernel_prefactor(m, params)
-    B = params.B
+    B = _integer_B(params, "theta path")
+    g = _pair(z, w, params)
+    _decay_ratios(g, ctrl)
+    contractions = sum(
+        abs(k - l) + 2 * (B - max(k, l)) - 1
+        for l in range(m + 1)
+        for k in range(m + 1 - l)
+    )
+    pref = abs(_prefactor(m, g))
     eff = ctrl
     for _ in range(3):
-        total = 0.0 + 0.0j
-        majorant = 0.0
-        contractions = 0
-        for l in range(m + 1):
-            for k in range(m + 1 - l):
-                coeff = pochhammer(1.0 - 2.0 * B + m, k + l) / (
-                    math.factorial(m - k - l) * math.factorial(k) * math.factorial(l)
-                )
-                weight = coeff * geo.V**l * np.conj(geo.V) ** k
-                s, g = _sigma_theta_with_gross(k, l, geo, params, eff)
-                total += weight * s
-                majorant += abs(weight) * g
-                contractions += abs(k - l) + 2 * (int(round(B)) - max(k, l)) - 1
-        value = pref * total
+        value, total, majorant = _theta_kernel(m, g, eff)
         condition = majorant / max(abs(total), 1e-300)
-        tail = eff.tolerance * abs(pref) * majorant
+        tail = eff.tolerance * pref * majorant
         # rounding-limited: refinement of the truncation cannot help, so the
         # escalation decision comes before the truncation check
-        if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-            return KernelEvaluation(
-                value=_theta_extended(m, zc, wc, params),
-                path="theta",
-                terms_used=max(contractions, 1),
-                tail_bound=tail,
-                condition=condition,
-                precision="extended",
-            )
-        if tail <= ctrl.tolerance * abs(value):
-            return KernelEvaluation(
-                value=complex(value),
-                path="theta",
-                terms_used=max(contractions, 1),
-                tail_bound=tail,
-                condition=condition,
-            )
+        escalate = rounding_rtol is not None and _EPS * condition > rounding_rtol
+        if escalate or tail <= ctrl.tolerance * abs(value):
+            break
         eff = replace(eff, tolerance=eff.tolerance / 100.0)
-    if rounding_rtol is not None:
+    else:
+        if rounding_rtol is None:
+            raise ConvergenceError("theta-path kernel failed to reach tolerance x |value|")
         # binary64 truncation cannot certify the requested accuracy at this
         # gross-to-net ratio; the extended evaluation covers both error terms
-        return KernelEvaluation(
-            value=_theta_extended(m, zc, wc, params),
-            path="theta",
-            terms_used=max(contractions, 1),
-            tail_bound=tail,
-            condition=condition,
-            precision="extended",
-        )
-    raise ConvergenceError("theta-path kernel failed to reach tolerance x |value|")
+        escalate = True
+    if escalate:
+        value = _at_34_digits(lambda e: _theta_kernel(m, e, ctrl)[0], z, w, params)
+    return KernelEvaluation(
+        value=complex(value),
+        path="theta",
+        terms_used=max(contractions, 1),
+        tail_bound=tail,
+        condition=condition,
+        precision="extended" if escalate else "binary64",
+    )
 
 
 def inversion_covariance_residual(
@@ -1187,10 +843,7 @@ def inversion_covariance_residual(
     rule maps the index ladder j -> -j - 2B onto itself only when 2B is an
     even integer.
     """
-    if not params.is_integer_B():
-        raise UnsupportedPathError(
-            f"inversion covariance requires integer B, got B={params.B}"
-        )
+    _integer_B(params, "inversion covariance")
     zc, wc = as_complex(z), as_complex(w)
     # the covariance factor |z conj(w)/R|^(2B) amplifies both truncation and
     # rounding error of each side relative to |K_m(z, w)|, so the kernels are
@@ -1225,9 +878,9 @@ def kernel_km_grid(
     """
     require_admissible(m, params)
     zc = as_complex(z)
-    require_interior(zc, params)
+    g = _pair(zc, zc, params)  # the coordinates of z and the scalars
     w_flat = np.asarray(w_nodes, dtype=complex).ravel()
-    B, c, R = params.B, params.radial_scale, params.R
+    R = params.R
 
     t_all = zc * np.conj(w_flat) / R
     q_plus = np.abs(t_all) / R
@@ -1247,34 +900,19 @@ def kernel_km_grid(
         )
 
     j = np.arange(-J, J + 1)
-    y = (j + B) * c
-    lg = sc.loggamma((B - np.arange(m + 1))[:, None] + 1j * y[None, :])
-    pair_vectors = {
-        (k, l): np.exp(lg[k] + np.conj(lg[l])) for l in range(m + 1) for k in range(m + 1)
-    }
+    # the Gamma pairs alone (log t = 0): each node's t-powers are a row of T
+    pair_vectors = np.exp(_sigma_log_terms(g, J, m, 0.0))
 
-    X = xi_coordinate(zc, params)
     zeta_w = math.pi * np.log(np.abs(w_flat)) / params.log_R
     Y_all = np.cos(zeta_w) / np.sin(zeta_w)
-    V_all = 0.25 * (1.0 + 1j * X) * (1.0 + 1j * Y_all)
-    pref = _kernel_prefactor(m, params)
+    V_all = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * Y_all)
+    pref = _prefactor(m, g)
 
     out = np.empty(w_flat.shape, dtype=complex)
     for start in range(0, w_flat.size, chunk):
         sl = slice(start, min(start + chunk, w_flat.size))
-        log_t = np.log(t_all[sl])
-        T = np.exp(np.outer(log_t, j))  # (chunk, 2J+1)
-        acc = np.zeros(T.shape[0], dtype=complex)
-        V = V_all[sl]
-        for l in range(m + 1):
-            for k in range(m + 1 - l):
-                coeff = pochhammer(1.0 - 2.0 * B + m, k + l) / (
-                    math.factorial(m - k - l)
-                    * math.factorial(k)
-                    * math.factorial(l)
-                )
-                sigma_vals = T @ pair_vectors[(k, l)]
-                acc += coeff * V**l * np.conj(V) ** k * sigma_vals
+        T = np.exp(np.outer(np.log(t_all[sl]), j))  # (chunk, 2J+1)
+        acc, = _contract(m, g.B, V_all[sl], lambda k, l: (T @ pair_vectors[k, l],))
         out[sl] = pref * acc
     return out.reshape(np.asarray(w_nodes, dtype=complex).shape)
 
@@ -1309,12 +947,4 @@ def kernel_by_path(
         raise UnsupportedPathError(
             f"product-formula path exists only for m = 0, got m={m}"
         )
-    value = kernel_k0_integer_product(
-        z, w, params, ctrl, rounding_rtol=rounding_rtol
-    )
-    return KernelEvaluation(
-        value=value,
-        path="product_formula",
-        terms_used=0,
-        tail_bound=ctrl.tolerance * abs(value),
-    )
+    return _k0_product(z, w, params, ctrl, rounding_rtol)

@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import scipy.special as sc
 from numpy.polynomial import polynomial as npoly
@@ -440,26 +441,33 @@ def theta4_log_derivative(
             = 4 sum_{j>=1} (2j)^(s-1) [R^j / (R^(2j) - 1)] sin(2jz + (s-1) pi/2).
 
     Converges iff exp(2 |Im z|) / R < 1; the distance of that ratio from 1
-    must exceed ctrl.boundary_margin.
+    must exceed ctrl.boundary_margin.  An mpmath z (with R in mpmath) is
+    summed in mpmath at the working precision.
     """
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
-    z = complex(z)
+    if isinstance(z, mp.mpc):
+        sin, exp, pi = mp.sin, mp.exp, mp.pi
+    else:
+        z, sin, exp, pi = complex(z), cmath.sin, math.exp, math.pi
     if not (R > 1.0):
         raise DomainError(f"requires R > 1, got R={R}")
-    q = math.exp(2.0 * abs(z.imag)) / R
+    q = exp(2.0 * abs(z.imag)) / R
     if q >= 1.0 - ctrl.boundary_margin:
         raise ConvergenceError(
             f"log-derivative series ratio exp(2|Im z|)/R = {q:.6g} is within "
             f"{ctrl.boundary_margin} of 1 (|Im z| must stay below log(R)/2)"
         )
-    phase = (order - 1) * math.pi / 2.0
+    phase = (order - 1) * pi / 2.0
     total = 0.0 + 0.0j
     for j in range(1, ctrl.max_terms + 1):
         g = R ** (-j) / (1.0 - R ** (-2 * j))
-        term = 4.0 * (2.0 * j) ** (order - 1) * g * cmath.sin(2.0 * j * z + phase)
+        # (2j)^(s-1) as an exact integer: a rounded power would put a
+        # term-dependent error into an mpmath sum
+        weight = 4 * (2 * j) ** (order - 1) * g
+        term = weight * sin(2.0 * j * z + phase)
         total += term
-        bound = 4.0 * (2.0 * j) ** (order - 1) * g * math.exp(2.0 * j * abs(z.imag))
+        bound = weight * exp(2.0 * j * abs(z.imag))
         # geometric tail with ratio ~ 2^(order-1) adjustment absorbed by q-margin
         tail = bound * q * (1.0 + 1.0 / j) ** (order - 1) / (1.0 - q)
         if tail < ctrl.tolerance * max(abs(total), 1e-300):

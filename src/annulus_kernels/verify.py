@@ -309,31 +309,21 @@ def reproducing_residual(
 
         int K_m(z, w) f(w) omega(w)^(2B-2) dA(w) = f(z).
     """
-    zc = as_complex(z)
-    nodes, wq = _level_nodes(params, spec, m, m)
-    bumped = _alias_free_spec(zc, nodes, params, spec)
-    if bumped is not None:
-        nodes, wq = _level_nodes(params, bumped, m, m)
-    flat, wf = nodes.ravel(), wq.ravel()
-    kvals = kernel_km_grid(m, zc, flat, params, ctrl)
-    scale = math.exp(-0.5 * log_basis_norm_sq(j0, m, params))
-    fvals = basis_phi_nodes(j0, m, flat, params) * scale
-    integral = complex(np.sum(wf * kvals * fvals))
-    target = basis_phi(j0, m, zc, params) * scale
-    return abs(integral - target) / max(abs(target), 1e-300)
+    return _reproducing_defect(m, m, z, j0, spec, params, ctrl)
 
 
-def _cross_level_residual(
+def _reproducing_defect(
     m_kernel: int,
     m_function: int,
     z,
     j0: int,
     spec: QuadratureSpec,
     params: AnnulusParams,
-    ctrl: SeriesControl = DEFAULT_SERIES,
+    ctrl: SeriesControl,
 ) -> float:
-    """Same integral with the kernel of a *different* level: the eigenspaces
-    are orthogonal, so the integral is ~0 and the relative defect is ~1."""
+    """The reproducing integral of the level-m_kernel kernel against the
+    level-m_function basis element.  With distinct levels the eigenspaces are
+    orthogonal, so the integral is ~0 and the relative defect is ~1."""
     zc = as_complex(z)
     nodes, wq = _level_nodes(params, spec, m_kernel, m_function)
     bumped = _alias_free_spec(zc, nodes, params, spec)
@@ -577,7 +567,7 @@ def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
 
     levels = admissible_levels(params)
     if len(levels) >= 2:
-        cross = _cross_level_residual(
+        cross = _reproducing_defect(
             levels[1], levels[0], pts[0], 0, spec, params, opts.ctrl
         )
         entries.append(

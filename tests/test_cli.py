@@ -265,17 +265,14 @@ def test_config_invalid_json_exits_2(tmp_path):
     assert code == 2
 
 
-def test_workers_validated_but_inert():
-    code, _, err = run_cli(["info", "--R", "4", "--B", "1", "--workers", "0"])
+def test_workers_flag_removed(tmp_path):
+    code, _, _ = run_cli(["info", "--R", "4", "--B", "1", "--workers", "1"])
     assert code == 2
-    code1, out1, _ = run_cli(["verify", "geometry", "--R", "4", "--B", "1",
-                              "--workers", "1"])
-    code4, out4, _ = run_cli(["verify", "geometry", "--R", "4", "--B", "1",
-                              "--workers", "4"])
-    assert code1 == code4 == 0
-    d1, d4 = json.loads(out1), json.loads(out4)
-    d1.pop("runtime_s"), d4.pop("runtime_s")
-    assert d1 == d4  # report content independent of the worker bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 4.0, "workers": 1}))
+    code, _, err = run_cli(["info", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown config key" in err
 
 
 def test_usage_error_exits_2():

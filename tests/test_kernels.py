@@ -18,7 +18,8 @@ from annulus_kernels.errors import (
     UnsupportedPathError,
 )
 from annulus_kernels.geometry import AnnulusParams, polar_point
-from annulus_kernels.special import SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
+from annulus_kernels import kernels
+from annulus_kernels.special import DEFAULT_SERIES, SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
 from annulus_kernels.basis import admissible_levels, basis_norm_sq
 from annulus_kernels.kernels import (
     KERNEL_PATHS,
@@ -135,6 +136,25 @@ def test_sigma_near_boundary_rejected():
 def test_sigma_index_validation():
     with pytest.raises(DomainError):
         sigma_kl(2, 0, Z0, W0, 1, P43)
+
+
+@pytest.mark.parametrize(
+    "params, m, z, w",
+    [
+        (P43, 2, Z0, W0),
+        # thin annulus: the window doubles several times
+        (AnnulusParams(R=1.5, B=2.0), 1, 1.2 * cmath.exp(0.4j), 1.3 * cmath.exp(-1.1j)),
+    ],
+    ids=["R4-B3-m2", "R1.5-B2-m1"],
+)
+def test_sigma_family_reused_terms_match_a_fresh_window(params, m, z, w):
+    # the doubling window keeps the terms of the previous window; the sums
+    # must equal, bit for bit, the sums over the final window evaluated anew
+    g = kernels._pair(z, w, params)
+    sigma, _, gross, J = kernels._sigma_family(m, g, DEFAULT_SERIES)
+    fresh = np.exp(kernels._sigma_log_terms(g, J, m, cmath.log(g.t)))
+    np.testing.assert_array_equal(sigma, fresh.sum(axis=-1))
+    np.testing.assert_array_equal(gross, np.abs(fresh).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +500,43 @@ def test_escalation_triggers_near_kernel_zero():
     assert abs(lax.value - tight.value) > 1e-14 * abs(tight.value)
 
 
+Z_ESC = 1.8 * cmath.exp(0.4j)
+W_ESC = 2.2 * cmath.exp(-0.3j)
+
+
+FORCED_PATHS = {
+    "kernel_km m=0": lambda r: kernel_km(0, Z_ESC, W_ESC, P43, rounding_rtol=r),
+    "kernel_km m=2": lambda r: kernel_km(2, Z_ESC, W_ESC, P43, rounding_rtol=r),
+    "basis_sum_oracle": lambda r: kernel_basis_sum_oracle(
+        1, Z_ESC, W_ESC, P43, tol=1e-13, rounding_rtol=r
+    ),
+    "jacobi_product_sum": lambda r: kernel_jacobi_product_sum(
+        1, Z_ESC, W_ESC, P43, tol=1e-13, rounding_rtol=r
+    ),
+    "kernel_km_theta": lambda r: kernel_km_theta(1, Z_ESC, W_ESC, P43, rounding_rtol=r),
+    "sigma_kl": lambda r: sigma_kl(0, 1, Z_ESC, W_ESC, 1, P43, rounding_rtol=r),
+    "sigma_theta_path": lambda r: sigma_theta_path(
+        0, 1, Z_ESC, W_ESC, P43, rounding_rtol=r
+    ),
+    "k0_b1": lambda r: kernel_k0_b1(Z_ESC, W_ESC, 4.0, rounding_rtol=r),
+    "k0_integer_product": lambda r: kernel_k0_integer_product(
+        Z_ESC, W_ESC, P42, rounding_rtol=r
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(FORCED_PATHS))
+def test_forced_escalation_matches_binary64(path):
+    # a zero rounding budget forces every path onto its extended-precision
+    # evaluation; at this well-conditioned pair it must reproduce binary64
+    plain, forced = FORCED_PATHS[path](None), FORCED_PATHS[path](0.0)
+    if hasattr(forced, "precision"):
+        assert plain.precision == "binary64"
+        assert forced.precision == "extended"
+        plain, forced = plain.value, forced.value
+    assert abs(forced - plain) <= 1e-12 * abs(forced)
+
+
 # ---------------------------------------------------------------------------
 # vectorized grid evaluation
 
@@ -514,6 +571,9 @@ def test_dispatch_known_paths():
     assert ev.path == "product_formula"
     ref = kernel_k0_closed(Z0, W0, P42).value
     assert abs(ev.value - ref) < 1e-9 * abs(ref)
+    # the product path reports its own window and tail bound
+    assert ev.terms_used > 0
+    assert ev.tail_bound <= SeriesControl().tolerance * abs(ev.value)
 
 
 def test_dispatch_rejections():
