@@ -13,9 +13,11 @@ Four independent evaluation paths are implemented and cross-checked:
 
 Each series is written once, as a term function vectorised over the window
 j = -J..J, and summed by one driver (_sum_window): the window doubles until
-the rigorous geometric tail bound falls below the tolerance.  Every kernel
-built from sigma_{k,l} goes through one (k, l) contraction (_contract) and
-one K_m prefactor (_prefactor).
+the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
+Every kernel built from sigma_{k,l} goes through one (k, l) contraction
+(_contract) and one K_m prefactor (_prefactor).  The node-set evaluation
+kernel_km_grid sizes its window with the same tail bound, per node, to the
+tolerance times |K| plus the node's rounding level; see its docstring.
 
 Extended precision re-runs the same term and contraction code at 34 digits.
 When machine epsilon times the condition (the gross-to-net ratio of the
@@ -60,6 +62,8 @@ from .basis import basis_norm_sq, require_admissible
 KERNEL_PATHS = ("closed_form", "basis_sum", "theta", "product_formula")
 
 _EPS = float(np.finfo(float).eps)
+# nodes per t-power matrix of kernel_km_grid
+_GRID_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,13 @@ class _Pair(PairGeometry):
 class KernelEvaluation:
     """A kernel value with its evaluation path and truncation diagnostics.
 
-    condition is the gross-to-net ratio of the summed series (the factor by
-    which floating-point rounding of individual terms can be amplified in
-    the cancelled total); precision records whether the value came from the
-    plain binary64 ladder or the extended-precision re-evaluation.
+    tail_bound bounds the truncation error only.  condition is the
+    gross-to-net ratio of the summed series (the factor by which
+    floating-point rounding of individual terms can be amplified in the
+    cancelled total), so a binary64 value carries about eps x condition
+    relative rounding error on top, and none of its digits once that nears
+    1.  precision records whether the value came from the plain binary64
+    ladder or the extended-precision re-evaluation.
     """
 
     value: complex
@@ -200,6 +207,21 @@ def _decay_ratios(g: _Pair, ctrl: SeriesControl) -> tuple[float, float]:
     return q_plus, q_minus
 
 
+def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarray:
+    """Rigorous bound on the tails |j| > J of bilateral series whose moduli
+    decay like q_minus^|j| and q_plus^j (ratios[..., 0] and [..., 1]) times
+    a growth |j + shift|^p (p broadcasting against edges); edges[..., 0] and
+    edges[..., 1] are the moduli at j = -J and j = J.  Each tail is at most
+    its edge term x q_eff/(1 - q_eff), q_eff = q ((|j + shift| + 1)/
+    |j + shift|)^p at the edge; every bound is infinite once any q_eff >= 1.
+    """
+    lo, hi = abs(-J + shift), abs(J + shift)
+    q_eff = ratios * np.array([(lo + 1.0) / lo, (hi + 1.0) / hi]) ** p
+    if q_eff.max() < 1.0:
+        return (edges * q_eff / (1.0 - q_eff)).sum(axis=-1)
+    return np.full(edges.shape[:-1], math.inf)
+
+
 def _sum_window(
     terms: Callable[[int], np.ndarray],
     p,
@@ -210,18 +232,13 @@ def _sum_window(
 ):
     """Sum one or more bilateral series over the window j = -J..J.
 
-    terms(J) gives the terms of each series along the last axis.  Their
-    moduli decay like q_plus^j and q_minus^|j| (_decay_ratios) times a
-    polynomial growth |j + shift|^p, which the rigorous tail bound (edge
-    term x q_eff/(1-q_eff)) absorbs into the effective ratio
-    q_eff = q ((|j + shift| + 1)/|j + shift|)^p at the window's edge.  J
-    doubles from 32 until every tail is below ctrl.tolerance times the
-    largest sum; an explicit window is summed as it is.  Returns the sums,
-    the tail bounds, the gross magnitudes (sums of |term|, the rounding
-    majorants) and J.
+    terms(J) gives the terms of each series along the last axis; their
+    growth exponent p and shift are those of _tail_bound.  J doubles from 32
+    until every tail is below ctrl.tolerance times the largest sum; an
+    explicit window is summed as it is.  Returns the sums, the tail bounds,
+    the gross magnitudes (sums of |term|, the rounding majorants) and J.
     """
     q_plus, q_minus = _decay_ratios(g, ctrl)
-    # edge terms j = -J, J on a last axis: few numpy calls on small arrays
     ratios = np.array([q_minus, q_plus])
     p_edges = np.asarray(p)[..., None]
     J = 32 if window is None else int(window)
@@ -230,12 +247,8 @@ def _sum_window(
         total = values.sum(axis=-1)
         moduli = np.abs(values)
         gross = moduli.sum(axis=-1)
-        lo, hi = abs(-J + shift), abs(J + shift)
-        q_eff = ratios * np.array([(lo + 1.0) / lo, (hi + 1.0) / hi]) ** p_edges
-        if q_eff.max() < 1.0:  # the step takes j = -J and j = J (the one term at J = 0)
-            tails = (moduli[..., :: max(2 * J, 1)] * q_eff / (1.0 - q_eff)).sum(axis=-1)
-        else:  # no geometric bound at this window
-            tails = np.full(gross.shape, math.inf)
+        # the step takes j = -J and j = J (the one term at J = 0)
+        tails = _tail_bound(moduli[..., :: max(2 * J, 1)], ratios, p_edges, shift, J)
         scale = max(float(abs(total).max()), 1e-300)
         if window is not None or tails.max() <= ctrl.tolerance * scale:
             return total, tails, gross, J
@@ -307,28 +320,31 @@ def _sigma_sums(g: _Pair, J: int, m: int) -> Callable:
     return lambda k, l: (g.num.exp(log_terms[k, l]).sum(),)
 
 
-def _contract(m: int, B, V, family: Callable) -> list:
-    """The closed-form double sum over (k, l) with k + l <= m:
-
-        sum (1-2B+m)_(k+l) / ((m-k-l)! k! l!) * V^l conj(V)^k * sigma_{k,l}
-
+def _weights(m: int, B, V) -> list:
+    """(k, l, weight) of each sigma_{k,l} in the closed-form double sum,
+    weight = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k, k + l <= m
     (arrangement pinned against the basis-sum oracle; see module docstring).
+    """
+    f = math.factorial
+    return [
+        (k, l, pochhammer(1 - 2 * B + m, k + l) / (f(m - k - l) * f(k) * f(l))
+         * V**l * V.conjugate() ** k)
+        for l in range(m + 1) for k in range(m + 1 - l)
+    ]
+
+
+def _contract(m: int, B, V, family: Callable) -> list:
+    """The closed-form double sum  sum_{k+l<=m} weight_{k,l} sigma_{k,l}.
+
     family(k, l) returns (sigma_{k,l}, *moduli); the result is the sum above
     followed by the same sum of each modulus with the weights' magnitudes
     (tail bounds and rounding majorants of the contraction).
     """
     sums = None
-    for l in range(m + 1):
-        for k in range(m + 1 - l):
-            weight = (
-                pochhammer(1 - 2 * B + m, k + l)
-                / (math.factorial(m - k - l) * math.factorial(k) * math.factorial(l))
-                * V**l
-                * V.conjugate() ** k
-            )
-            value, *moduli = family(k, l)
-            terms = [weight * value] + [abs(weight) * x for x in moduli]
-            sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
+    for k, l, weight in _weights(m, B, V):
+        value, *moduli = family(k, l)
+        terms = [weight * value] + [abs(weight) * x for x in moduli]
+        sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
     return sums
 
 
@@ -414,7 +430,12 @@ def kernel_km(
     machine epsilon times the reported condition (gross-to-net cancellation
     of the contraction); when rounding_rtol is given and that bound exceeds
     it, the value is recomputed in extended precision over a widened window
-    and reported with precision="extended".
+    and reported with precision="extended".  Without rounding_rtol nothing
+    checks the rounding: at (R, B) = (1.5, 2), m = 0, the first pair of
+    verify.sample_pairs(params, 6, 11) (z ~ -0.5739-0.9410j,
+    w ~ -0.1939+1.2090j) has condition 1.8e15, and its binary64 value,
+    reported with a tail bound of 1.4e-26, is 58% off.  Callers who need a
+    certified value pass rounding_rtol.
     """
     require_admissible(m, params)
     g = _pair(z, w, params)
@@ -436,23 +457,6 @@ def kernel_km(
     return KernelEvaluation(
         complex(value), "closed_form", 2 * J + 1, tail, condition, precision
     )
-
-
-def kernel_k0_closed(
-    z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES
-) -> KernelEvaluation:
-    """Analytic-space kernel K_0 in its compact single-series form:
-
-        K_0 = (2 pi)^(2B-3) / (Gamma(2B-1) R^B log(R)^(2B-1))
-              * sum_j |Gamma(B + i (j+B) log(R)/pi)|^2 (z conj(w)/R)^j.
-
-    Identical series to kernel_km at m = 0; the prefactors agree through
-    Gamma(2B) = (2B-1) Gamma(2B-1).
-    """
-    value, tail, condition, J, certified = _closed_form(0, _pair(z, w, params), ctrl)
-    if not certified:
-        raise ConvergenceError("K_0 tail bound failed to reach tolerance x |value|")
-    return KernelEvaluation(complex(value), "closed_form", 2 * J + 1, tail, condition)
 
 
 def _series(
@@ -866,55 +870,97 @@ def kernel_km_grid(
     w_nodes: np.ndarray,
     params: AnnulusParams,
     ctrl: SeriesControl = DEFAULT_SERIES,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """K_m(z, w) for one fixed first argument and an array of second
     arguments, sharing a single Gamma ladder across all nodes.
 
-    The window is sized from the worst decay ratio over the node set; the
-    t-powers form chunked node x ladder matrices contracted against the
-    Gamma-pair vectors (one matrix product per (k, l) pair and chunk).
-    Intended for quadrature node sets and plot grids.
+    The window is the smallest J at which every node's pointwise tail bound
+    (_tail_bound, weighted by the contraction's weights) is within
+    ctrl.tolerance x its own |K| plus eps x its summed term magnitudes
+    (kernel_km's condition x |K|: about the rounding its binary64 sum
+    carries anyway, which dominates on ill-conditioned nodes).  Truncation
+    is certified so; rounding is not.  Nodes are refused (ConvergenceError)
+    as pointwise pairs are: a decay ratio within ctrl.boundary_margin of 1,
+    or a window beyond ctrl.max_terms.  The t-powers |t|^j e^(i j arg t) are
+    built from one row per distinct modulus and angle, _GRID_CHUNK nodes at
+    a time.  Intended for quadrature node sets and plot grids.
     """
     require_admissible(m, params)
     zc = as_complex(z)
     g = _pair(zc, zc, params)  # the coordinates of z and the scalars
-    w_flat = np.asarray(w_nodes, dtype=complex).ravel()
-    R = params.R
+    w = np.asarray(w_nodes, dtype=complex)
+    t = zc * np.conj(w.ravel()) / params.R
+    abs_t = np.abs(t)
+    for i in (abs_t.argmax(), abs_t.argmin()):  # the largest q+ and q-
+        _decay_ratios(replace(g, t=t[i]), ctrl)
+    ratios = np.stack([1.0 / (params.R * abs_t), abs_t / params.R], axis=-1)
+    edge_log_t = np.multiply.outer(np.log(abs_t), [-1.0, 1.0])  # log|t^j| at j = -1, 1
+    zeta_w = math.pi * np.log(np.abs(w.ravel())) / params.log_R
+    V = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * np.cos(zeta_w) / np.sin(zeta_w))
+    k, l, weights = (np.array(x) for x in zip(*_weights(m, g.B, V)))  # one row per (k, l)
+    weight = abs(weights)
+    p = np.maximum(2.0 * g.B - (k + l) - 1.0, 0.0)[:, None, None]
 
-    t_all = zc * np.conj(w_flat) / R
-    q_plus = np.abs(t_all) / R
-    q_minus = 1.0 / (R * np.abs(t_all))
-    q_worst = max(float(q_plus.max()), float(q_minus.max()))
-    if q_worst >= 1.0 - min(ctrl.boundary_margin, 1e-6):
-        raise ConvergenceError(
-            f"grid contains nodes with decay ratio {q_worst:.8g}; "
-            "cannot sum the bilateral series there"
-        )
-    # window: geometric decay to tolerance plus slack for the polynomial
-    # factor |y|^(2B-1) and the family prefactors
-    J = int(math.ceil(math.log(ctrl.tolerance * 1e-3) / math.log(q_worst))) + 48
-    if 2 * J + 1 > max(ctrl.max_terms, 4 * 4096):
-        raise ConvergenceError(
-            f"grid window 2J+1 = {2 * J + 1} exceeds the term budget"
-        )
+    @functools.cache
+    def tails(J: int) -> np.ndarray:
+        """Each node's weighted bound on the terms |j| > J (J > B)."""
+        edges = _sigma_log_terms(g, J, m, 0.0, J - 1).real[k, l]  # j = -J, J
+        edges = np.exp(edges[:, None, :] + J * edge_log_t)
+        return (weight * _tail_bound(edges, ratios, p, g.B, J)).sum(axis=0)
 
-    j = np.arange(-J, J + 1)
-    # the Gamma pairs alone (log t = 0): each node's t-powers are a row of T
-    pair_vectors = np.exp(_sigma_log_terms(g, J, m, 0.0))
+    value, gross = np.zeros(t.shape, dtype=complex), np.zeros(t.shape)
 
-    zeta_w = math.pi * np.log(np.abs(w_flat)) / params.log_R
-    Y_all = np.cos(zeta_w) / np.sin(zeta_w)
-    V_all = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * Y_all)
-    pref = _prefactor(m, g)
+    def widen(inner: int, J: int) -> None:
+        """Add the terms inner < |j| <= J to value and their moduli to gross."""
+        pairs = np.exp(_sigma_log_terms(g, J, m, 0.0, inner))[k, l].T  # one column per (k, l)
+        moduli = abs(pairs)
+        j = np.arange(-J, J + 1)
+        j = j[abs(j) > inner]
+        for start in range(0, t.size, _GRID_CHUNK):
+            sl = slice(start, start + _GRID_CHUNK)
+            # |t|^j and e^(i j arg t) once per distinct modulus and angle
+            radii, ring = np.unique(abs_t[sl], return_inverse=True)
+            angles, spoke = np.unique(np.angle(t[sl]), return_inverse=True)
+            powers = np.exp(np.outer(np.log(radii), j))
+            T = powers[ring] * np.exp(1j * np.outer(angles, j))[spoke]  # the nodes' t^j
+            value[sl] += (weights[:, sl] * (T @ pairs).T).sum(axis=0)
+            gross[sl] += (weight[:, sl] * (powers @ moduli)[ring].T).sum(axis=0)
 
-    out = np.empty(w_flat.shape, dtype=complex)
-    for start in range(0, w_flat.size, chunk):
-        sl = slice(start, min(start + chunk, w_flat.size))
-        T = np.exp(np.outer(np.log(t_all[sl]), j))  # (chunk, 2J+1)
-        acc, = _contract(m, g.B, V_all[sl], lambda k, l: (T @ pair_vectors[k, l],))
-        out[sl] = pref * acc
-    return out.reshape(np.asarray(w_nodes, dtype=complex).shape)
+    J_max = (ctrl.max_terms - 1) // 2
+    worst = ratios.max(axis=0)  # q- and q+
+    exhausted = ConvergenceError(
+        f"grid series did not reach tolerance {ctrl.tolerance} within {ctrl.max_terms} "
+        f"terms (q+={worst[1]:.4g}, q-={worst[0]:.4g})")
+    step = -1.0 / math.log(worst.max())
+
+    def smallest(J: int, limit: np.ndarray) -> int:
+        """The smallest window from J on whose bounds are within limit."""
+        lo = J
+        while not (excess := (tails(J) / limit).max()) <= 1.0:
+            if J >= J_max:
+                raise exhausted
+            # a step for the largest ratio; the bisection below undoes overshoot
+            up = math.ceil(min(step * math.log(excess), J_max))
+            lo, J = J + 1, min(J + max(up, 1), J_max)
+        while lo < J:  # bisect the last step
+            mid = (lo + J) // 2
+            lo, J = (lo, mid) if (tails(mid) <= limit).all() else (mid + 1, J)
+        return J
+
+    # the first window: the smallest J above B at which every effective
+    # ratio of _tail_bound, q ((|J -/+ B| + 1)/|J -/+ B|)^p, is below 1
+    root = worst ** (-1.0 / p.max()) - 1.0
+    found = math.floor(max(g.B + 1.0 / root[0], 1.0 / root[1] - g.B, g.B)) + 1
+    if found > J_max:
+        raise exhausted
+    J = -1
+    while found != J:
+        widen(J, found)
+        J = found
+        # upper bounds on |K| and the magnitudes: no search passes the answer
+        bound = tails(J)
+        found = smallest(J, ctrl.tolerance * (np.abs(value) + bound) + _EPS * (gross + bound))
+    return (_prefactor(m, g) * value).reshape(w.shape)
 
 
 def kernel_by_path(

@@ -170,24 +170,3 @@ def annulus_integrate(
             "integrands must be vectorized over node arrays"
         )
     return complex(np.sum(w * values))
-
-
-def annulus_integrate_with_delta(
-    f,
-    params: AnnulusParams,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> tuple[complex, float]:
-    """Integral together with a self-convergence estimate.
-
-    Evaluates the rule at the requested node counts and at a refinement
-    (angular doubled, radial + 32); returns the refined value and the
-    absolute difference between the two as an error proxy.
-    """
-    coarse = annulus_integrate(f, params, spec)
-    fine_spec = QuadratureSpec(
-        n_angular=2 * spec.n_angular,
-        n_radial=spec.n_radial + 32,
-        weight_exponent=spec.weight_exponent,
-    )
-    fine = annulus_integrate(f, params, fine_spec)
-    return fine, abs(fine - coarse)

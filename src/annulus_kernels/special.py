@@ -340,11 +340,6 @@ def cauchy_beta_integral(p: float, nu: float) -> float:
     return math.exp(log_value)
 
 
-def _rodrigues_weight(x: float, a: float, b: float) -> float:
-    """omega^(a,b)(x) = exp(-a arccot x) (1 + x^2)^(b-1)."""
-    return math.exp(-a * arccot(x)) * (1.0 + x * x) ** (b - 1.0)
-
-
 def routh_rodrigues_oracle(m: int, a: float, b: float, x: float) -> float:
     """Rodrigues-formula value of RR_m^(a,b)(x),
 

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sc
 
 from .basis import (
@@ -54,7 +53,6 @@ from .kernels import (
     kernel_basis_sum_oracle,
     kernel_jacobi_product_sum,
     kernel_k0_b1,
-    kernel_k0_closed,
     kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
@@ -258,20 +256,6 @@ def gram_matrix(
     return _gram_on_nodes(m, js, z, wq, params)
 
 
-def _gram_entry(
-    m: int, j_row: int, j_col: int, spec: QuadratureSpec, params: AnnulusParams
-) -> complex:
-    z, wq = _level_nodes(params, spec, m, m)
-    flat, wf = z.ravel(), wq.ravel()
-    a = basis_phi_nodes(j_row, m, flat, params) * math.exp(
-        -0.5 * log_basis_norm_sq(j_row, m, params)
-    )
-    b = basis_phi_nodes(j_col, m, flat, params) * math.exp(
-        -0.5 * log_basis_norm_sq(j_col, m, params)
-    )
-    return complex(np.sum(wf * np.conj(a) * b))
-
-
 def _alias_free_spec(
     zc: complex, nodes: np.ndarray, params: AnnulusParams, spec: QuadratureSpec
 ) -> QuadratureSpec | None:
@@ -396,6 +380,8 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
                 got = routh_rodrigues_oracle(m, a, b, x)
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     entries.append(ResidualEntry("rodrigues-oracle", worst, 1e-7))
+
+    import scipy.integrate  # the one quad call; kept off the package import
 
     worst = 0.0
     for p, nu in ((0.0, 0.0), (0.0, 2.0), (1.0, 1.0), (0.7, 2.5)):
@@ -540,7 +526,8 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
     entries.append(ResidualEntry("gram-off-diagonal", worst_off, 1e-12))
 
     m, j_row, j_col, coarse = worst_case
-    fine = _gram_entry(m, j_row, j_col, opts.refined_spec(), params)
+    nodes = _level_nodes(params, opts.refined_spec(), m, m)
+    fine = _gram_on_nodes(m, [j_row, j_col], *nodes, params)[0, 1]
     delta = abs(fine - coarse)
     entries.append(ResidualEntry("gram-self-convergence-delta", delta, 1e-7))
     return entries
@@ -645,13 +632,6 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
             ).value
             worst = max(worst, abs(closed - oracle) / abs(oracle))
     entries.append(ResidualEntry("closed-vs-basis-sum", worst, tol))
-
-    worst = 0.0
-    for z, w in pairs:
-        a = kernel_km(0, z, w, params, ctrl).value
-        b = kernel_k0_closed(z, w, params, ctrl).value
-        worst = max(worst, abs(a - b) / abs(b))
-    entries.append(ResidualEntry("m0-compact-form", worst, 1e-12))
 
     tol = 1e-9
     worst = 0.0

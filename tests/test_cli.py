@@ -117,6 +117,16 @@ def test_eval_exhausted_budget_exits_3():
     assert code == 3
 
 
+def test_grid_exhausted_budget_exits_3():
+    # the thin annulus needs a window of about 2 x 270 + 1 terms
+    code, _, err = run_cli(
+        ["grid", "--R", "1.5", "--B", "2", "--w", "1.2+0.1i", "--n-rad", "4",
+         "--n-ang", "8", "--max-terms", "64"]
+    )
+    assert code == 3
+    assert "64 terms" in err
+
+
 def test_grid_row_count_and_abs_column():
     code, out, _ = run_cli(
         ["grid", "--R", "4", "--B", "2", "--m", "0", "--w", "2+0i",

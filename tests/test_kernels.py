@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from annulus_kernels.errors import (
     UnsupportedPathError,
 )
 from annulus_kernels.geometry import AnnulusParams, polar_point
+from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
 from annulus_kernels import kernels
 from annulus_kernels.special import DEFAULT_SERIES, SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
 from annulus_kernels.basis import admissible_levels, basis_norm_sq
@@ -27,7 +29,6 @@ from annulus_kernels.kernels import (
     kernel_by_path,
     kernel_jacobi_product_sum,
     kernel_k0_b1,
-    kernel_k0_closed,
     kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
@@ -260,17 +261,30 @@ def test_truncation_robustness():
 
 
 def test_m0_reduction_exact():
-    for z, w in _random_pairs(P43, 5, seed=5):
-        a = kernel_km(0, z, w, P43).value
-        b = kernel_k0_closed(z, w, P43).value
-        assert abs(a - b) <= 1e-12 * abs(b)
+    # K_0 against its compact single series, written out here:
+    # (2 pi)^(2B-3) / (Gamma(2B-1) R^B log(R)^(2B-1))
+    #   * sum_j |Gamma(B + i (j+B) log(R)/pi)|^2 (z conj(w)/R)^j,
+    # at fractional B; the defect is measured against the summed term
+    # magnitudes, the scale of the two sums' rounding
+    p = AnnulusParams(R=6.0, B=2.75)
+    j = np.arange(-200, 201)
+    y = (j + p.B) * math.log(p.R) / math.pi
+    pref = (2 * math.pi) ** (2 * p.B - 3) / (
+        math.gamma(2 * p.B - 1) * p.R**p.B * math.log(p.R) ** (2 * p.B - 1)
+    )
+    for z, w in _random_pairs(p, 5, seed=5):
+        terms = pref * np.exp(
+            2.0 * sc.loggamma(p.B + 1j * y).real + j * np.log(z * np.conj(w) / p.R)
+        )
+        a = kernel_km(0, z, w, p).value
+        assert abs(a - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 def test_b1_formula_agreement():
     p = AnnulusParams(R=4.0, B=1.0)
     for z, w in _random_pairs(p, 6, seed=19):
         a = kernel_k0_b1(z, w, 4.0)
-        b = kernel_k0_closed(z, w, p).value
+        b = kernel_km(0, z, w, p).value
         assert abs(a - b) < 1e-10 * abs(b)
 
 
@@ -288,7 +302,7 @@ def test_integer_product_agreement():
         p = AnnulusParams(R=R, B=B)
         for z, w in _random_pairs(p, 4, seed=int(R + B)):
             a = kernel_k0_integer_product(z, w, p)
-            b = kernel_k0_closed(z, w, p).value
+            b = kernel_km(0, z, w, p).value
             assert abs(a - b) < 1e-10 * abs(b)
 
 
@@ -301,7 +315,7 @@ def test_integer_product_rejects_fractional_b():
 def test_three_path_agreement(R, B):
     p = AnnulusParams(R=R, B=B)
     for z, w in _random_pairs(p, 5, seed=int(10 * R + B)):
-        closed = kernel_k0_closed(z, w, p).value
+        closed = kernel_km(0, z, w, p).value
         prod = kernel_k0_integer_product(z, w, p)
         theta = kernel_km_theta(0, z, w, p).value
         assert abs(prod - closed) < 1e-9 * abs(closed)
@@ -434,7 +448,7 @@ def test_limit_trend_strictly_decreasing(B):
     for R in (8.0, 16.0, 32.0):
         p = AnnulusParams(R=R, B=B)
         diffs.append(
-            abs(kernel_k0_closed(1.4, 1.8, p).value - kernel_limit_R_inf(1.4, 1.8, B))
+            abs(kernel_km(0, 1.4, 1.8, p).value - kernel_limit_R_inf(1.4, 1.8, B))
         )
     assert diffs[0] > diffs[1] > diffs[2]
 
@@ -559,6 +573,50 @@ def test_grid_preserves_shape():
     assert np.allclose(out, out[0, 0])
 
 
+# both grids' rounding, seen at most 1e-15 x max|K| on these rows
+GRID_ROUNDING = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("R,B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_grid_truncation_within_tolerance_of_max(R, B):
+    # the default grid's truncation is certified per node to tolerance x |K|
+    # plus eps x the node's summed term magnitudes, within tolerance x max|K|
+    p = AnnulusParams(R=R, B=B)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    for zeta in (0.325 * math.pi, 0.675 * math.pi):
+        z = polar_point(zeta, 0.7, p)
+        for m in admissible_levels(p):
+            got = kernel_km_grid(m, z, row, p)
+            ref = kernel_km_grid(m, z, row, p, SeriesControl(tolerance=1e-15))
+            scale = np.abs(ref).max()
+            assert np.abs(got - ref).max() <= (1e-12 + GRID_ROUNDING) * scale
+
+
+def test_grid_chunks_match_separate_halves():
+    # 1280 nodes span two t-power chunks; each half is evaluated alone, at
+    # its own window, so the two agree to both certificates
+    nodes = annulus_nodes(P43, QuadratureSpec(n_angular=32, n_radial=40))[0].ravel()
+    assert nodes.size > 1024
+    for m in admissible_levels(P43):
+        whole = kernel_km_grid(m, Z0, nodes, P43)
+        halves = np.concatenate(
+            [kernel_km_grid(m, Z0, half, P43) for half in np.split(nodes, 2)]
+        )
+        scale = np.abs(whole).max()
+        assert np.abs(whole - halves).max() <= (2e-12 + GRID_ROUNDING) * scale
+
+
+def test_grid_refuses_boundary_node_like_pointwise():
+    # |z||w|/R^2 = 0.9995: q+ lies within boundary_margin (1e-3) of 1, and
+    # one such node refuses the node set with the pointwise message
+    z = w = 4.0 * math.sqrt(0.9995)
+    with pytest.raises(ConvergenceError, match="too close to the boundary"):
+        kernel_km(0, z, w, P43)
+    with pytest.raises(ConvergenceError, match="too close to the boundary"):
+        kernel_km_grid(0, z, np.array([W0, w]), P43)
+    assert kernel_km_grid(0, z, np.array([W0]), P43).shape == (1,)
+
+
 # ---------------------------------------------------------------------------
 # path dispatch
 
@@ -569,7 +627,7 @@ def test_dispatch_known_paths():
     assert kernel_by_path("theta", 1, Z0, W0, P42).path == "theta"
     ev = kernel_by_path("product_formula", 0, Z0, W0, P42)
     assert ev.path == "product_formula"
-    ref = kernel_k0_closed(Z0, W0, P42).value
+    ref = kernel_km(0, Z0, W0, P42).value
     assert abs(ev.value - ref) < 1e-9 * abs(ref)
     # the product path reports its own window and tail bound
     assert ev.terms_used > 0

@@ -14,7 +14,6 @@ from annulus_kernels.geometry import AnnulusParams, alpha_index
 from annulus_kernels.quadrature import (
     QuadratureSpec,
     annulus_integrate,
-    annulus_integrate_with_delta,
     annulus_nodes,
     annulus_nodes_endpoint,
 )
@@ -135,14 +134,6 @@ def test_nodes_interior_and_weights_positive():
     assert np.all(r > 1.0) and np.all(r < 4.0)
     assert np.all(w > 0.0)
     assert z.shape == w.shape == (96, 128)
-
-
-def test_delta_estimate_small_for_smooth_integrand():
-    p = AnnulusParams(R=4.0, B=2.0)
-    val, delta = annulus_integrate_with_delta(
-        lambda z: np.abs(z) ** 2.0 + np.real(z), p
-    )
-    assert delta < 1e-10 * abs(val)
 
 
 @given(

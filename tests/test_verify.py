@@ -4,6 +4,9 @@ determinism, and the quadrature-backed operations it builds on."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +150,14 @@ def test_all_report_prefixes_subsuite_names():
     assert rep.passed
     assert all("/" in e.name for e in rep.residuals)
     assert rep.params["m"] == [0]
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves one quad call of the special-functions suite
+    # and is imported there, not with the package
+    code = "import annulus_kernels, sys; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
