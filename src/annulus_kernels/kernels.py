@@ -4,6 +4,7 @@ Four independent evaluation paths are implemented and cross-checked:
 
   closed_form      the double sum over sigma-series (Gamma-pair bilateral
                    series contracted against powers of V and conj(V)),
+                   each summed as its Poisson dual (below),
   basis_sum        the ground-truth oracle  K_m = sum_j Phi_j(z) conj(Phi_j(w))
                    built from the orthonormal basis and the closed-form norms,
   theta            integer B only: each sigma-series collapsed to finitely
@@ -11,21 +12,40 @@ Four independent evaluation paths are implemented and cross-checked:
                    Gamma-pair product,
   product_formula  integer B, m = 0 only: the elementary-coefficient series.
 
-Each series is written once, as a term function vectorised over the window
-j = -J..J, and summed by one driver (_sum_window): the window doubles until
-the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
-Every kernel built from sigma_{k,l} goes through one (k, l) contraction
-(_contract) and one K_m prefactor (_prefactor).  The node-set evaluation
-kernel_km_grid sizes its window with the same tail bound, per node, to the
-tolerance times |K| plus the node's rounding level; see its docstring.
+The closed form sums each Gamma-pair series
 
-Extended precision re-runs the same term and contraction code at 34 digits.
-When machine epsilon times the condition (the gross-to-net ratio of the
-summed series) exceeds the caller's rounding budget, the pair geometry is
-rebuilt from the binary64 inputs in mpmath numbers, and the series is summed
-again over the window widened to J + J//2 + 16.  The number type of the pair
-selects the elementwise functions: numpy and scipy for binary64, mpmath over
-numpy object arrays for the extended evaluation.
+    sigma_{k,l}(t) = sum_j Gamma(B-k + i y_j) Gamma(B-l - i y_j) t^j,
+    y_j = (j + B) c,  c = log(R)/pi,
+
+as its Poisson dual.  The Beta integral (DLMF 5.12) makes each Gamma pair a
+Fourier transform, and Poisson summation over j (at integer B, Jacobi's
+imaginary transformation of theta_4, DLMF 20.7) gives a sum over windings:
+
+    sigma_{k,l} = (2 pi/c) Gamma(2B-k-l) t^(-B) sum_nu h_nu a_nu^k b_nu^l,
+    h_nu = e^(2 pi i B nu) (2 cosh(xi_nu/2))^(-2B),
+    a_nu = 1 + e^(-xi_nu),  b_nu = 1 + e^(xi_nu),  xi_nu = i (log t - 2 pi i nu)/c,
+
+on principal branches, valid because Im xi = log|t|/c lies in (-pi, pi)
+exactly when 1/R < |t| < R.  The images sit at x = Re xi_nu = (2 pi nu -
+arg t)/c, 2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
+
+    (2 pi/c) Gamma(2B-k-l) |t|^(-B) e^(-(B-l) x) (1 - e^(-x))^(-(2B-k-l))
+
+for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
+as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
+kernel_km_grid all sum through _image_sum.
+
+The reference paths sum their j-series as term functions vectorised over
+the window j = -J..J, by one driver (_sum_window): the window doubles until
+the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
+
+Extended precision re-runs the same term code at 34 digits.  When machine
+epsilon times the condition (the gross-to-net ratio of the summed series)
+exceeds the caller's rounding budget, the pair geometry is rebuilt from the
+binary64 inputs in mpmath numbers and the value is summed again; a 34-digit
+sum whose own rounding still exceeds the budget is refused.  The number
+type of the pair selects the elementwise functions: numpy and scipy for
+binary64, mpmath over numpy object arrays for the extended evaluation.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -62,14 +82,13 @@ from .basis import basis_norm_sq, require_admissible
 KERNEL_PATHS = ("closed_form", "basis_sum", "theta", "product_formula")
 
 _EPS = float(np.finfo(float).eps)
-# nodes per t-power matrix of kernel_km_grid
-_GRID_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class _Numbers:
-    """The functions a number type is evaluated with.  exp and loggamma act
-    elementwise on arrays; index arrays j have dtype."""
+    """The functions a number type is evaluated with.  exp, clogs (the
+    complex log) and loggamma act elementwise on arrays; index arrays j have
+    dtype."""
 
     dtype: type
     convert: Callable
@@ -79,17 +98,21 @@ class _Numbers:
     cot: Callable
     gamma: Callable
     exp: Callable
+    clogs: Callable
     loggamma: Callable
 
 
 _BINARY64 = _Numbers(
     float, lambda x: x, math.pi, math.log, cmath.log,
-    lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp, sc.loggamma,
+    lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp,
+    lambda z: np.log(abs(z)) + 1j * np.angle(z),  # a fifth of np.log's time
+    sc.loggamma,
 )
 # mpmath numbers at the working precision, held in numpy object arrays
 _MPMATH = _Numbers(
     object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
-    np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.loggamma, 1, 1),
+    np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
+    np.frompyfunc(mp.loggamma, 1, 1),
 )
 
 
@@ -134,8 +157,9 @@ class KernelEvaluation:
     floating-point rounding of individual terms can be amplified in the
     cancelled total), so a binary64 value carries about eps x condition
     relative rounding error on top, and none of its digits once that nears
-    1.  precision records whether the value came from the plain binary64
-    ladder or the extended-precision re-evaluation.
+    1.  terms_used counts the summed terms: images for the closed form,
+    j-window terms for the j-series paths.  precision records whether the
+    value came from binary64 or the 34-digit re-evaluation.
     """
 
     value: complex
@@ -182,11 +206,6 @@ def _at_34_digits(evaluate: Callable[[_Pair], object], z, w, params: AnnulusPara
         return complex(evaluate(_pair(z, w, params, _MPMATH)))
 
 
-def _widened(J: int) -> int:
-    """The window of an extended re-evaluation after a binary64 window J."""
-    return J + J // 2 + 16
-
-
 def _integer_B(params: AnnulusParams, what: str) -> int:
     """B of a path that needs it integer; what names the path."""
     if not params.is_integer_B():
@@ -213,10 +232,12 @@ def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarra
     a growth |j + shift|^p (p broadcasting against edges); edges[..., 0] and
     edges[..., 1] are the moduli at j = -J and j = J.  Each tail is at most
     its edge term x q_eff/(1 - q_eff), q_eff = q ((|j + shift| + 1)/
-    |j + shift|)^p at the edge; every bound is infinite once any q_eff >= 1.
+    |j + shift|)^p at the edge; every bound is infinite once any q_eff >= 1,
+    as it is when an edge sits at j + shift = 0 (unbounded growth ratio).
     """
-    lo, hi = abs(-J + shift), abs(J + shift)
-    q_eff = ratios * np.array([(lo + 1.0) / lo, (hi + 1.0) / hi]) ** p
+    edge = np.array([abs(-J + shift), abs(J + shift)])
+    with np.errstate(divide="ignore"):
+        q_eff = ratios * ((edge + 1.0) / edge) ** p
     if q_eff.max() < 1.0:
         return (edges * q_eff / (1.0 - q_eff)).sum(axis=-1)
     return np.full(edges.shape[:-1], math.inf)
@@ -261,63 +282,12 @@ def _sum_window(
         J *= 2
 
 
-def _ladder(g: _Pair, J: int, offsets, inner: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """The log-Gamma ladders loggamma(B - k + i y_j), y_j = (j + B) log(R)/pi,
-    over the j in -J..J with |j| > inner (all by default), one row per k in
-    offsets; and those j."""
+def _ladder(g: _Pair, J: int, m: int):
+    """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, from the log-Gamma
+    ladder loggamma(B - m + i y_j), y_j = (j + B) log(R)/pi; and mu_j."""
     j = np.arange(-J, J + 1, dtype=g.num.dtype)
-    j = j[abs(j) > inner]
-    k = np.array(offsets, dtype=g.num.dtype)
-    return g.num.loggamma((g.B - k)[:, None] + g.mu(j)[None, :]), j
-
-
-def _sigma_log_terms(g: _Pair, J: int, m: int, log_t, inner: int = -1) -> np.ndarray:
-    """log of the terms Gamma(B-k + i y_j) Gamma(B-l - i y_j) t^j of every
-    sigma_{k,l}, 0 <= k, l <= m (axes 0 and 1), over the j of _ladder (axis 2).
-
-    The ladder of each k is computed once and shared by every l: the second
-    factor is the Schwarz conjugate of row l.
-    """
-    lg, j = _ladder(g, J, range(m + 1), inner)
-    return lg[:, None] + lg.conj()[None] + j * log_t
-
-
-def _sigma_family(
-    m: int, g: _Pair, ctrl: SeriesControl
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """All sigma_{k,l} for 0 <= k, l <= m over one shared Gamma ladder,
-
-        sigma_{k,l} = sum_{j in Z} Gamma(B-k + i y_j) Gamma(B-l - i y_j) t^j,
-
-    with their tail bounds relative to the family scale (the polynomial
-    growth |y|^(2B-k-l-1) of the Gamma pair absorbed into the ratio).
-    Returns (sigma, tails, gross, J), where gross[k, l] is the
-    non-cancelling sum of term magnitudes (the rounding majorant).
-    """
-    if g.params.B - m <= 0.0:
-        raise DomainError(f"sigma series needs B - k > 0 for all k <= m={m}")
-    k = np.arange(m + 1)
-    p = np.maximum(2.0 * g.B - (k[:, None] + k[None, :]) - 1.0, 0.0)
-    log_t = cmath.log(g.t)
-    values = np.empty((m + 1, m + 1, 0), dtype=complex)
-
-    def terms(J: int) -> np.ndarray:
-        # keeps the previous window's terms: each term is evaluated once
-        nonlocal values
-        inner = (values.shape[-1] - 1) // 2  # the previous J; -1 at first
-        new = np.exp(_sigma_log_terms(g, J, m, log_t, inner))
-        cut = J - inner  # new terms with j < 0 (and j = 0 at first)
-        values = np.concatenate((new[..., :cut], values, new[..., cut:]), axis=-1)
-        return values
-
-    return _sum_window(terms, p, g.B, g, ctrl)
-
-
-def _sigma_sums(g: _Pair, J: int, m: int) -> Callable:
-    """(k, l) -> (sigma_{k,l},) summed over the fixed window [-J, J]; only
-    the requested series are exponentiated."""
-    log_terms = _sigma_log_terms(g, J, m, g.num.clog(g.t))
-    return lambda k, l: (g.num.exp(log_terms[k, l]).sum(),)
+    lg = g.num.loggamma(g.B - m + g.mu(j))
+    return lg + lg.conj() + j * g.num.clog(g.t), g.mu(j)
 
 
 def _weights(m: int, B, V) -> list:
@@ -359,6 +329,115 @@ def _prefactor(m: int, g: _Pair):
     )
 
 
+def _level_polynomial(m: int, g: _Pair, V) -> Callable:
+    """The (k, l) contraction of kernel_km's image terms,
+
+        poly(a, b) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
+                   = sum_n c_n u^n,  u = conj(V) a + V b,
+        c_n = (1-2B+m)_n Gamma(2B-n) / ((m-n)! n!),
+
+    (weights of _weights, collapsed by the binomial theorem).  With
+    modulus=True it is the same sum with each coefficient's modulus,
+    sum_n |c_n| (|V| (a + b))^n.  V broadcasts against a and b."""
+    f = math.factorial
+    B = g.B
+    c = [pochhammer(1 - 2 * B + m, n) * g.num.gamma(2 * B - n) / (f(m - n) * f(n))
+         for n in range(m + 1)]
+
+    def poly(a, b, modulus: bool = False):
+        coef = [abs(x) for x in c] if modulus else c
+        total = coef[m]
+        if m:  # Horner in u
+            u = abs(V) * (a + b) if modulus else V.conjugate() * a + V * b
+            for x in coef[m - 1::-1]:
+                total = total * u + x
+        return total
+
+    return poly
+
+
+def _image_sum(g: _Pair, t, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
+    """The image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l)
+    at each t of an array, given poly(a, b) = sum coef_{k,l} a^k b^l over
+    k <= k_max, l <= l_max (with modulus=True: the coefficients' moduli).
+
+    Over a family the term bound of the module docstring sums to
+    (2 pi/c) |t|^(-B) e^(-BX) (1 - e^-X)^(-2B) poly(1 - e^-X, e^X - 1) at
+    x = X > 0, decreasing in X and geometric in the image spacing d with
+    ratio e^(-(B - l_max) d); the minus side swaps a, b and k, l.  A side
+    of n images omits |x| >= X = (n + 1/2) d.  The counts solve that bound
+    in closed form for the smaller of ctrl.tolerance and eps times
+    e^(-B d/2) poly(1, 1), the central image's lower size: more images add
+    no numpy call, a second pass costs a whole one.  While a tail bound
+    exceeds ctrl.tolerance x |sum| + eps x the rounding majorant, both
+    counts grow by the steps the slowest decay asks for; past
+    ctrl.max_terms images the sum is refused.  The majorant charges each
+    term its modulus times 1 + |log h|, as exp amplifies the rounding of
+    its argument.  Returns the sums, tail bounds, majorants and images.
+    """
+    num, B = g.num, g.B
+    log_t = num.clogs(np.reshape(t, (-1, 1)))  # one row per t
+    spacing = 2 * num.pi / g.radial_scale  # xi_(nu+1) - xi_nu
+    q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
+    unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
+    scale = np.abs(np.asarray(unit, dtype=complex))
+
+    # counts and bounds in binary64, with the slowest decay of each side
+    eps = _EPS if num is _BINARY64 else float(mp.eps)
+    d, b = float(spacing), float(B)
+    rates = (b - l_max, b - k_max)  # of the + and - sides
+    reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
+    n_plus, n_minus = (
+        max(math.ceil((reach - math.log(-math.expm1(-rate * d))) / (rate * d) - 0.5), 0)
+        for rate in rates
+    )
+    while n_plus + n_minus + 1 <= ctrl.max_terms:
+        nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
+        q = q0 * num.exp(spacing / 2 * nu)  # e^(xi_nu/2)
+        q_inv = 1 / q
+        s = q + q_inv  # 2 cosh(xi_nu/2)
+        log_h = 2j * num.pi * B * nu - 2 * B * num.clogs(s)
+        h = num.exp(log_h)
+        a_nu, b_nu = s * q_inv, s * q  # 1 + e^(-xi_nu), 1 + e^(xi_nu)
+        total = unit[:, 0] * (h * poly(a_nu, b_nu)).sum(axis=-1)
+        gross = scale[:, 0] * (
+            abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), modulus=True)
+        ).sum(axis=-1)
+        bound = 0.0
+        for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
+            # no further out than binary64 holds e^(X max(k, l)): a smaller X
+            # only loosens the decreasing bound
+            X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
+            near, far = -math.expm1(-X), math.expm1(X)
+            factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
+            bound = bound + factor * poly(*((far, near) if minus else (near, far)), modulus=True)
+        bound = (scale * np.asarray(bound, dtype=float))[:, 0]
+        limit = ctrl.tolerance * np.abs(np.asarray(total, dtype=complex))
+        excess = (bound / (limit + eps * np.asarray(gross, dtype=float))).max()
+        if excess <= 1.0:
+            return total, bound, gross, n_plus + n_minus + 1
+        if not math.isfinite(excess):
+            raise ConvergenceError(f"image sum overflowed binary64 (R={g.params.R:g})")
+        step = max(math.ceil(math.log(excess) / (min(rates) * d)), 1)
+        n_plus, n_minus = n_plus + step, n_minus + step
+    raise ConvergenceError(
+        f"image sum did not reach tolerance {ctrl.tolerance} within "
+        f"{ctrl.max_terms} terms ({n_plus + n_minus + 1} images needed)"
+    )
+
+
+def _checked(value, condition, rounding_rtol: float):
+    """A 34-digit value, refused (ConvergenceError) when its own rounding,
+    mp.eps x its condition, exceeds the budget: rounding_rtol, or binary64's
+    eps, to which the value is rounded on return, if that is larger."""
+    if mp.eps * condition > max(rounding_rtol, _EPS):
+        raise ConvergenceError(
+            f"34-digit sum keeps no digit within the rounding budget "
+            f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
+        )
+    return value
+
+
 def sigma_kl(
     k: int,
     l: int,
@@ -369,47 +448,38 @@ def sigma_kl(
     ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> complex:
-    """The bilateral Gamma-pair series sigma_{k,l}(z, w).
+    """The bilateral Gamma-pair series sigma_{k,l}(z, w), summed as its
+    image sum.
 
     k and l must not exceed the level context m (which bounds the Gamma
     arguments away from poles: B - max(k,l) >= B - m > 0).  With
-    rounding_rtol set, a cancellation-limited sum escalates to extended
-    precision over a widened window.
+    rounding_rtol set, a sum whose eps x condition exceeds it is summed
+    again at 34 digits.
     """
     if not (0 <= k <= m_context and 0 <= l <= m_context):
         raise DomainError(f"need 0 <= k,l <= m={m_context}, got k={k}, l={l}")
     require_admissible(m_context, params)
     g = _pair(z, w, params)
-    sigma, _, gross, J = _sigma_family(m_context, g, ctrl)
-    condition = gross[k, l] / max(abs(sigma[k, l]), 1e-300)
-    # truncation (relative to the family scale) and rounding are both
-    # amplified by the gross-to-net ratio of this entry
-    if (
-        rounding_rtol is not None
-        and max(_EPS, ctrl.tolerance) * condition > rounding_rtol
-    ):
-        J = _widened(J)
-        return _at_34_digits(lambda e: _sigma_sums(e, J, max(k, l))(k, l)[0], z, w, params)
-    return complex(sigma[k, l])
+    _decay_ratios(g, ctrl)
+
+    def sigma(e: _Pair):
+        gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
+        total, _, gross, _ = _image_sum(
+            e, e.t, lambda a, b, modulus=False: gamma * a**k * b**l, k, l, ctrl
+        )
+        return total[0], gross[0] / max(abs(total[0]), 1e-300)
+
+    value, condition = sigma(g)
+    if rounding_rtol is not None and _EPS * condition > rounding_rtol:
+        return _at_34_digits(lambda e: _checked(*sigma(e), rounding_rtol), z, w, params)
+    return complex(value)
 
 
 def _closed_form(m: int, g: _Pair, ctrl: SeriesControl):
-    """K_m in binary64, refining the truncation tolerance (twice, 100x each)
-    until the weighted tail bound is within ctrl.tolerance x |value|.
-    Returns (value, tail, condition, J, certified)."""
+    """K_m with its condition, tail bound and image count."""
+    total, tail, gross, images = _image_sum(g, g.t, _level_polynomial(m, g, g.V), m, m, ctrl)
     pref = _prefactor(m, g)
-    eff = ctrl
-    for _ in range(3):
-        sigma, tails, gross, J = _sigma_family(m, g, eff)
-        total, bound, majorant = _contract(
-            m, g.B, g.V, lambda k, l: (sigma[k, l], tails[k, l], gross[k, l])
-        )
-        value, tail = pref * total, abs(pref) * bound
-        condition = majorant / max(abs(total), 1e-300)
-        if tail <= ctrl.tolerance * abs(value):
-            return value, tail, condition, J, True
-        eff = replace(eff, tolerance=eff.tolerance / 100.0)
-    return value, tail, condition, J, False
+    return pref * total[0], gross[0] / max(abs(total[0]), 1e-300), abs(pref) * tail[0], images
 
 
 def kernel_km(
@@ -423,39 +493,32 @@ def kernel_km(
     """Closed-form reproducing kernel K_m(z, w) of the m-th eigenspace.
 
     Hermitian in (z, w), rotation invariant, and equal to the basis-sum
-    oracle; the tail bound is the coefficient-weighted sum of the rigorous
-    sigma-series bounds and satisfies tail_bound <= tolerance * |value|.
+    oracle.  The sigma-series are summed as image sums (module docstring);
+    terms_used counts the images.  The tail bound is the coefficient-weighted
+    sum of their rigorous tail bounds and satisfies tail_bound <=
+    tolerance x |value| + eps x condition x |value|: truncation goes no
+    further than the rounding the value carries anyway.
 
-    ctrl.tolerance governs truncation only.  Rounding error is bounded by
-    machine epsilon times the reported condition (gross-to-net cancellation
-    of the contraction); when rounding_rtol is given and that bound exceeds
-    it, the value is recomputed in extended precision over a widened window
-    and reported with precision="extended".  Without rounding_rtol nothing
-    checks the rounding: at (R, B) = (1.5, 2), m = 0, the first pair of
-    verify.sample_pairs(params, 6, 11) (z ~ -0.5739-0.9410j,
-    w ~ -0.1939+1.2090j) has condition 1.8e15, and its binary64 value,
-    reported with a tail bound of 1.4e-26, is 58% off.  Callers who need a
-    certified value pass rounding_rtol.
+    ctrl.tolerance governs truncation only.  Rounding error is about machine
+    epsilon times the reported condition (gross-to-net cancellation of the
+    contraction, each term charged for the rounding its exponential
+    amplifies); when rounding_rtol is given and that bound exceeds it, the
+    value is recomputed at 34 digits and reported with
+    precision="extended", and a 34-digit value whose own rounding exceeds
+    the budget raises ConvergenceError.
     """
     require_admissible(m, params)
     g = _pair(z, w, params)
-    value, tail, condition, J, certified = _closed_form(m, g, ctrl)
-    if rounding_rtol is None and not certified:
-        raise ConvergenceError(
-            f"kernel tail bound {tail:.3g} exceeds tolerance x |value| = "
-            f"{ctrl.tolerance * abs(value):.3g} after refinement"
-        )
+    _decay_ratios(g, ctrl)
+    value, condition, tail, images = _closed_form(m, g, ctrl)
     precision = "binary64"
-    # an uncertified binary64 truncation escalates as well: the extended
-    # evaluation covers both error terms
-    if rounding_rtol is not None and (not certified or _EPS * condition > rounding_rtol):
-        J, precision = _widened(J), "extended"
+    if rounding_rtol is not None and _EPS * condition > rounding_rtol:
+        precision = "extended"
         value = _at_34_digits(
-            lambda e: _prefactor(m, e) * _contract(m, e.B, e.V, _sigma_sums(e, J, m))[0],
-            z, w, params,
+            lambda e: _checked(*_closed_form(m, e, ctrl)[:2], rounding_rtol), z, w, params
         )
     return KernelEvaluation(
-        complex(value), "closed_form", 2 * J + 1, tail, condition, precision
+        complex(value), "closed_form", images, float(tail), float(condition), precision
     )
 
 
@@ -475,22 +538,24 @@ def _series(
     """const(pair) x the bilateral series of terms(pair, J), summed by the
     window driver.  Unless the window is fixed, a sum whose machine epsilon
     times condition exceeds rounding_rtol is summed again at 34 digits over
-    the widened window."""
+    the widened window, and refused if its own rounding exceeds the budget
+    (_checked)."""
     g = _pair(z, w, params)
     total, tail, gross, J = _sum_window(lambda J: terms(g, J), p, shift, g, ctrl, window)
     condition = float(gross / max(abs(total), 1e-300))
     value, precision = const(g) * total, "binary64"
     if window is None and rounding_rtol is not None and _EPS * condition > rounding_rtol:
-        J, precision = _widened(J), "extended"
-        value = _at_34_digits(lambda e: const(e) * terms(e, J).sum(), z, w, params)
+        J, precision = J + J // 2 + 16, "extended"  # the window widened
+
+        def extended(e: _Pair):
+            values = terms(e, J)
+            total = values.sum()
+            condition = abs(values).sum() / max(abs(total), 1e-300)
+            return const(e) * _checked(total, condition, rounding_rtol)
+
+        value = _at_34_digits(extended, z, w, params)
     tail = abs(const(g)) * float(tail)
     return KernelEvaluation(complex(value), path, 2 * J + 1, tail, condition, precision)
-
-
-def _gamma_pair_terms(g: _Pair, J: int, m: int):
-    """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, and mu_j."""
-    lg, j = _ladder(g, J, [m])
-    return lg[0] + lg[0].conj() + j * g.num.clog(g.t), g.mu(j)
 
 
 def kernel_basis_sum_oracle(
@@ -522,7 +587,7 @@ def kernel_basis_sum_oracle(
     require_admissible(m, params)
 
     def terms(g: _Pair, J: int):
-        log_terms, mu = _gamma_pair_terms(g, J, m)
+        log_terms, mu = _ladder(g, J, m)
         jac = JacobiParams(-g.B - mu, -g.B + mu, m)
         radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
         return g.num.exp(log_terms - log_terms[J]) * radial  # j = 0 sits at J
@@ -559,7 +624,7 @@ def kernel_jacobi_product_sum(
     require_admissible(m, params)
 
     def terms(g: _Pair, J: int):
-        log_terms, mu = _gamma_pair_terms(g, J, m)
+        log_terms, mu = _ladder(g, J, m)
         pz = jacobi_poly(JacobiParams(-g.B - mu, -g.B + mu, m), 1j * g.X)
         pw = jacobi_poly(JacobiParams(-g.B + mu, -g.B - mu, m), -1j * g.Y)
         return g.num.exp(log_terms) * pz * pw
@@ -872,18 +937,16 @@ def kernel_km_grid(
     ctrl: SeriesControl = DEFAULT_SERIES,
 ) -> np.ndarray:
     """K_m(z, w) for one fixed first argument and an array of second
-    arguments, sharing a single Gamma ladder across all nodes.
+    arguments: the image sums of kernel_km, over one common set of images.
 
-    The window is the smallest J at which every node's pointwise tail bound
-    (_tail_bound, weighted by the contraction's weights) is within
-    ctrl.tolerance x its own |K| plus eps x its summed term magnitudes
-    (kernel_km's condition x |K|: about the rounding its binary64 sum
-    carries anyway, which dominates on ill-conditioned nodes).  Truncation
-    is certified so; rounding is not.  Nodes are refused (ConvergenceError)
-    as pointwise pairs are: a decay ratio within ctrl.boundary_margin of 1,
-    or a window beyond ctrl.max_terms.  The t-powers |t|^j e^(i j arg t) are
-    built from one row per distinct modulus and angle, _GRID_CHUNK nodes at
-    a time.  Intended for quadrature node sets and plot grids.
+    One set of images, as many as the most demanding node needs, serves
+    every node, so each node's truncation is certified as kernel_km's: tail
+    bound within ctrl.tolerance x its own |K| plus eps x its rounding
+    majorant.  The rounding (about eps x kernel_km's condition) is not
+    reported.
+    Nodes are refused (ConvergenceError) as pointwise pairs are: a decay
+    ratio within ctrl.boundary_margin of 1, or more than ctrl.max_terms
+    images.  Intended for quadrature node sets and plot grids.
     """
     require_admissible(m, params)
     zc = as_complex(z)
@@ -893,74 +956,10 @@ def kernel_km_grid(
     abs_t = np.abs(t)
     for i in (abs_t.argmax(), abs_t.argmin()):  # the largest q+ and q-
         _decay_ratios(replace(g, t=t[i]), ctrl)
-    ratios = np.stack([1.0 / (params.R * abs_t), abs_t / params.R], axis=-1)
-    edge_log_t = np.multiply.outer(np.log(abs_t), [-1.0, 1.0])  # log|t^j| at j = -1, 1
     zeta_w = math.pi * np.log(np.abs(w.ravel())) / params.log_R
     V = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * np.cos(zeta_w) / np.sin(zeta_w))
-    k, l, weights = (np.array(x) for x in zip(*_weights(m, g.B, V)))  # one row per (k, l)
-    weight = abs(weights)
-    p = np.maximum(2.0 * g.B - (k + l) - 1.0, 0.0)[:, None, None]
-
-    @functools.cache
-    def tails(J: int) -> np.ndarray:
-        """Each node's weighted bound on the terms |j| > J (J > B)."""
-        edges = _sigma_log_terms(g, J, m, 0.0, J - 1).real[k, l]  # j = -J, J
-        edges = np.exp(edges[:, None, :] + J * edge_log_t)
-        return (weight * _tail_bound(edges, ratios, p, g.B, J)).sum(axis=0)
-
-    value, gross = np.zeros(t.shape, dtype=complex), np.zeros(t.shape)
-
-    def widen(inner: int, J: int) -> None:
-        """Add the terms inner < |j| <= J to value and their moduli to gross."""
-        pairs = np.exp(_sigma_log_terms(g, J, m, 0.0, inner))[k, l].T  # one column per (k, l)
-        moduli = abs(pairs)
-        j = np.arange(-J, J + 1)
-        j = j[abs(j) > inner]
-        for start in range(0, t.size, _GRID_CHUNK):
-            sl = slice(start, start + _GRID_CHUNK)
-            # |t|^j and e^(i j arg t) once per distinct modulus and angle
-            radii, ring = np.unique(abs_t[sl], return_inverse=True)
-            angles, spoke = np.unique(np.angle(t[sl]), return_inverse=True)
-            powers = np.exp(np.outer(np.log(radii), j))
-            T = powers[ring] * np.exp(1j * np.outer(angles, j))[spoke]  # the nodes' t^j
-            value[sl] += (weights[:, sl] * (T @ pairs).T).sum(axis=0)
-            gross[sl] += (weight[:, sl] * (powers @ moduli)[ring].T).sum(axis=0)
-
-    J_max = (ctrl.max_terms - 1) // 2
-    worst = ratios.max(axis=0)  # q- and q+
-    exhausted = ConvergenceError(
-        f"grid series did not reach tolerance {ctrl.tolerance} within {ctrl.max_terms} "
-        f"terms (q+={worst[1]:.4g}, q-={worst[0]:.4g})")
-    step = -1.0 / math.log(worst.max())
-
-    def smallest(J: int, limit: np.ndarray) -> int:
-        """The smallest window from J on whose bounds are within limit."""
-        lo = J
-        while not (excess := (tails(J) / limit).max()) <= 1.0:
-            if J >= J_max:
-                raise exhausted
-            # a step for the largest ratio; the bisection below undoes overshoot
-            up = math.ceil(min(step * math.log(excess), J_max))
-            lo, J = J + 1, min(J + max(up, 1), J_max)
-        while lo < J:  # bisect the last step
-            mid = (lo + J) // 2
-            lo, J = (lo, mid) if (tails(mid) <= limit).all() else (mid + 1, J)
-        return J
-
-    # the first window: the smallest J above B at which every effective
-    # ratio of _tail_bound, q ((|J -/+ B| + 1)/|J -/+ B|)^p, is below 1
-    root = worst ** (-1.0 / p.max()) - 1.0
-    found = math.floor(max(g.B + 1.0 / root[0], 1.0 / root[1] - g.B, g.B)) + 1
-    if found > J_max:
-        raise exhausted
-    J = -1
-    while found != J:
-        widen(J, found)
-        J = found
-        # upper bounds on |K| and the magnitudes: no search passes the answer
-        bound = tails(J)
-        found = smallest(J, ctrl.tolerance * (np.abs(value) + bound) + _EPS * (gross + bound))
-    return (_prefactor(m, g) * value).reshape(w.shape)
+    total, *_ = _image_sum(g, t, _level_polynomial(m, g, V[:, None]), m, m, ctrl)
+    return (_prefactor(m, g) * total).reshape(w.shape)
 
 
 def kernel_by_path(

@@ -110,21 +110,23 @@ def test_eval_unknown_path_exits_2():
 
 
 def test_eval_exhausted_budget_exits_3():
+    # the image count grows like log R: R = 1e6 at B - m = 0.75 needs more
+    # than 57 images
     code, _, err = run_cli(
-        ["eval", "--R", "2", "--B", "1", "--z", "1.4+0i", "--w", "-1.4+0.01i",
-         "--max-terms", "64"]
+        ["eval", "--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i",
+         "--max-terms", "16"]
     )
     assert code == 3
+    assert "16 terms" in err
 
 
 def test_grid_exhausted_budget_exits_3():
-    # the thin annulus needs a window of about 2 x 270 + 1 terms
     code, _, err = run_cli(
-        ["grid", "--R", "1.5", "--B", "2", "--w", "1.2+0.1i", "--n-rad", "4",
-         "--n-ang", "8", "--max-terms", "64"]
+        ["grid", "--R", "1e6", "--B", "0.75", "--w", "40+1i", "--n-rad", "4",
+         "--n-ang", "8", "--max-terms", "16"]
     )
     assert code == 3
-    assert "64 terms" in err
+    assert "16 terms" in err
 
 
 def test_grid_row_count_and_abs_column():

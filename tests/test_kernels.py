@@ -20,8 +20,7 @@ from annulus_kernels.errors import (
 )
 from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
-from annulus_kernels import kernels
-from annulus_kernels.special import DEFAULT_SERIES, SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
+from annulus_kernels.special import SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
 from annulus_kernels.basis import admissible_levels, basis_norm_sq
 from annulus_kernels.kernels import (
     KERNEL_PATHS,
@@ -139,25 +138,6 @@ def test_sigma_index_validation():
         sigma_kl(2, 0, Z0, W0, 1, P43)
 
 
-@pytest.mark.parametrize(
-    "params, m, z, w",
-    [
-        (P43, 2, Z0, W0),
-        # thin annulus: the window doubles several times
-        (AnnulusParams(R=1.5, B=2.0), 1, 1.2 * cmath.exp(0.4j), 1.3 * cmath.exp(-1.1j)),
-    ],
-    ids=["R4-B3-m2", "R1.5-B2-m1"],
-)
-def test_sigma_family_reused_terms_match_a_fresh_window(params, m, z, w):
-    # the doubling window keeps the terms of the previous window; the sums
-    # must equal, bit for bit, the sums over the final window evaluated anew
-    g = kernels._pair(z, w, params)
-    sigma, _, gross, J = kernels._sigma_family(m, g, DEFAULT_SERIES)
-    fresh = np.exp(kernels._sigma_log_terms(g, J, m, cmath.log(g.t)))
-    np.testing.assert_array_equal(sigma, fresh.sum(axis=-1))
-    np.testing.assert_array_equal(gross, np.abs(fresh).sum(axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # the closed form against the ground-truth oracle (the convention pin)
 
@@ -245,7 +225,7 @@ def test_kernel_diagonal_positive():
 def test_kernel_evaluation_diagnostics():
     ev = kernel_km(1, Z0, W0, P43)
     assert ev.path == "closed_form"
-    assert ev.terms_used >= 65
+    assert ev.terms_used == 5  # the images nu = -2..2
     assert 0.0 <= ev.tail_bound <= 1e-12 * abs(ev.value)
 
 
@@ -497,21 +477,65 @@ def test_condition_reported_and_extended_path_consistent():
 
 
 def test_escalation_triggers_near_kernel_zero():
-    # this pair sits near an off-diagonal zero of K_0: the summed magnitudes
-    # exceed the cancelled total by ~5e4, so binary64 rounding alone breaks
-    # a 1e-14 relative budget and the evaluation must escalate
+    # this pair sits near an off-diagonal zero of K_0, where the j-series
+    # cancels by ~5e4; its image sum does not (condition ~15), so a budget
+    # below eps x that condition is what makes the evaluation escalate
     z = 2.1839776686491716 + 2.210783326982569j
     w = 1.206368491106347 - 2.29626326631313j
     lax = kernel_km(0, z, w, P43)
     assert lax.precision == "binary64"
-    assert lax.condition > 1e3
-    tight = kernel_km(0, z, w, P43, rounding_rtol=1e-14)
+    assert lax.condition < 1e2
+    budget = 0.5 * lax.condition * np.finfo(float).eps
+    assert kernel_km(0, z, w, P43, rounding_rtol=2.0 * budget).precision == "binary64"
+    tight = kernel_km(0, z, w, P43, rounding_rtol=budget)
     assert tight.precision == "extended"
-    # the binary64 value is still correct to roughly eps * condition
+    # the binary64 value is correct to roughly eps * condition
     assert abs(lax.value - tight.value) <= 5.0 * lax.condition * 2.3e-16 * abs(
         tight.value
     )
-    assert abs(lax.value - tight.value) > 1e-14 * abs(tight.value)
+
+
+# the pair of the thin annulus at which the j-series cancels by 1.8e15
+# (the first of verify.sample_pairs(AnnulusParams(R=1.5, B=2), 6, 11)), and
+# a pair at (1.2, 3) where it cancels by 2.3e36; each reference is the direct
+# j-sum over |j| <= 3000 at 120 digits
+THIN_CASES = [
+    (AnnulusParams(R=1.5, B=2.0), -0.5738732889456358 - 0.9410216838735364j,
+     -0.19389937254346687 + 1.209044364782056j,
+     3.0227279790248593e-13 - 6.871278239954183e-14j),
+    (AnnulusParams(R=1.2, B=3.0), polar_point(0.4 * math.pi, 0.3, AnnulusParams(R=1.2, B=3.0)),
+     polar_point(0.6 * math.pi, 2.0, AnnulusParams(R=1.2, B=3.0)),
+     9.968720850686042e-31 - 2.4417279338588582e-30j),
+]
+
+
+@pytest.mark.parametrize("params, z, w, reference", THIN_CASES, ids=["R1.5-B2", "R1.2-B3"])
+def test_thin_annulus_kernel_within_its_certificate(params, z, w, reference):
+    ev = kernel_km(0, z, w, params)
+    assert ev.precision == "binary64"
+    eps = np.finfo(float).eps
+    allowed = ev.tail_bound + 32.0 * eps * ev.condition * abs(ev.value)
+    assert abs(ev.value - reference) <= allowed
+    # and the certificate leaves the value twelve digits
+    assert allowed <= 1e-12 * abs(reference)
+
+
+def test_extended_sum_without_a_digit_is_refused():
+    # the oracle's j-series at the (1.2, 3) pair cancels by 2.3e36, past the
+    # 34 digits of its extended re-evaluation, which must raise rather than
+    # return a value 12.7 times off
+    params, z, w, _ = THIN_CASES[1]
+    with pytest.raises(ConvergenceError, match="34-digit"):
+        kernel_basis_sum_oracle(0, z, w, params, rounding_rtol=1e-12)
+
+
+def test_oracle_window_with_an_edge_at_j_plus_b_zero():
+    # J = B = 3 puts the edge j = -J at j + B = 0, where the growth ratio of
+    # the tail bound is unbounded: the window is summed, its tail infinite
+    ev = kernel_basis_sum_oracle(0, 1.7 + 0.3j, 2.1 - 0.4j, P43, window=3)
+    assert ev.terms_used == 7
+    assert math.isfinite(abs(ev.value))
+    assert ev.tail_bound == math.inf
 
 
 Z_ESC = 1.8 * cmath.exp(0.4j)
@@ -566,6 +590,15 @@ def test_grid_matches_pointwise(m):
         assert abs(grid[i] - ref) < 1e-10 * abs(ref)
 
 
+def test_grid_matches_pointwise_on_a_thin_annulus_row():
+    p = AnnulusParams(R=1.5, B=2.0)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    z = polar_point(0.325 * math.pi, 0.7, p)
+    grid = kernel_km_grid(0, z, row, p)
+    ref = np.array([kernel_km(0, z, complex(w), p).value for w in row])
+    assert np.all(np.abs(grid - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_grid_preserves_shape():
     nodes = np.full((3, 5), 2.0 + 0.5j, dtype=complex)
     out = kernel_km_grid(0, Z0, nodes, P43)
@@ -593,8 +626,8 @@ def test_grid_truncation_within_tolerance_of_max(R, B):
 
 
 def test_grid_chunks_match_separate_halves():
-    # 1280 nodes span two t-power chunks; each half is evaluated alone, at
-    # its own window, so the two agree to both certificates
+    # each half of 1280 nodes is evaluated alone, with its own image count,
+    # so the two agree to both certificates
     nodes = annulus_nodes(P43, QuadratureSpec(n_angular=32, n_radial=40))[0].ravel()
     assert nodes.size > 1024
     for m in admissible_levels(P43):
