@@ -87,19 +87,49 @@ def basis_phi(j: int, m: int, z, params: AnnulusParams) -> complex:
     return zc**j * radial
 
 
-def basis_phi_nodes(j: int, m: int, z: np.ndarray, params: AnnulusParams) -> np.ndarray:
+def basis_phi_nodes(j, m: int, z: np.ndarray, params: AnnulusParams) -> np.ndarray:
     """phi_j evaluated on an ndarray of interior points in one shot.
 
+    j is an int, or a 1-D sequence of ints (any order, repeats allowed).
+    The int form returns an array of z's shape; the sequence form returns
+    z.shape + (len(j),), one column per entry of j.
+
     Same polynomial as basis_phi (shared coefficient array), evaluated by
-    Horner on the cot-coordinate array; no per-point boundary checks, so the
+    Horner on the cot-coordinate array, which is computed once per call.
+    The powers z^j are a multiplication ladder over the sorted distinct
+    indices, starting from one principal power at the lowest; each rung
+    adds at most a few eps of relative rounding, so the int form (a ladder
+    of no rungs) is z**j itself.  No per-point boundary checks, so the
     caller is responsible for interior nodes (quadrature rules are).
     """
     require_admissible(m, params)
-    _require_window(j)
-    coeffs = routh_coefficients(m, -alpha_index(j, params), 1.0 - params.B)
+    idx = np.atleast_1d(j)
+    if idx.ndim > 1 or idx.size == 0 or not np.array_equal(idx, idx.astype(int)):
+        raise DomainError(
+            "basis indices must be an int or a non-empty 1-D sequence of "
+            f"ints, got {j!r}"
+        )
+    js, slot = np.unique(idx.astype(int), return_inverse=True)
+    for k in js:
+        _require_window(int(k))
     zeta = math.pi * np.log(np.abs(z)) / params.log_R
     xi = np.cos(zeta) / np.sin(zeta)
-    return z**j * np.polynomial.polynomial.polyval(xi, coeffs)
+    # one row per distinct index: each is written once, in contiguous memory
+    phi = np.empty((len(js),) + np.shape(z), dtype=np.result_type(z, 1.0))
+    power = z ** int(js[0])
+    for a, k in enumerate(js):
+        for _ in range(k - js[a - 1] if a else 0):
+            power = power * z
+        coeffs = routh_coefficients(m, -alpha_index(int(k), params), 1.0 - params.B)
+        # Horner in the operation order of numpy's polyval, so the int form
+        # is unchanged
+        radial = coeffs[-1] + xi * 0.0
+        for c in coeffs[-2::-1]:
+            radial = c + radial * xi
+        np.multiply(power, radial, out=phi[a, ...])
+    if not np.array_equal(slot, np.arange(len(js))):
+        phi = phi[slot]
+    return phi[0] if np.ndim(j) == 0 else np.moveaxis(phi, 0, -1)
 
 
 def log_basis_norm_sq(j: int, m: int, params: AnnulusParams) -> float:

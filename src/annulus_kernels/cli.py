@@ -103,11 +103,6 @@ def parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse complex number from {text!r}") from exc
 
 
-def _format_17g(x: float) -> str:
-    """Round-trip decimal form of a float (17 significant digits)."""
-    return f"{x:.17g}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annulus-kernels",
@@ -300,16 +295,14 @@ def cmd_grid(cfg: CliConfig) -> int:
     values = np.conj(
         kernel_km_grid(cfg.m, wc, z_grid.ravel(), params, cfg.control())
     ).reshape(z_grid.shape)
+    # round-trip decimal form (17 significant digits); abs_K is Python's
+    # abs(complex), which np.abs can miss by an ulp
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
     lines = ["re_z,im_z,re_K,im_K,abs_K"]
-    for i in range(n_r):
-        for k in range(n_theta):
-            zc, kv = z_grid[i, k], values[i, k]
-            lines.append(
-                ",".join(
-                    _format_17g(x)
-                    for x in (zc.real, zc.imag, kv.real, kv.imag, abs(kv))
-                )
-            )
+    lines += [
+        row % (zc.real, zc.imag, kv.real, kv.imag, abs(kv))
+        for zc, kv in zip(z_grid.ravel().tolist(), values.ravel().tolist())
+    ]
     _emit("\n".join(lines) + "\n", cfg.out)
     return _EXIT_OK
 

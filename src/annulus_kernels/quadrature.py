@@ -19,10 +19,15 @@ turns an integrable algebraic boundary factor (sin zeta)^sigma with
 sigma > -1 into a smooth one, which matters for products of level-m basis
 functions (they carry (cot zeta)^(2m) against the weight's (sin zeta)^e,
 a net exponent e - 2m that can be negative).
+
+Both rules take their Gauss-Legendre nodes and weights from one cached,
+read-only rule per node count (``_leggauss``), so a rule is built once per
+process; every call still returns fresh node and weight arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +71,16 @@ class QuadratureSpec:
         return e
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _tensor_nodes(
     params: AnnulusParams,
     e: float,
@@ -102,7 +117,7 @@ def annulus_nodes(
     integral of f against omega^e dA with e = spec.resolve_exponent(params).
     """
     e = spec.resolve_exponent(params)
-    x, gw = np.polynomial.legendre.leggauss(spec.n_radial)
+    x, gw = _leggauss(spec.n_radial)
     zeta = 0.5 * math.pi * (x + 1.0)
     w_zeta = 0.5 * math.pi * gw
     return _tensor_nodes(params, e, zeta, w_zeta, np.sin(zeta), spec.n_angular)
@@ -130,7 +145,7 @@ def annulus_nodes_endpoint(
     weights: list[np.ndarray] = []
     sines: list[np.ndarray] = []
     for n, flip in ((n_left, False), (n_right, True)):
-        x, gw = np.polynomial.legendre.leggauss(n)
+        x, gw = _leggauss(n)
         t = 0.5 * half * (x + 1.0)
         w_t = 0.5 * half * gw
         zeta_half = t * t

@@ -227,13 +227,11 @@ def _gram_on_nodes(
     m: int, js: list[int], z: np.ndarray, wq: np.ndarray, params: AnnulusParams
 ) -> np.ndarray:
     flat, wf = z.ravel(), wq.ravel()
-    cols = [
-        basis_phi_nodes(j, m, flat, params)
-        * math.exp(-0.5 * log_basis_norm_sq(j, m, params))
-        for j in js
-    ]
-    psi = np.stack(cols, axis=1)
-    return (psi.conj().T * wf[None, :]) @ psi
+    psi = basis_phi_nodes(js, m, flat, params)
+    psi *= [math.exp(-0.5 * log_basis_norm_sq(j, m, params)) for j in js]
+    weighted = psi.conj()
+    weighted *= wf[:, None]
+    return weighted.T @ psi
 
 
 def gram_matrix(
@@ -293,20 +291,21 @@ def reproducing_residual(
 
         int K_m(z, w) f(w) omega(w)^(2B-2) dA(w) = f(z).
     """
-    return _reproducing_defect(m, m, z, j0, spec, params, ctrl)
+    return _reproducing_defect(m, m, z, (j0,), spec, params, ctrl)[0]
 
 
 def _reproducing_defect(
     m_kernel: int,
     m_function: int,
     z,
-    j0: int,
+    j0s,
     spec: QuadratureSpec,
     params: AnnulusParams,
     ctrl: SeriesControl,
-) -> float:
-    """The reproducing integral of the level-m_kernel kernel against the
-    level-m_function basis element.  With distinct levels the eigenspaces are
+) -> list[float]:
+    """The reproducing integrals of the level-m_kernel kernel against the
+    level-m_function basis elements with indices j0s, one defect per index,
+    all from one kernel row.  With distinct levels the eigenspaces are
     orthogonal, so the integral is ~0 and the relative defect is ~1."""
     zc = as_complex(z)
     nodes, wq = _level_nodes(params, spec, m_kernel, m_function)
@@ -315,11 +314,16 @@ def _reproducing_defect(
         nodes, wq = _level_nodes(params, bumped, m_kernel, m_function)
     flat, wf = nodes.ravel(), wq.ravel()
     kvals = kernel_km_grid(m_kernel, zc, flat, params, ctrl)
-    scale = math.exp(-0.5 * log_basis_norm_sq(j0, m_function, params))
-    fvals = basis_phi_nodes(j0, m_function, flat, params) * scale
-    integral = complex(np.sum(wf * kvals * fvals))
-    target = basis_phi(j0, m_function, zc, params) * scale
-    return abs(integral - target) / max(abs(target), 1e-300)
+    defects = []
+    for j0 in j0s:
+        # the int form per index: its z**j0 keeps each defect what a
+        # single-index call gives
+        scale = math.exp(-0.5 * log_basis_norm_sq(j0, m_function, params))
+        fvals = basis_phi_nodes(j0, m_function, flat, params) * scale
+        integral = complex(np.sum(wf * kvals * fvals))
+        target = basis_phi(j0, m_function, zc, params) * scale
+        defects.append(abs(integral - target) / max(abs(target), 1e-300))
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +472,14 @@ def _suite_basis(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
     entries = []
 
+    js = range(-10, 11)
     worst, worst_case = 0.0, None
     for m in admissible_levels(params):
         z, wq = _level_nodes(params, spec, m, m)
-        flat, wf = z.ravel(), wq.ravel()
-        for j in range(-10, 11):
+        mods = np.abs(basis_phi_nodes(js, m, z.ravel(), params))
+        quads = wq.ravel() @ np.square(mods, out=mods)
+        for j, quad in zip(js, quads.tolist()):
             closed = basis_norm_sq(j, m, params)
-            vals = basis_phi_nodes(j, m, flat, params)
-            quad = float(np.sum(wf * np.abs(vals) ** 2))
             rel = abs(quad - closed) / closed
             if rel > worst:
                 worst, worst_case = rel, (m, j, quad)
@@ -483,8 +487,7 @@ def _suite_basis(params: AnnulusParams, opts: SuiteOptions):
 
     m, j, coarse = worst_case
     zf, wfq = _level_nodes(params, opts.refined_spec(), m, m)
-    vals = basis_phi_nodes(j, m, zf.ravel(), params)
-    fine = float(np.sum(wfq.ravel() * np.abs(vals) ** 2))
+    fine = float(wfq.ravel() @ np.abs(basis_phi_nodes(j, m, zf.ravel(), params)) ** 2)
     delta = abs(fine - coarse) / basis_norm_sq(j, m, params)
     entries.append(ResidualEntry("norm-self-convergence-delta", delta, 1e-8))
 
@@ -537,13 +540,14 @@ def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
     pts = sample_points(params, opts.reproducing_points, opts.seed + 303)
     entries = []
+    j0s = (-2, 0, 3)
     worst, worst_case = 0.0, None
     for m in admissible_levels(params):
-        for j0 in (-2, 0, 3):
-            for z in pts:
-                r = reproducing_residual(m, z, j0, spec, params, opts.ctrl)
-                if r > worst:
-                    worst, worst_case = r, (m, z, j0)
+        rows = [_reproducing_defect(m, m, z, j0s, spec, params, opts.ctrl) for z in pts]
+        for a, j0 in enumerate(j0s):
+            for z, defects in zip(pts, rows):
+                if defects[a] > worst:
+                    worst, worst_case = defects[a], (m, z, j0)
     entries.append(ResidualEntry("reproducing-identity", worst, 1e-6))
 
     m, z, j0 = worst_case
@@ -554,8 +558,8 @@ def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
 
     levels = admissible_levels(params)
     if len(levels) >= 2:
-        cross = _reproducing_defect(
-            levels[1], levels[0], pts[0], 0, spec, params, opts.ctrl
+        (cross,) = _reproducing_defect(
+            levels[1], levels[0], pts[0], (0,), spec, params, opts.ctrl
         )
         entries.append(
             ResidualEntry("cross-level-separation", abs(cross - 1.0), 0.1)

@@ -113,9 +113,40 @@ def test_phi_nodes_matches_pointwise():
             assert vec[i] == pytest.approx(basis_phi(j, m, complex(z), P43), rel=1e-12)
 
 
+def test_phi_nodes_sequence_matches_pointwise_over_the_window():
+    # j = -64..64 is the longest ladder: 128 rungs up from z**-64
+    zs = np.array([1.5 + 0.5j, 2.0 - 1.0j, -3.0 + 0.5j, 0.2 + 1.8j])
+    js = list(range(-64, 65))
+    for m in (0, 1, 2):
+        cols = basis_phi_nodes(js, m, zs, P43)
+        ref = np.array([[basis_phi(j, m, complex(z), P43) for j in js] for z in zs])
+        assert np.all(np.abs(cols - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_phi_nodes_sequence_order_and_repeats():
+    zs = np.array([[1.5 + 0.5j, 2.0 - 1.0j], [-3.0 + 0.5j, 0.2 + 1.8j]])
+    ordered = basis_phi_nodes([-3, 0, 2, 5], 1, zs, P43)
+    shuffled = basis_phi_nodes([5, -3, 2, 5, 0, -3], 1, zs, P43)
+    np.testing.assert_array_equal(shuffled, ordered[..., [3, 0, 2, 3, 1, 0]])
+
+
+def test_phi_nodes_shapes():
+    zs = np.array([[1.5 + 0.5j, 2.0 - 1.0j, 0.2 + 1.8j], [-3.0 + 0.5j, 1.1j, 2.5]])
+    assert basis_phi_nodes(2, 1, zs, P43).shape == zs.shape
+    assert basis_phi_nodes([2], 1, zs, P43).shape == zs.shape + (1,)
+    assert basis_phi_nodes(range(-3, 4), 1, zs, P43).shape == zs.shape + (7,)
+    np.testing.assert_array_equal(
+        basis_phi_nodes([2], 1, zs, P43)[..., 0], basis_phi_nodes(2, 1, zs, P43)
+    )
+
+
 def test_window_enforced():
     with pytest.raises(DomainError):
         basis_phi(65, 0, 2.0, P43)
+    zs = np.array([1.5 + 0.5j, 2.0 - 1.0j])
+    for js in ([0, 3, 65], [-65, 0], 65, [], [[0, 1]], 2.5):
+        with pytest.raises(DomainError):
+            basis_phi_nodes(js, 0, zs, P43)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from annulus_kernels.errors import DomainError
 from annulus_kernels.geometry import AnnulusParams, alpha_index
 from annulus_kernels.quadrature import (
     QuadratureSpec,
+    _leggauss,
     annulus_integrate,
     annulus_nodes,
     annulus_nodes_endpoint,
@@ -202,3 +203,29 @@ def test_endpoint_rule_handles_integrable_singularity():
     zp, wp = annulus_nodes(p, spec)
     plain = complex(np.sum(wp * f(zp))).real
     assert abs(plain - closed) > 1e3 * abs(val - closed)
+
+
+@pytest.mark.parametrize("rule", [annulus_nodes, annulus_nodes_endpoint])
+def test_rules_return_fresh_arrays(rule):
+    # the Gauss-Legendre rule is cached; what a caller gets is its own
+    p = AnnulusParams(R=4.0, B=2.5)
+    spec = QuadratureSpec(n_angular=16, n_radial=33)
+    z, w = rule(p, spec)
+    z0, w0 = z.copy(), w.copy()
+    z[...] = 0.0
+    w[...] = -1.0
+    z1, w1 = rule(p, spec)
+    np.testing.assert_array_equal(z1, z0)
+    np.testing.assert_array_equal(w1, w0)
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    x, w = _leggauss(33)
+    assert _leggauss(33)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(33)
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0

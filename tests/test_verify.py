@@ -131,6 +131,16 @@ def test_reproducing_residual_single_point():
     assert reproducing_residual(0, z, 0, QuadratureSpec(), P41) < 1e-6
 
 
+def test_batched_basis_checks_stay_measured():
+    # one Gram product over the window must leave the off-diagonal a
+    # measured rounding residual, not an exact zero by construction
+    opts = SuiteOptions(seed=7)
+    gram = {e.name: e.value for e in run_suite("gram", P43, opts).residuals}
+    assert 0.0 < gram["gram-off-diagonal"] < 1e-12
+    basis = {e.name: e.value for e in run_suite("basis", P43, opts).residuals}
+    assert basis["norm-closed-vs-quadrature"] < 1e-12
+
+
 def test_basis_and_gram_suites_fractional_B():
     p = AnnulusParams(R=6.0, B=2.75)
     for name in ("basis", "gram"):
