@@ -73,15 +73,20 @@ def _require_window(j: int, j_max: int = J_MAX_DEFAULT) -> None:
         raise DomainError(f"basis index j={j} outside the window |j| <= {j_max}")
 
 
-def basis_phi(j: int, m: int, z, params: AnnulusParams) -> complex:
+def basis_phi(j: int, m: int, z, params: AnnulusParams):
     """Eigenbasis function phi_j(z) = z^j RR_m^(-alpha(j,B), 1-B)(cot zeta_z).
 
     z^j is single-valued for integer j, so the principal power suffices.
+    z may be an ndarray of points, every one interior: phi_j then acts
+    elementwise and returns a complex array of z's shape, from one Jacobi
+    evaluation over the array.  Each point's cot-coordinate is the one a
+    single point gets (see xi_coordinate); the rest differs from pointwise
+    evaluation by a few ulp of the terms' scale, as numpy's complex
+    products round differently from Python's.
     """
     require_admissible(m, params)
     _require_window(j)
-    zc = as_complex(z)
-    require_interior(zc, params)
+    zc = require_interior(z, params)
     xi = xi_coordinate(zc, params)
     radial = routh_romanovski(m, -alpha_index(j, params), 1.0 - params.B, xi)
     return zc**j * radial
@@ -172,14 +177,16 @@ def orthonormal_phi(j: int, m: int, z, params: AnnulusParams) -> complex:
     )
 
 
-def sturm_liouville_apply(m: int, j: int, xi: float, params: AnnulusParams) -> float:
+def sturm_liouville_apply(m: int, j: int, xi, params: AnnulusParams):
     """Residual (L_B - lambda_(B,m)) RR_m at the point xi, where
 
         L_B = (1 + xi^2) d^2/dxi^2 + 2[(1-B) xi - (j+B) log(R)/pi] d/dxi.
 
     The polynomial derivatives are taken exactly from the coefficient array,
     so the residual is pure floating-point noise when the eigenvalue
-    identity holds.
+    identity holds.  xi may be an array of points: the residual polynomial
+    is built once and evaluated elementwise, returning an array of xi's
+    shape; a scalar xi returns a float.
     """
     require_admissible(m, params)
     B = params.B
@@ -195,11 +202,25 @@ def sturm_liouville_apply(m: int, j: int, xi: float, params: AnnulusParams) -> f
     res[: len(acc)] += np.atleast_1d(acc)
     res[: len(drift)] += np.atleast_1d(drift)
     res[: len(y)] -= lam * y
-    return float(poly.polyval(xi, res))
+    value = poly.polyval(xi, res)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _default_step(z: complex, params: AnnulusParams) -> float:
     return 1e-3 * min(abs(z) - 1.0, params.R - abs(z))
+
+
+def _on_stencil(f, points: np.ndarray) -> np.ndarray:
+    """f called once on an ndarray of stencil points; a constant f may
+    return a scalar, which is broadcast."""
+    values = np.asarray(f(points))
+    try:
+        return np.broadcast_to(values, points.shape)
+    except ValueError:
+        raise DomainError(
+            f"f returned shape {values.shape} on stencil points of shape "
+            f"{points.shape}; f must act elementwise on an ndarray"
+        ) from None
 
 
 def invariant_laplacian_apply(
@@ -210,8 +231,10 @@ def invariant_laplacian_apply(
         Delta_B f = omega^2 (f_xx + f_yy) + 4 B omega (d omega/dz) (f_x + i f_y),
 
     the second term being 8 B omega (d omega/dz) d/dzbar written out in
-    Cartesian derivatives.  f must be point-evaluable on complex arguments
-    near z.  Requires boundary distance > 4*step.
+    Cartesian derivatives.  f is called once, on an ndarray of the 9
+    stencil points (z itself first, then z + 2h, z + h, z - h, z - 2h and
+    the same four steps along i), and must act elementwise.  Requires
+    boundary distance > 4*step.
     """
     zc = as_complex(z)
     require_interior(zc, params)
@@ -221,29 +244,42 @@ def invariant_laplacian_apply(
             f"step {h} too large: z={zc} sits {params.boundary_distance(zc):.3g} "
             "from the boundary, need distance > 4*step"
         )
+    offsets = [2.0 * h, h, -h, -2.0 * h]
+    points = np.array([zc] + [zc + o * d for d in (1.0, 1.0j) for o in offsets])
+    # the combination in Python complex arithmetic, as on scalar values
+    f0, *along = _on_stencil(f, points).tolist()
 
-    def d1(direction: complex) -> complex:
-        return (
-            -f(zc + 2.0 * h * direction)
-            + 8.0 * f(zc + h * direction)
-            - 8.0 * f(zc - h * direction)
-            + f(zc - 2.0 * h * direction)
-        ) / (12.0 * h)
+    def d1(p2: complex, p1: complex, m1: complex, m2: complex) -> complex:
+        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
 
-    def d2(direction: complex) -> complex:
-        return (
-            -f(zc + 2.0 * h * direction)
-            + 16.0 * f(zc + h * direction)
-            - 30.0 * f(zc)
-            + 16.0 * f(zc - h * direction)
-            - f(zc - 2.0 * h * direction)
-        ) / (12.0 * h * h)
+    def d2(p2: complex, p1: complex, m1: complex, m2: complex) -> complex:
+        return (-p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2) / (12.0 * h * h)
 
-    fx, fy = d1(1.0), d1(1.0j)
-    lap = d2(1.0) + d2(1.0j)
+    x, y = along[:4], along[4:]
+    fx, fy = d1(*x), d1(*y)
+    lap = d2(*x) + d2(*y)
     om = poincare_density(zc, params)
     om_z = poincare_density_dz(zc, params)
     return om * om * lap + 4.0 * params.B * om * om_z * (fx + 1j * fy)
+
+
+def _dbar_offsets(h: float) -> np.ndarray:
+    """The 8 points of the d/dzbar stencil around 0: +-2h, +-h along 1 and i."""
+    return np.array([2.0 * h, h, -h, -2.0 * h, 2.0j * h, 1.0j * h, -1.0j * h, -2.0j * h])
+
+
+def _dbar(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dzbar = (d/dx + i d/dy)/2 by the 4th-order stencil whose 8 values
+    (at _dbar_offsets(h)) run along the last axis of values."""
+    v = [values[..., i] for i in range(8)]
+    gx = -v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]
+    gy = -v[4] + 8.0 * v[5] - 8.0 * v[6] + v[7]
+    den = 12.0 * h
+    # by components: numpy's complex-by-real division rounds differently
+    # from Python's, and the next nesting level would amplify the last bit
+    gx = gx.real / den + 1j * (gx.imag / den)
+    gy = gy.real / den + 1j * (gy.imag / den)
+    return 0.5 * (gx + 1j * gy)
 
 
 def cr_power_apply(
@@ -255,7 +291,9 @@ def cr_power_apply(
     steps are staggered (growing by 1.5 per nesting level) so that inner
     truncation errors are not resonantly amplified.  Accuracy degrades with
     order; order <= 3 is supported with a ~1e-3 relative contract at the
-    outermost level.
+    outermost level.  f is called once, on an ndarray of the 8^order nested
+    stencil points (shape (8,) * order, outermost level first), and must
+    act elementwise.
     """
     if not (1 <= order <= 3):
         raise DomainError(f"order must be in 1..3, got {order}")
@@ -272,28 +310,15 @@ def cr_power_apply(
             f"z={zc} sits {params.boundary_distance(zc):.3g} from the boundary; "
             f"the order-{order} stencil needs clearance > {halo:.3g}"
         )
-
-    def dbar(g, w: complex, h: float) -> complex:
-        gx = (
-            -g(w + 2.0 * h) + 8.0 * g(w + h) - 8.0 * g(w - h) + g(w - 2.0 * h)
-        ) / (12.0 * h)
-        gy = (
-            -g(w + 2.0j * h)
-            + 8.0 * g(w + 1.0j * h)
-            - 8.0 * g(w - 1.0j * h)
-            + g(w - 2.0j * h)
-        ) / (12.0 * h)
-        return 0.5 * (gx + 1j * gy)
-
-    def level(k: int):
-        if k == 0:
-            return f
-        inner = level(k - 1)
-        h = h0 * 1.5 ** (k - 1)
-
-        def applied(w: complex) -> complex:
-            return poincare_density(w, params) ** 2 * dbar(inner, w, h)
-
-        return applied
-
-    return level(order)(zc)
+    # points[k] are the points at which nesting level order - k is applied;
+    # each level's stencil is broadcast over the points of the level outside
+    steps = [h0 * 1.5 ** (k - 1) for k in range(order, 0, -1)]
+    points = [np.array(zc)]
+    for h in steps:
+        points.append(points[-1][..., None] + _dbar_offsets(h))
+    values = _on_stencil(f, points.pop())
+    for h in reversed(steps):
+        w = points.pop()
+        omega = [poincare_density(p, params) for p in w.ravel().tolist()]
+        values = np.reshape(omega, w.shape) ** 2 * _dbar(values, h)
+    return complex(values)

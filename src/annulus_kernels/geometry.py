@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 #: Points closer than this fraction of (R - 1) to either boundary circle are
@@ -86,10 +88,22 @@ def as_complex(z: complex | AnnulusPoint) -> complex:
 
 
 def require_interior(z: complex | AnnulusPoint, params: AnnulusParams) -> complex:
-    """Return z as complex, raising DomainError unless it is safely interior."""
-    zc = as_complex(z)
+    """Return z as complex, raising DomainError unless it is safely interior.
+
+    An ndarray of points is returned as a complex ndarray and must be
+    interior at every element; the error names the first point that is not.
+    """
     margin = BOUNDARY_MARGIN_FACTOR * (params.R - 1.0)
-    r = abs(zc)
+    if isinstance(z, np.ndarray):
+        zc = z.astype(complex, copy=False)
+        r = np.abs(zc)
+        inside = (r - 1.0 > margin) & (params.R - r > margin)
+        if inside.all():
+            return zc
+        r = float(r[~inside].flat[0])
+    else:
+        zc = as_complex(z)
+        r = abs(zc)
     if not (r - 1.0 > margin and params.R - r > margin):
         raise DomainError(
             f"point with |z|={r:.17g} is not interior to the annulus "
@@ -105,7 +119,21 @@ def zeta_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
 
 
 def xi_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
-    """xi = cot(zeta(z)); diverges at the boundary circles."""
+    """xi = cot(zeta(z)); diverges at the boundary circles.
+
+    An ndarray of interior points gives an array of xi, computed point by
+    point with the scalar math functions, exactly as for a single point:
+    numpy's vectorised abs, log, sin and cos round differently (within an
+    ulp), and a finite-difference stencil amplifies such differences by
+    step^-order.
+    """
+    if isinstance(z, np.ndarray):
+        log_R = params.log_R
+        xi = []
+        for w in require_interior(z, params).ravel().tolist():
+            zeta = math.pi * math.log(abs(w)) / log_R
+            xi.append(math.cos(zeta) / math.sin(zeta))
+        return np.array(xi, dtype=float).reshape(z.shape)
     zeta = zeta_coordinate(z, params)
     return math.cos(zeta) / math.sin(zeta)
 

@@ -15,6 +15,7 @@ derivatives.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,23 +172,37 @@ def jacobi_poly(params: JacobiParams, x: complex):
     return total
 
 
+@functools.cache
+def _binomial_table(k: int) -> np.ndarray:
+    """Row l holds the monomial coefficients (ascending) of
+    ((x-1)/2)^l ((x+1)/2)^(k-l).  They depend on the degree alone, so the
+    table is built once per degree and read-only, since every caller
+    shares it."""
+    table = np.array(
+        [
+            npoly.polymul(npoly.polypow([-0.5, 0.5], l), npoly.polypow([0.5, 0.5], k - l))
+            for l in range(k + 1)
+        ]
+    )
+    table.flags.writeable = False
+    return table
+
+
 def jacobi_coefficients(params: JacobiParams) -> np.ndarray:
     """Monomial coefficients (ascending) of P_k^(alpha, beta), complex-valued.
 
-    Built by convolving the binomial factors ((x-1)/2)^l ((x+1)/2)^(k-l);
-    intended for small degrees where exact derivative work is needed.
+    A sum of the binomial factors ((x-1)/2)^l ((x+1)/2)^(k-l), taken from
+    a table cached per degree; intended for small degrees where exact
+    derivative work is needed.
     """
     k = params.degree
     coeffs = np.zeros(k + 1, dtype=complex)
-    for l in range(k + 1):
+    for l, term in enumerate(_binomial_table(k)):
         c = pochhammer(params.alpha + l + 1, k - l) * pochhammer(
             params.beta + k - l + 1, l
         )
         c = c / (math.factorial(k - l) * math.factorial(l))
-        term = npoly.polymul(
-            npoly.polypow([-0.5, 0.5], l), npoly.polypow([0.5, 0.5], k - l)
-        )
-        coeffs[: len(term)] += complex(c) * term
+        coeffs += complex(c) * term
     return coeffs
 
 
@@ -244,10 +259,16 @@ def routh_romanovski_with_residual(m: int, a: float, b: float, x: float):
     imaginary part of the underlying complex Jacobi evaluation.  The value
     is real by construction (complex-conjugate parameters on the imaginary
     axis); the residue is a health indicator of the special-function stack.
+    x may be a float ndarray: the value is then an array of x's shape,
+    computed elementwise by the same arithmetic, and the residual is the
+    largest over the array.
     """
     pa = complex(b - 1.0, a / 2.0)
     pb = complex(b - 1.0, -a / 2.0)
     val = (-2j) ** m * math.factorial(m) * jacobi_poly(JacobiParams(pa, pb, m), 1j * x)
+    if isinstance(val, np.ndarray):
+        residual = np.abs(val.imag) / np.maximum(np.abs(val), 1.0)
+        return val.real, float(residual.max())
     val = complex(val)
     scale = max(abs(val), 1.0)
     return val.real, abs(val.imag) / scale
@@ -260,7 +281,8 @@ def routh_romanovski(m: int, a: float, b: float, x: float) -> float:
 
     Raises ImaginaryResidueError if the imaginary residue of the underlying
     complex evaluation exceeds 1e-8 relative, which would indicate a bug in
-    the Jacobi evaluation rather than a property of the inputs.
+    the Jacobi evaluation rather than a property of the inputs.  A float
+    ndarray x is evaluated elementwise and checked at its worst element.
     """
     value, residual = routh_romanovski_with_residual(m, a, b, x)
     if residual > 1e-8:

@@ -13,9 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annulus_kernels.errors import DomainError, InadmissibleLevelError
-from annulus_kernels.geometry import AnnulusParams, alpha_index, polar_point, xi_coordinate
+from annulus_kernels.geometry import (
+    AnnulusParams,
+    alpha_index,
+    poincare_density,
+    poincare_density_dz,
+    polar_point,
+    xi_coordinate,
+)
 from annulus_kernels.quadrature import annulus_integrate
-from annulus_kernels.special import routh_coefficients
+from annulus_kernels.special import pochhammer, routh_coefficients
 from annulus_kernels.basis import (
     admissible_levels,
     basis_norm_sq,
@@ -330,3 +337,170 @@ def test_cr_order_validation():
         cr_power_apply(lambda z: z, 4, 2.0, P43)
     with pytest.raises(DomainError):
         cr_power_apply(lambda z: z, 0, 2.0, P43)
+
+
+# ---------------------------------------------------------------------------
+# the batch contract: basis_phi on arrays, each stencil as one batch
+
+SUITE_PARAMS = [
+    AnnulusParams(R=4.0, B=3.0),
+    AnnulusParams(R=6.0, B=2.75),
+    AnnulusParams(R=50.0, B=2.0),
+    AnnulusParams(R=1.5, B=2.0),
+]
+
+
+def _interior_points(params: AnnulusParams, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    zeta = rng.uniform(0.15 * math.pi, 0.85 * math.pi, size=n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return np.array([polar_point(a, t, params) for a, t in zip(zeta, theta)])
+
+
+def _rounding_scale(j: int, m: int, z: complex, params: AnnulusParams) -> float:
+    """|z|^j times the summed moduli of the Jacobi-sum terms behind
+    RR_m(cot zeta_z): the scale on which phi_j(z) is rounded.  Near a root
+    of RR_m the value's own ulp is finer than its terms'."""
+    a, b = -alpha_index(j, params), 1.0 - params.B
+    pa, pb = complex(b - 1.0, a / 2.0), complex(b - 1.0, -a / 2.0)
+    half = abs(complex(1.0, xi_coordinate(z, params))) / 2.0  # |(i xi -+ 1)/2|
+    terms = sum(
+        abs(pochhammer(pa + l + 1, m - l) * pochhammer(pb + m - l + 1, l))
+        / (math.factorial(m - l) * math.factorial(l))
+        for l in range(m + 1)
+    )
+    return abs(z) ** j * 2.0**m * math.factorial(m) * terms * half**m
+
+
+@pytest.mark.parametrize("params", SUITE_PARAMS, ids=lambda p: f"R{p.R}-B{p.B}")
+def test_phi_on_array_matches_pointwise(params):
+    z = _interior_points(params, 12, 3).reshape(3, 4)
+    for m in admissible_levels(params):
+        for j in (-64, -10, -1, 0, 3, 10, 64):
+            batch = basis_phi(j, m, z, params)
+            assert batch.shape == z.shape
+            for got, w in zip(batch.ravel().tolist(), z.ravel().tolist()):
+                want = basis_phi(j, m, w, params)
+                ulp = np.spacing(_rounding_scale(j, m, w, params))
+                assert abs(got - want) <= 4.0 * ulp, (m, j, w)
+
+
+def test_phi_on_array_rejects_any_non_interior_point():
+    for bad in (4.0 + 0.0j, 0.5j, 1.0 + 1e-12j, complex("nan")):
+        z = np.array([[1.5 + 0.5j, 2.0 - 1.0j], [bad, -3.0 + 0.5j]])
+        with pytest.raises(DomainError):
+            basis_phi(0, 1, z, P43)
+
+
+def _on_one_point(f):
+    """f at a single point, as a one-element batch: numpy's complex
+    arithmetic rounds differently from Python's, and a stencil of step h
+    turns that last bit into an error of size eps / h^order."""
+    return lambda w: complex(f(np.array([w]))[0])
+
+
+def _laplacian_reference(f, z: complex, params: AnnulusParams, h: float) -> complex:
+    """invariant_laplacian_apply as it was written before it batched its
+    stencil: f at each point separately."""
+    f = _on_one_point(f)
+
+    def d1(direction: complex) -> complex:
+        return (
+            -f(z + 2.0 * h * direction)
+            + 8.0 * f(z + h * direction)
+            - 8.0 * f(z - h * direction)
+            + f(z - 2.0 * h * direction)
+        ) / (12.0 * h)
+
+    def d2(direction: complex) -> complex:
+        return (
+            -f(z + 2.0 * h * direction)
+            + 16.0 * f(z + h * direction)
+            - 30.0 * f(z)
+            + 16.0 * f(z - h * direction)
+            - f(z - 2.0 * h * direction)
+        ) / (12.0 * h * h)
+
+    fx, fy = d1(1.0), d1(1.0j)
+    lap = d2(1.0) + d2(1.0j)
+    om = poincare_density(z, params)
+    om_z = poincare_density_dz(z, params)
+    return om * om * lap + 4.0 * params.B * om * om_z * (fx + 1j * fy)
+
+
+def _cr_power_reference(f, order: int, z: complex, params: AnnulusParams, h0: float) -> complex:
+    """cr_power_apply as it was written before it batched its stencil: one
+    nested scalar stencil per level, f at each point separately."""
+
+    def dbar(g, w: complex, h: float) -> complex:
+        gx = (-g(w + 2.0 * h) + 8.0 * g(w + h) - 8.0 * g(w - h) + g(w - 2.0 * h)) / (12.0 * h)
+        gy = (
+            -g(w + 2.0j * h) + 8.0 * g(w + 1.0j * h) - 8.0 * g(w - 1.0j * h) + g(w - 2.0j * h)
+        ) / (12.0 * h)
+        return 0.5 * (gx + 1j * gy)
+
+    def level(k: int):
+        if k == 0:
+            return _on_one_point(f)
+        inner, h = level(k - 1), h0 * 1.5 ** (k - 1)
+        return lambda w: poincare_density(w, params) ** 2 * dbar(inner, w, h)
+
+    return level(order)(z)
+
+
+def _stencil_cases():
+    for j in (-3, 2, 5):
+        yield f"z**{j}", lambda z, j=j: z**j
+    for m in (0, 1, 2):
+        for j in (-1, 2):
+            yield f"phi_{j} m={m}", lambda z, j=j, m=m: basis_phi(j, m, z, P43)
+
+
+@pytest.mark.parametrize("z0", [1.9 + 0.7j, -2.1 + 1.3j, 0.5 - 2.6j])
+def test_laplacian_batch_matches_scalar_stencil(z0):
+    h = 1e-3 * P43.boundary_distance(z0)
+    for name, f in _stencil_cases():
+        got = invariant_laplacian_apply(f, z0, P43, step=h)
+        want = _laplacian_reference(f, z0, P43, h)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("z0", [1.9 + 0.7j, -2.1 + 1.3j])
+def test_cr_power_batch_matches_scalar_stencil(order, z0):
+    h = 1e-3 * P43.boundary_distance(z0)
+    for name, f in _stencil_cases():
+        got = cr_power_apply(f, order, z0, P43, step=h)
+        want = _cr_power_reference(f, order, z0, P43, h)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+
+
+def test_stencils_call_f_once_on_an_array():
+    calls = []
+
+    def f(z):
+        calls.append((type(z), np.shape(z)))
+        return z * z
+
+    invariant_laplacian_apply(f, 1.9 + 0.7j, P43)
+    assert calls == [(np.ndarray, (9,))]
+    for order in (1, 2, 3):
+        calls.clear()
+        cr_power_apply(f, order, 1.9 + 0.7j, P43)
+        assert calls == [(np.ndarray, (8,) * order)]
+
+
+def test_stencil_rejects_f_that_is_not_elementwise():
+    with pytest.raises(DomainError):
+        invariant_laplacian_apply(lambda z: np.ones(3), 1.9 + 0.7j, P43)
+    with pytest.raises(DomainError):
+        cr_power_apply(lambda z: z[:2], 1, 1.9 + 0.7j, P43)
+
+
+def test_sturm_liouville_on_an_array_matches_pointwise():
+    xi = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for m in (0, 1, 2):
+        got = sturm_liouville_apply(m, -2, xi, P43)
+        assert got.shape == xi.shape
+        want = [sturm_liouville_apply(m, -2, float(x), P43) for x in xi.ravel()]
+        np.testing.assert_array_equal(got.ravel(), want)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,29 @@ def test_xi_is_cot_zeta():
     for z in (1.3, 2.0 + 1.0j, -2.5 + 0.1j):
         zeta = zeta_coordinate(z, p)
         assert xi_coordinate(z, p) == pytest.approx(math.cos(zeta) / math.sin(zeta))
+
+
+def test_xi_on_an_array_is_bit_identical_to_pointwise():
+    # stencils difference these values at steps of 1e-3 and below, so the
+    # array form must round exactly as the scalar form does
+    p = AnnulusParams(R=6.0, B=2.75)
+    rng = np.random.default_rng(11)
+    r = 1.0 + 5.0 * rng.uniform(0.01, 0.99, size=(16, 32))
+    z = r * np.exp(2j * math.pi * rng.uniform(size=r.shape))
+    xi = xi_coordinate(z, p)
+    assert xi.shape == z.shape
+    np.testing.assert_array_equal(xi.ravel(), [xi_coordinate(w, p) for w in z.ravel().tolist()])
+
+
+def test_interior_check_on_an_array_names_the_first_offender():
+    p = AnnulusParams(R=4.0, B=2.5)
+    z = np.array([[2.0 + 0.5j, 1.5j], [-3.0 + 0.0j, 2.0]])
+    assert require_interior(z, p) is z  # complex already: no copy
+    z[1, 0] = 4.0
+    with pytest.raises(DomainError, match=r"\|z\|=4 "):
+        require_interior(z, p)
+    with pytest.raises(DomainError):
+        xi_coordinate(np.array([2.0, 0.0]), p)
 
 
 def test_density_vanishes_at_boundary_and_peaks_inside():

@@ -19,6 +19,7 @@ from annulus_kernels.quadrature import (
     annulus_nodes_endpoint,
 )
 from annulus_kernels.special import cauchy_beta_integral
+from annulus_kernels.verify import SuiteOptions, run_suite
 
 
 def _moment_closed(j: int, p: AnnulusParams) -> float:
@@ -99,13 +100,31 @@ def test_unit_weight_power_moment_elementary():
 
 
 def test_negative_exponent_rejected():
-    p = AnnulusParams(R=4.0, B=0.75)  # 2B - 2 = -0.5
+    # (sin zeta)^e is integrable exactly for e > -1: -1 itself is refused
+    p = AnnulusParams(R=4.0, B=0.75)  # 2B - 2 = -0.5, accepted
     with pytest.raises(DomainError):
-        annulus_integrate(lambda z: np.ones_like(z, dtype=float), p)
-    # but an explicit admissible exponent still works
+        annulus_integrate(
+            lambda z: np.ones_like(z, dtype=float), p, QuadratureSpec(weight_exponent=-1.0)
+        )
+    # an explicit nonnegative exponent still works
     spec = QuadratureSpec(weight_exponent=0.0)
     val = annulus_integrate(lambda z: np.ones_like(z, dtype=float), p, spec)
     assert val.real == pytest.approx(math.pi * 15.0, rel=1e-12)
+    # and the default e = -0.5 carries the suites that integrate at B < 1
+    for suite in ("basis", "gram"):
+        report = run_suite(suite, p, SuiteOptions(seed=7))
+        assert report.passed, report.to_json_dict()
+
+
+@pytest.mark.parametrize("R", [1.5, 4.0, 50.0])
+def test_negative_exponent_integrates_on_the_endpoint_rule(R):
+    # at B = 0.75 the weight (sin zeta)^(-1/2) is unbounded at both ends;
+    # the square-root substitution leaves a smooth integrand, where plain
+    # Gauss-Legendre would be about 1e-2 off
+    p = AnnulusParams(R=R, B=0.75)
+    for j in (-3, 0, 2):
+        val = annulus_integrate(lambda z, j=j: np.abs(z) ** (2.0 * j), p)
+        assert val.real == pytest.approx(_moment_closed(j, p), rel=1e-12)
 
 
 def test_integrand_receives_node_array():

@@ -18,6 +18,7 @@ from annulus_kernels.special import (
     DEFAULT_SERIES,
     JacobiParams,
     SeriesControl,
+    _binomial_table,
     arccot,
     cauchy_beta_integral,
     gamma_abs_sq,
@@ -179,6 +180,56 @@ def test_jacobi_coefficients_match_values():
         direct = jacobi_poly(params, x)
         horner = complex(np.polynomial.polynomial.polyval(complex(x), coeffs))
         assert abs(direct - horner) < 1e-11 * max(abs(direct), 1.0)
+
+
+def _jacobi_coefficients_uncached(params: JacobiParams) -> np.ndarray:
+    """The construction jacobi_coefficients replaced: the binomial factors
+    convolved afresh on every call."""
+    poly = np.polynomial.polynomial
+    k = params.degree
+    coeffs = np.zeros(k + 1, dtype=complex)
+    for l in range(k + 1):
+        c = pochhammer(params.alpha + l + 1, k - l) * pochhammer(
+            params.beta + k - l + 1, l
+        )
+        c = c / (math.factorial(k - l) * math.factorial(l))
+        term = poly.polymul(poly.polypow([-0.5, 0.5], l), poly.polypow([0.5, 0.5], k - l))
+        coeffs[: len(term)] += complex(c) * term
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_jacobi_coefficients_bit_identical_to_uncached(k):
+    for a, b in [(0.5 + 1.25j, 0.5 - 1.25j), (-2.0 + 7.3j, -2.0 - 7.3j), (0.0, 1.5)]:
+        params = JacobiParams(a, b, k)
+        np.testing.assert_array_equal(
+            jacobi_coefficients(params), _jacobi_coefficients_uncached(params)
+        )
+
+
+def test_binomial_table_is_cached_and_read_only():
+    table = _binomial_table(3)
+    assert _binomial_table(3) is table
+    assert table.shape == (4, 4)
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    # callers get fresh coefficient arrays they may write to
+    params = JacobiParams(0.5, 1.5, 3)
+    before = jacobi_coefficients(params).copy()
+    jacobi_coefficients(params)[:] = 0.0
+    np.testing.assert_array_equal(jacobi_coefficients(params), before)
+
+
+def test_routh_romanovski_on_an_array_checks_its_worst_residue():
+    xi = np.array([[-2.0, 0.3, 1.1], [4.0, -0.7, 2.5]])
+    values, residual = routh_romanovski_with_residual(3, 5.5, -2.0, xi)
+    assert values.shape == xi.shape
+    pointwise = [routh_romanovski(3, 5.5, -2.0, float(x)) for x in xi.ravel()]
+    np.testing.assert_allclose(values.ravel(), pointwise, rtol=1e-13)
+    # each element's residue, from one-element batches (the same arithmetic);
+    # the worst is not the first
+    each = [routh_romanovski_with_residual(3, 5.5, -2.0, xi.ravel()[i : i + 1])[1] for i in range(6)]
+    assert residual == max(each) > each[0]
 
 
 def test_jacobi_degree_cap():
