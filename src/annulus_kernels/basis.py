@@ -82,8 +82,12 @@ def basis_phi(j: int, m: int, z, params: AnnulusParams):
     evaluation over the array.  Each point's cot-coordinate is the one a
     single point gets (see xi_coordinate); the rest differs from pointwise
     evaluation by a few ulp of the terms' scale, as numpy's complex
-    products round differently from Python's.
+    products round differently from Python's.  A 0-d ndarray is evaluated
+    as a batch of one, since numpy's scalar math on 0-d operands rounds
+    differently from its array loops, and returns a 0-d value.
     """
+    if isinstance(z, np.ndarray) and z.ndim == 0:
+        return basis_phi(j, m, z.reshape(1), params).reshape(())
     require_admissible(m, params)
     _require_window(j)
     zc = require_interior(z, params)

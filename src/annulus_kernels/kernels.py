@@ -44,8 +44,9 @@ epsilon times the condition (the gross-to-net ratio of the summed series)
 exceeds the caller's rounding budget, the pair geometry is rebuilt from the
 binary64 inputs in mpmath numbers and the value is summed again; a 34-digit
 sum whose own rounding still exceeds the budget is refused.  The number
-type of the pair selects the elementwise functions: numpy and scipy for
-binary64, mpmath over numpy object arrays for the extended evaluation.
+type of the pair selects the elementwise functions: numpy (and
+special.log_gamma) for binary64, mpmath over numpy object arrays for the
+extended evaluation.  mpmath is imported at the first extended evaluation.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -63,9 +64,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
-import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
 from .geometry import AnnulusParams, as_complex, require_interior
@@ -74,6 +73,7 @@ from .special import (
     JacobiParams,
     SeriesControl,
     jacobi_poly,
+    log_gamma,
     pochhammer,
     theta4_log_derivative,
 )
@@ -106,14 +106,21 @@ _BINARY64 = _Numbers(
     float, lambda x: x, math.pi, math.log, cmath.log,
     lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp,
     lambda z: np.log(abs(z)) + 1j * np.angle(z),  # a fifth of np.log's time
-    sc.loggamma,
+    log_gamma,
 )
-# mpmath numbers at the working precision, held in numpy object arrays
-_MPMATH = _Numbers(
-    object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
-    np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
-    np.frompyfunc(mp.loggamma, 1, 1),
-)
+
+
+@functools.cache
+def _mpmath_numbers() -> _Numbers:
+    """mpmath numbers at the working precision, held in numpy object
+    arrays; mpmath is imported on the first call."""
+    import mpmath as mp
+
+    return _Numbers(
+        object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
+        np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
+        np.frompyfunc(mp.loggamma, 1, 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,10 @@ def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
 def _at_34_digits(evaluate: Callable[[_Pair], object], z, w, params: AnnulusParams) -> complex:
     """evaluate(pair) re-run on 34-digit numbers: the pair geometry rebuilt
     from the binary64 inputs, the result rounded back to binary64."""
+    import mpmath as mp
+
     with mp.workdps(34):
-        return complex(evaluate(_pair(z, w, params, _MPMATH)))
+        return complex(evaluate(_pair(z, w, params, _mpmath_numbers())))
 
 
 def _integer_B(params: AnnulusParams, what: str) -> int:
@@ -383,7 +392,12 @@ def _image_sum(g: _Pair, t, poly: Callable, k_max: int, l_max: int, ctrl: Series
     scale = np.abs(np.asarray(unit, dtype=complex))
 
     # counts and bounds in binary64, with the slowest decay of each side
-    eps = _EPS if num is _BINARY64 else float(mp.eps)
+    if num is _BINARY64:
+        eps = _EPS
+    else:
+        import mpmath as mp
+
+        eps = float(mp.eps)
     d, b = float(spacing), float(B)
     rates = (b - l_max, b - k_max)  # of the + and - sides
     reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
@@ -430,6 +444,8 @@ def _checked(value, condition, rounding_rtol: float):
     """A 34-digit value, refused (ConvergenceError) when its own rounding,
     mp.eps x its condition, exceeds the budget: rounding_rtol, or binary64's
     eps, to which the value is rounded on return, if that is larger."""
+    import mpmath as mp
+
     if mp.eps * condition > max(rounding_rtol, _EPS):
         raise ConvergenceError(
             f"34-digit sum keeps no digit within the rounding budget "
@@ -742,7 +758,7 @@ def _theta_log_derivatives(g: _Pair, ctrl: SeriesControl) -> Callable[[int], com
     """s -> (log theta_4)^(s)(z0) at z0 = (i/2) log t, each order summed
     once.  The extended evaluation truncates far below its 34-digit
     rounding."""
-    if g.num is _MPMATH:
+    if g.num is not _BINARY64:
         ctrl = replace(ctrl, tolerance=1e-40, max_terms=100_000)
     z0 = 0.5j * g.num.clog(g.t)
     return functools.cache(lambda s: theta4_log_derivative(s, z0, g.R, ctrl))

@@ -17,11 +17,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-import scipy.special as sc
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceError, DomainError, ImaginaryResidueError, PoleError
@@ -76,20 +75,38 @@ class JacobiParams:
 
 def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z) for complex z.
+@functools.cache
+def _scipy_special():
+    """scipy.special, imported at the first call: the closed form, the grid
+    and the package import use none of it."""
+    import scipy.special
 
-    Raises PoleError at the poles z = 0, -1, -2, ...  Backed by a
-    Lanczos/Stirling evaluation with reflection for Re z < 1/2, accurate to
-    ~1e-13 relative over the working range |z| <= 1e3.
+    return scipy.special
+
+
+def log_gamma(z):
+    """Principal branch of log Gamma(z) for complex z; an ndarray z is
+    evaluated elementwise and returns a complex array of its shape.
+
+    Raises PoleError at the poles z = 0, -1, -2, ... (at any element of an
+    array).  Backed by scipy.special.loggamma (Stirling's series, reached
+    by recurrence, reflection or a Taylor series at small |z|), imported on
+    the first call; an array gives the values of its elements one by one.
     """
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex, copy=False)
+        re = z.real
+        poles = (z.imag == 0.0) & (re <= 0.0) & np.isfinite(re) & (re == np.round(re))
+        if poles.any():
+            raise PoleError(f"log_gamma pole at z={z[poles].flat[0]}")
+        return _scipy_special().loggamma(z)
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
-    return complex(sc.loggamma(z))
+    return complex(_scipy_special().loggamma(z))
 
 
 def gamma_abs_sq(x: float, y: float) -> float:
@@ -227,6 +244,7 @@ def jacobi_product_bateman(params: JacobiParams, x, y):
         * cmath.exp(log_gamma(a + m + 1) + log_gamma(b + m + 1))
         / math.factorial(m)
     )
+    rgamma = _scipy_special().rgamma
     u = (1 - x) * (1 - y)
     v = (1 + x) * (1 + y)
     total = 0
@@ -242,8 +260,8 @@ def jacobi_product_bateman(params: JacobiParams, x, y):
                 u**l
                 * v ** (k - l)
                 / (math.factorial(l) * math.factorial(k - l))
-                * sc.rgamma(a + l + 1)
-                * sc.rgamma(b + k - l + 1)
+                * rgamma(a + l + 1)
+                * rgamma(b + k - l + 1)
             )
         total = total + outer * inner
     result = pref * total
@@ -319,7 +337,8 @@ def routh_leading_coefficient(m: int, B: float) -> float:
             f"leading coefficient undefined where Gamma(2B-m) or Gamma(2B-2m) "
             f"has a pole: B={B}, m={m}"
         )
-    return (-1.0) ** m * float(sc.gamma(2.0 * B - m) / sc.gamma(2.0 * B - 2.0 * m))
+    gamma = _scipy_special().gamma
+    return (-1.0) ** m * float(gamma(2.0 * B - m) / gamma(2.0 * B - 2.0 * m))
 
 
 def arccot(x: float) -> float:
@@ -463,7 +482,8 @@ def theta4_log_derivative(
     """
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
-    if isinstance(z, mp.mpc):
+    mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
+    if mp is not None and isinstance(z, mp.mpc):
         sin, exp, pi = mp.sin, mp.exp, mp.pi
     else:
         z, sin, exp, pi = complex(z), cmath.sin, math.exp, math.pi

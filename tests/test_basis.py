@@ -385,6 +385,20 @@ def test_phi_on_array_matches_pointwise(params):
                 assert abs(got - want) <= 4.0 * ulp, (m, j, w)
 
 
+@pytest.mark.parametrize(
+    "params", SUITE_PARAMS + [AnnulusParams(R=4.0, B=0.75)], ids=lambda p: f"R{p.R}-B{p.B}"
+)
+def test_phi_at_a_0d_point_equals_its_batch_element(params):
+    z = _interior_points(params, 24, 5)
+    for m in admissible_levels(params):
+        for j in (-10, -1, 0, 3, 10):
+            batch = basis_phi(j, m, z, params)
+            for w, want in zip(z, batch):
+                got = basis_phi(j, m, np.array(w), params)
+                assert isinstance(got, np.ndarray) and got.shape == ()
+                assert got == want, (m, j, w)
+
+
 def test_phi_on_array_rejects_any_non_interior_point():
     for bad in (4.0 + 0.0j, 0.5j, 1.0 + 1e-12j, complex("nan")):
         z = np.array([[1.5 + 0.5j, 2.0 - 1.0j], [bad, -3.0 + 0.5j]])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,30 @@ def test_log_gamma_pole_raises():
     for z in (0.0, -1.0, -5.0):
         with pytest.raises(PoleError):
             log_gamma(z)
+
+
+def test_log_gamma_on_an_array_matches_scalar_calls():
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-20.0, 50.0, size=(4, 50)) + 1j * rng.uniform(-50.0, 50.0, size=(4, 50))
+    z[0, :3] = (-2.5, 0.5, 7.0)  # real arguments, one left of the origin
+    got = log_gamma(z)
+    assert got.shape == z.shape and got.dtype == complex
+    assert got.tolist() == [[log_gamma(v) for v in row] for row in z.tolist()]
+    assert log_gamma(np.array([1.0, 2.0, 3.0])).tolist() == [log_gamma(v) for v in (1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("pole", [0.0, -1.0, -7.0 + 0.0j])
+def test_log_gamma_on_an_array_raises_at_any_pole(pole):
+    z = np.array([1.5 + 2.0j, -0.5 + 0.0j, pole, 3.0 - 1.0j])
+    with pytest.raises(PoleError):
+        log_gamma(z)
+
+
+@pytest.mark.parametrize("x", [-math.inf, math.inf, math.nan])
+def test_log_gamma_off_the_real_numbers_is_no_pole(x):
+    # a non-finite argument is no pole; scalar and array give scipy's value
+    assert cmath.isnan(log_gamma(x))
+    assert cmath.isnan(log_gamma(np.array([2.0, x]))[1])
 
 
 def test_gamma_abs_sq_half_line():
@@ -485,6 +510,13 @@ def test_theta4_log_derivative_vs_finite_differences(order):
         assert abs(series - fd) < 1e-6 * max(abs(series), 1.0), (
             f"order={order}, z={z}: {series} vs {fd}"
         )
+
+
+@pytest.mark.parametrize("z", [np.array(0.1 + 0.2j), np.complex64(0.1 + 0.2j), Fraction(1, 10)])
+def test_theta4_log_derivative_takes_any_complex_convertible(z):
+    got = theta4_log_derivative(2, z, 4.0)
+    assert isinstance(got, complex)
+    assert got == theta4_log_derivative(2, complex(z), 4.0)
 
 
 def test_theta4_log_derivative_strip_guard():

@@ -162,12 +162,49 @@ def test_all_report_prefixes_subsuite_names():
     assert rep.params["m"] == [0]
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves one quad call of the special-functions suite
-    # and is imported there, not with the package
-    code = "import annulus_kernels, sys; print('scipy.integrate' in sys.modules)"
+_COLD_START = """
+import contextlib, io, sys
+module, out = sys.argv[1:]
+import annulus_kernels
+print("import", module in sys.modules)
+from annulus_kernels import cli
+common = ["--R", "4", "--B", "3", "--m", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["eval", *common, "--z", "1.7+0.3i", "--w", "2.1-0.4i", "--path", "closed"])
+print("eval", code, module in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["grid", *common, "--w", "2+0.5i", "--n-rad", "3", "--n-ang", "4", "--out", out])
+print("grid", code, module in sys.modules)
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
+def test_cold_start_leaves_module_unloaded(module, tmp_path):
+    # the closed form and the grid need numpy alone: scipy.special serves
+    # the reference paths and the suites, scipy.integrate one quad call of
+    # the special-functions suite, mpmath the 34-digit evaluation
+    out = _fresh_python(_COLD_START, module, str(tmp_path / "grid.csv"))
+    assert out.splitlines() == ["import False", "eval 0 False", "grid 0 False"]
+    assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 3 * 4
+
+
+def test_deferred_imports_load_on_first_use():
+    code = """
+import sys
+from annulus_kernels import AnnulusParams, kernel_basis_sum_oracle, kernel_km
+p = AnnulusParams(R=4.0, B=3.0)
+print(kernel_km(1, 1.7 + 0.3j, 2.1 - 0.4j, p, rounding_rtol=0.0).precision)
+print(complex(kernel_basis_sum_oracle(1, 1.7 + 0.3j, 2.1 - 0.4j, p).value) != 0)
+print([m for m in ("scipy.special", "mpmath") if m in sys.modules])
+"""
+    assert _fresh_python(code).splitlines() == [
+        "extended", "True", "['scipy.special', 'mpmath']"
+    ]
