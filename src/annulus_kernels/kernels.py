@@ -39,14 +39,16 @@ The reference paths sum their j-series as term functions vectorised over
 the window j = -J..J, by one driver (_sum_window): the window doubles until
 the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
 
-Extended precision re-runs the same term code at 34 digits.  When machine
-epsilon times the condition (the gross-to-net ratio of the summed series)
-exceeds the caller's rounding budget, the pair geometry is rebuilt from the
-binary64 inputs in mpmath numbers and the value is summed again; a 34-digit
-sum whose own rounding still exceeds the budget is refused.  The number
-type of the pair selects the elementwise functions: numpy (and
-special.log_gamma) for binary64, mpmath over numpy object arrays for the
-extended evaluation.  mpmath is imported at the first extended evaluation.
+Extended precision re-runs the same term code at 34 digits, for every path
+through one policy (_extended).  When a path's binary64 error estimate
+(machine epsilon times the condition, the gross-to-net ratio of the summed
+series) exceeds the caller's rounding budget, the pair geometry is rebuilt
+from the binary64 inputs in mpmath numbers and the value is summed again;
+a 34-digit sum whose own rounding still exceeds the budget is refused, the
+theta path's included.  The number type of the pair selects the
+elementwise functions: numpy (and special.log_gamma) for binary64, mpmath
+over numpy object arrays for the extended evaluation.  mpmath is imported
+at the first extended evaluation.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -69,6 +71,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
 from .geometry import AnnulusParams, as_complex, require_interior
 from .special import (
+    BOUNDARY_MARGIN,
     DEFAULT_SERIES,
     JacobiParams,
     SeriesControl,
@@ -128,7 +131,10 @@ class PairGeometry:
     """Joint coordinates of a point pair (z, w) entering every kernel series.
 
     t = z conj(w) / R,  X = cot(zeta_z),  Y = cot(zeta_w),
-    V = (1 + iX)(1 + iY)/4,  mu(j) = i (j + B) log(R)/pi.
+    V = (1 + iX)(1 + iY)/4,  mu(j) = i (j + B) log(R)/pi,
+
+    in one number type (num), with the points and the parameters in that
+    type.
     """
 
     t: complex
@@ -137,22 +143,15 @@ class PairGeometry:
     V: complex
     B: float
     radial_scale: float
-
-    def mu(self, j: int) -> complex:
-        return 1j * (j + self.B) * self.radial_scale
-
-
-@dataclass(frozen=True)
-class _Pair(PairGeometry):
-    """The pair coordinates in one number type, with the points and the
-    parameters in that type."""
-
     num: _Numbers
     params: AnnulusParams
     z: complex
     w: complex
     R: float
     log_R: float
+
+    def mu(self, j: int) -> complex:
+        return 1j * (j + self.B) * self.radial_scale
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ class KernelEvaluation:
     precision: str = "binary64"
 
 
-def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> _Pair:
+def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> PairGeometry:
     zc, wc = as_complex(z), as_complex(w)
     require_interior(zc, params)
     require_interior(wc, params)
@@ -185,7 +184,7 @@ def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> _Pair:
     R, B = num.convert(params.R), num.convert(params.B)
     log_R = num.log(R)
     X, Y = (num.cot(num.pi * num.log(abs(v)) / log_R) for v in (zn, wn))
-    return _Pair(
+    return PairGeometry(
         t=zn * wn.conjugate() / R,
         X=X,
         Y=Y,
@@ -206,13 +205,35 @@ def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
     return _pair(z, w, params)
 
 
-def _at_34_digits(evaluate: Callable[[_Pair], object], z, w, params: AnnulusParams) -> complex:
-    """evaluate(pair) re-run on 34-digit numbers: the pair geometry rebuilt
-    from the binary64 inputs, the result rounded back to binary64."""
+def _extended(
+    g: PairGeometry,
+    value,
+    rel_error: float,
+    rounding_rtol: float | None,
+    evaluate: Callable[[PairGeometry], tuple],
+) -> tuple[complex, str]:
+    """The extended-precision policy of every path: (value, precision).
+
+    value is the binary64 evaluation at the pair g and rel_error its
+    relative error estimate.  While that is within rounding_rtol (or no
+    budget is set) the value stands.  Otherwise evaluate(pair) -> (value,
+    condition) re-runs on 34-digit numbers, the pair geometry rebuilt from
+    the binary64 inputs, and the result is rounded back to binary64; it is
+    refused (ConvergenceError) when its own rounding, mp.eps x condition,
+    exceeds the budget: rounding_rtol, or binary64's eps if that is larger.
+    """
+    if rounding_rtol is None or rel_error <= rounding_rtol:
+        return complex(value), "binary64"
     import mpmath as mp
 
     with mp.workdps(34):
-        return complex(evaluate(_pair(z, w, params, _mpmath_numbers())))
+        value, condition = evaluate(_pair(g.z, g.w, g.params, _mpmath_numbers()))
+        if mp.eps * condition > max(rounding_rtol, _EPS):
+            raise ConvergenceError(
+                f"34-digit sum keeps no digit within the rounding budget "
+                f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
+            )
+        return complex(value), "extended"
 
 
 def _integer_B(params: AnnulusParams, what: str) -> int:
@@ -222,15 +243,15 @@ def _integer_B(params: AnnulusParams, what: str) -> int:
     return int(round(params.B))
 
 
-def _decay_ratios(g: _Pair, ctrl: SeriesControl) -> tuple[float, float]:
+def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
     """Geometric decay ratios of the bilateral series: q_plus for j -> +inf,
     q_minus for j -> -inf.  Both are < 1 exactly when 1/R < |t| < R; a pair
-    with either ratio within ctrl.boundary_margin of 1 is refused."""
+    with either ratio within BOUNDARY_MARGIN of 1 is refused."""
     q_plus, q_minus = abs(g.t) / g.R, 1.0 / (g.R * abs(g.t))
-    if min(1.0 - q_plus, 1.0 - q_minus) < ctrl.boundary_margin:
+    if min(1.0 - q_plus, 1.0 - q_minus) < BOUNDARY_MARGIN:
         raise ConvergenceError(
             f"pair too close to the boundary: decay ratios q+={q_plus:.6g}, "
-            f"q-={q_minus:.6g} must stay below 1 - {ctrl.boundary_margin}"
+            f"q-={q_minus:.6g} must stay below 1 - {BOUNDARY_MARGIN}"
         )
     return q_plus, q_minus
 
@@ -253,34 +274,28 @@ def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarra
 
 
 def _sum_window(
-    terms: Callable[[int], np.ndarray],
-    p,
-    shift: float,
-    g: _Pair,
-    ctrl: SeriesControl,
-    window: int | None = None,
+    terms: Callable[[int], np.ndarray], p, shift: float, g: PairGeometry, ctrl: SeriesControl
 ):
     """Sum one or more bilateral series over the window j = -J..J.
 
     terms(J) gives the terms of each series along the last axis; their
     growth exponent p and shift are those of _tail_bound.  J doubles from 32
-    until every tail is below ctrl.tolerance times the largest sum; an
-    explicit window is summed as it is.  Returns the sums, the tail bounds,
-    the gross magnitudes (sums of |term|, the rounding majorants) and J.
+    until every tail is below ctrl.tolerance times the largest sum.  Returns
+    the sums, the tail bounds, the gross magnitudes (sums of |term|, the
+    rounding majorants) and J.
     """
-    q_plus, q_minus = _decay_ratios(g, ctrl)
+    q_plus, q_minus = _decay_ratios(g)
     ratios = np.array([q_minus, q_plus])
     p_edges = np.asarray(p)[..., None]
-    J = 32 if window is None else int(window)
+    J = 32
     while True:
         values = terms(J)
         total = values.sum(axis=-1)
         moduli = np.abs(values)
         gross = moduli.sum(axis=-1)
-        # the step takes j = -J and j = J (the one term at J = 0)
-        tails = _tail_bound(moduli[..., :: max(2 * J, 1)], ratios, p_edges, shift, J)
+        tails = _tail_bound(moduli[..., :: 2 * J], ratios, p_edges, shift, J)  # j = -J, J
         scale = max(float(abs(total).max()), 1e-300)
-        if window is not None or tails.max() <= ctrl.tolerance * scale:
+        if tails.max() <= ctrl.tolerance * scale:
             return total, tails, gross, J
         if 4 * J + 1 > ctrl.max_terms:
             raise ConvergenceError(
@@ -291,7 +306,7 @@ def _sum_window(
         J *= 2
 
 
-def _ladder(g: _Pair, J: int, m: int):
+def _ladder(g: PairGeometry, J: int, m: int):
     """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, from the log-Gamma
     ladder loggamma(B - m + i y_j), y_j = (j + B) log(R)/pi; and mu_j."""
     j = np.arange(-J, J + 1, dtype=g.num.dtype)
@@ -327,7 +342,7 @@ def _contract(m: int, B, V, family: Callable) -> list:
     return sums
 
 
-def _prefactor(m: int, g: _Pair):
+def _prefactor(m: int, g: PairGeometry):
     """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
     the (k, l) contraction."""
     B = g.B
@@ -338,7 +353,7 @@ def _prefactor(m: int, g: _Pair):
     )
 
 
-def _level_polynomial(m: int, g: _Pair, V) -> Callable:
+def _level_polynomial(m: int, g: PairGeometry, V) -> Callable:
     """The (k, l) contraction of kernel_km's image terms,
 
         poly(a, b) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
@@ -365,7 +380,7 @@ def _level_polynomial(m: int, g: _Pair, V) -> Callable:
     return poly
 
 
-def _image_sum(g: _Pair, t, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
+def _image_sum(g: PairGeometry, t, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
     """The image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l)
     at each t of an array, given poly(a, b) = sum coef_{k,l} a^k b^l over
     k <= k_max, l <= l_max (with modulus=True: the coefficients' moduli).
@@ -440,20 +455,6 @@ def _image_sum(g: _Pair, t, poly: Callable, k_max: int, l_max: int, ctrl: Series
     )
 
 
-def _checked(value, condition, rounding_rtol: float):
-    """A 34-digit value, refused (ConvergenceError) when its own rounding,
-    mp.eps x its condition, exceeds the budget: rounding_rtol, or binary64's
-    eps, to which the value is rounded on return, if that is larger."""
-    import mpmath as mp
-
-    if mp.eps * condition > max(rounding_rtol, _EPS):
-        raise ConvergenceError(
-            f"34-digit sum keeps no digit within the rounding budget "
-            f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
-        )
-    return value
-
-
 def sigma_kl(
     k: int,
     l: int,
@@ -476,9 +477,9 @@ def sigma_kl(
         raise DomainError(f"need 0 <= k,l <= m={m_context}, got k={k}, l={l}")
     require_admissible(m_context, params)
     g = _pair(z, w, params)
-    _decay_ratios(g, ctrl)
+    _decay_ratios(g)
 
-    def sigma(e: _Pair):
+    def sigma(e: PairGeometry):
         gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
         total, _, gross, _ = _image_sum(
             e, e.t, lambda a, b, modulus=False: gamma * a**k * b**l, k, l, ctrl
@@ -486,12 +487,10 @@ def sigma_kl(
         return total[0], gross[0] / max(abs(total[0]), 1e-300)
 
     value, condition = sigma(g)
-    if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-        return _at_34_digits(lambda e: _checked(*sigma(e), rounding_rtol), z, w, params)
-    return complex(value)
+    return _extended(g, value, _EPS * condition, rounding_rtol, sigma)[0]
 
 
-def _closed_form(m: int, g: _Pair, ctrl: SeriesControl):
+def _closed_form(m: int, g: PairGeometry, ctrl: SeriesControl):
     """K_m with its condition, tail bound and image count."""
     total, tail, gross, images = _image_sum(g, g.t, _level_polynomial(m, g, g.V), m, m, ctrl)
     pref = _prefactor(m, g)
@@ -525,23 +524,20 @@ def kernel_km(
     """
     require_admissible(m, params)
     g = _pair(z, w, params)
-    _decay_ratios(g, ctrl)
+    _decay_ratios(g)
     value, condition, tail, images = _closed_form(m, g, ctrl)
-    precision = "binary64"
-    if rounding_rtol is not None and _EPS * condition > rounding_rtol:
-        precision = "extended"
-        value = _at_34_digits(
-            lambda e: _checked(*_closed_form(m, e, ctrl)[:2], rounding_rtol), z, w, params
-        )
+    value, precision = _extended(
+        g, value, _EPS * condition, rounding_rtol, lambda e: _closed_form(m, e, ctrl)[:2]
+    )
     return KernelEvaluation(
-        complex(value), "closed_form", images, float(tail), float(condition), precision
+        value, "closed_form", images, float(tail), float(condition), precision
     )
 
 
 def _series(
     path: str,
-    terms: Callable[[_Pair, int], np.ndarray],
-    const: Callable[[_Pair], object],
+    terms: Callable[[PairGeometry, int], np.ndarray],
+    const: Callable[[PairGeometry], object],
     p: float,
     shift: float,
     z,
@@ -549,29 +545,25 @@ def _series(
     params: AnnulusParams,
     ctrl: SeriesControl,
     rounding_rtol: float | None,
-    window: int | None = None,
 ) -> KernelEvaluation:
     """const(pair) x the bilateral series of terms(pair, J), summed by the
-    window driver.  Unless the window is fixed, a sum whose machine epsilon
-    times condition exceeds rounding_rtol is summed again at 34 digits over
-    the widened window, and refused if its own rounding exceeds the budget
-    (_checked)."""
+    window driver; the extended evaluation (_extended) sums the widened
+    window J + J//2 + 16."""
     g = _pair(z, w, params)
-    total, tail, gross, J = _sum_window(lambda J: terms(g, J), p, shift, g, ctrl, window)
+    total, tail, gross, J = _sum_window(lambda J: terms(g, J), p, shift, g, ctrl)
     condition = float(gross / max(abs(total), 1e-300))
-    value, precision = const(g) * total, "binary64"
-    if window is None and rounding_rtol is not None and _EPS * condition > rounding_rtol:
-        J, precision = J + J // 2 + 16, "extended"  # the window widened
+    scale, wide = const(g), J + J // 2 + 16
 
-        def extended(e: _Pair):
-            values = terms(e, J)
-            total = values.sum()
-            condition = abs(values).sum() / max(abs(total), 1e-300)
-            return const(e) * _checked(total, condition, rounding_rtol)
+    def widened(e: PairGeometry):
+        values = terms(e, wide)
+        total = values.sum()
+        return const(e) * total, abs(values).sum() / max(abs(total), 1e-300)
 
-        value = _at_34_digits(extended, z, w, params)
-    tail = abs(const(g)) * float(tail)
-    return KernelEvaluation(complex(value), path, 2 * J + 1, tail, condition, precision)
+    value, precision = _extended(g, scale * total, _EPS * condition, rounding_rtol, widened)
+    J = wide if precision == "extended" else J
+    return KernelEvaluation(
+        value, path, 2 * J + 1, abs(scale) * float(tail), condition, precision
+    )
 
 
 def kernel_basis_sum_oracle(
@@ -579,7 +571,6 @@ def kernel_basis_sum_oracle(
     z,
     w,
     params: AnnulusParams,
-    window: int | None = None,
     tol: float = 1e-10,
     rounding_rtol: float | None = None,
 ) -> KernelEvaluation:
@@ -591,18 +582,16 @@ def kernel_basis_sum_oracle(
                       / |Gamma(B-m + i (j+B) c)|^2,   c = log(R)/pi,
 
     with the radial factors RR_m^(-2 y_j, 1-B)(x) = (-2i)^m m!
-    P_m^(-B-mu_j, -B+mu_j)(ix) at x = X and Y.  With window=None the range
-    |j| <= J grows until the edge-term geometric estimate (polynomial growth
-    of the radial factors absorbed into the effective ratio) drops below
-    tol * |partial sum|; an explicit window gives the fixed partial sum with
-    its reported tail estimate (and never escalates).  In the automatic
-    mode, when rounding_rtol is given and machine epsilon times the
-    gross-to-net condition exceeds it, the same per-term formula is
-    re-summed at extended precision over a widened window.
+    P_m^(-B-mu_j, -B+mu_j)(ix) at x = X and Y.  The range |j| <= J grows
+    until the edge-term geometric estimate (polynomial growth of the radial
+    factors absorbed into the effective ratio) drops below
+    tol * |partial sum|.  When rounding_rtol is given and machine epsilon
+    times the gross-to-net condition exceeds it, the same per-term formula
+    is re-summed at extended precision over a widened window.
     """
     require_admissible(m, params)
 
-    def terms(g: _Pair, J: int):
+    def terms(g: PairGeometry, J: int):
         log_terms, mu = _ladder(g, J, m)
         jac = JacobiParams(-g.B - mu, -g.B + mu, m)
         radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
@@ -616,7 +605,6 @@ def kernel_basis_sum_oracle(
         "basis_sum", terms, lambda g: (-4) ** m * math.factorial(m) ** 2 / norm0,
         2.0 * params.B - 1.0, params.B,
         z, w, params, SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol,
-        window,
     )
 
 
@@ -639,7 +627,7 @@ def kernel_jacobi_product_sum(
     """
     require_admissible(m, params)
 
-    def terms(g: _Pair, J: int):
+    def terms(g: PairGeometry, J: int):
         log_terms, mu = _ladder(g, J, m)
         pz = jacobi_poly(JacobiParams(-g.B - mu, -g.B + mu, m), 1j * g.X)
         pw = jacobi_poly(JacobiParams(-g.B + mu, -g.B - mu, m), -1j * g.Y)
@@ -652,22 +640,6 @@ def kernel_jacobi_product_sum(
     ).value
 
 
-def kernel_k0_b1(
-    z, w, R: float, ctrl: SeriesControl = DEFAULT_SERIES,
-    rounding_rtol: float | None = None,
-) -> complex:
-    """The analytic kernel at unit weight (B = 1) in elementary form:
-
-        K_0^(R,1) = (1/(pi z conj(w))) sum_j [j/(1 - R^(-2j))] (z conj(w)/R^2)^j,
-
-    the j = 0 coefficient being its limit 1/(2 log R).  Term by term this is
-    the integer-B product series at B = 1 (an empty product), and it is
-    summed as that series.  With rounding_rtol set, cancellation-limited
-    sums escalate to extended precision.
-    """
-    return _k0_product(z, w, AnnulusParams(R=R, B=1.0), ctrl, rounding_rtol).value
-
-
 def _k0_product(
     z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None
 ) -> KernelEvaluation:
@@ -676,7 +648,7 @@ def _k0_product(
     # j/(R^(2j)-1): decays like j R^(-2j) for j -> +inf but grows linearly
     # for j -> -inf (the decay there comes from (z conj(w))^j); evaluated
     # overflow-free per sign (n = |j|), with the j = 0 limit 1/(2 log R)
-    def terms(g: _Pair, J: int):
+    def terms(g: PairGeometry, J: int):
         j = np.arange(-J, J + 1, dtype=g.num.dtype)
         n = np.where(j == 0, 1, abs(j))
         decay = g.R ** (-2 * n)
@@ -688,7 +660,7 @@ def _k0_product(
             poly = poly * (1 + (j * g.log_R) ** 2 / (g.num.pi * q) ** 2)
         return base * poly * g.num.exp(j * g.num.clog(g.z * g.w.conjugate()))
 
-    def const(g: _Pair):
+    def const(g: PairGeometry):
         u = g.z * g.w.conjugate()
         return (
             (2 * g.num.pi) ** (2 * B - 2)
@@ -732,7 +704,7 @@ def kernel_limit_R_inf(
     if B != int(B) or B < 1:
         raise DomainError(f"limit kernel implemented for integer B >= 1, got {B}")
     u = as_complex(z) * as_complex(w).conjugate()
-    if abs(u) <= 1.0 + ctrl.boundary_margin:
+    if abs(u) <= 1.0 + BOUNDARY_MARGIN:
         raise ConvergenceError(
             f"limit kernel series needs |z conj(w)| > 1 + margin, got {abs(u):.6g}"
         )
@@ -754,7 +726,7 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
-def _theta_log_derivatives(g: _Pair, ctrl: SeriesControl) -> Callable[[int], complex]:
+def _theta_log_derivatives(g: PairGeometry, ctrl: SeriesControl) -> Callable[[int], complex]:
     """s -> (log theta_4)^(s)(z0) at z0 = (i/2) log t, each order summed
     once.  The extended evaluation truncates far below its 34-digit
     rounding."""
@@ -764,7 +736,7 @@ def _theta_log_derivatives(g: _Pair, ctrl: SeriesControl) -> Callable[[int], com
     return functools.cache(lambda s: theta4_log_derivative(s, z0, g.R, ctrl))
 
 
-def _sigma_theta(k: int, l: int, g: _Pair, L: Callable[[int], complex]):
+def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], complex]):
     """sigma_{k,l} via the theta contraction, with its rounding majorant.
 
     The second return value is the non-cancelling magnitude of the
@@ -833,7 +805,9 @@ def sigma_theta_path(
               - i (-1)^((p+1)/2) L_(p+2)/2^(p+2)      (p odd),
 
     L_s = (log theta_4)^(s)(z0).  The result carries the t^(-B) prefactor
-    from the shift.
+    from the shift.  With rounding_rtol set, a contraction whose truncation
+    or rounding, amplified by its condition, exceeds it is summed again at
+    34 digits, and refused when that sum keeps no digit within the budget.
     """
     B = _integer_B(params, "theta path")
     if k < 0 or l < 0 or B - max(k, l) < 1:
@@ -841,28 +815,24 @@ def sigma_theta_path(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
     g = _pair(z, w, params)
-    _decay_ratios(g, ctrl)
-    value, gross = _sigma_theta(k, l, g, _theta_log_derivatives(g, ctrl))
-    condition = gross / max(abs(value), 1e-300)
+    _decay_ratios(g)
+
+    def sigma(e: PairGeometry):
+        value, gross = _sigma_theta(k, l, e, _theta_log_derivatives(e, ctrl))
+        return value, gross / max(abs(value), 1e-300)
+
+    value, condition = sigma(g)
     # the log-derivative series truncate relative to their own magnitude,
     # so truncation error is amplified by the contraction's gross-to-net
     # ratio exactly like rounding
-    if (
-        rounding_rtol is not None
-        and max(_EPS, ctrl.tolerance) * condition > rounding_rtol
-    ):
-        return _at_34_digits(
-            lambda e: _sigma_theta(k, l, e, _theta_log_derivatives(e, ctrl))[0],
-            z, w, params,
-        )
-    return complex(value)
+    return _extended(g, value, max(_EPS, ctrl.tolerance) * condition, rounding_rtol, sigma)[0]
 
 
-def _theta_kernel(m: int, g: _Pair, ctrl: SeriesControl):
-    """K_m through the theta path and its rounding majorant."""
+def _theta_kernel(m: int, g: PairGeometry, ctrl: SeriesControl):
+    """K_m through the theta path with its condition and rounding majorant."""
     L = _theta_log_derivatives(g, ctrl)
     total, majorant = _contract(m, g.B, g.V, lambda k, l: _sigma_theta(k, l, g, L))
-    return _prefactor(m, g) * total, total, majorant
+    return _prefactor(m, g) * total, majorant / max(abs(total), 1e-300), majorant
 
 
 def kernel_km_theta(
@@ -876,12 +846,14 @@ def kernel_km_theta(
     bound is tolerance times the non-cancelling majorant of the double sum.
     The condition is the gross-to-net ratio including the cancellation
     inside each theta contraction; with rounding_rtol set, conditioned
-    evaluations are redone at extended precision.
+    evaluations, and those whose truncation binary64 cannot certify, are
+    redone at extended precision and refused when the 34-digit sum keeps no
+    digit within the budget.
     """
     require_admissible(m, params)
     B = _integer_B(params, "theta path")
     g = _pair(z, w, params)
-    _decay_ratios(g, ctrl)
+    _decay_ratios(g)
     contractions = sum(
         abs(k - l) + 2 * (B - max(k, l)) - 1
         for l in range(m + 1)
@@ -890,13 +862,14 @@ def kernel_km_theta(
     pref = abs(_prefactor(m, g))
     eff = ctrl
     for _ in range(3):
-        value, total, majorant = _theta_kernel(m, g, eff)
-        condition = majorant / max(abs(total), 1e-300)
+        value, condition, majorant = _theta_kernel(m, g, eff)
         tail = eff.tolerance * pref * majorant
+        rounding = _EPS * condition
         # rounding-limited: refinement of the truncation cannot help, so the
         # escalation decision comes before the truncation check
-        escalate = rounding_rtol is not None and _EPS * condition > rounding_rtol
-        if escalate or tail <= ctrl.tolerance * abs(value):
+        if rounding_rtol is not None and rounding > rounding_rtol:
+            break
+        if tail <= ctrl.tolerance * abs(value):
             break
         eff = replace(eff, tolerance=eff.tolerance / 100.0)
     else:
@@ -904,16 +877,17 @@ def kernel_km_theta(
             raise ConvergenceError("theta-path kernel failed to reach tolerance x |value|")
         # binary64 truncation cannot certify the requested accuracy at this
         # gross-to-net ratio; the extended evaluation covers both error terms
-        escalate = True
-    if escalate:
-        value = _at_34_digits(lambda e: _theta_kernel(m, e, ctrl)[0], z, w, params)
+        rounding = math.inf
+    value, precision = _extended(
+        g, value, rounding, rounding_rtol, lambda e: _theta_kernel(m, e, ctrl)[:2]
+    )
     return KernelEvaluation(
-        value=complex(value),
+        value=value,
         path="theta",
         terms_used=max(contractions, 1),
         tail_bound=tail,
         condition=condition,
-        precision="extended" if escalate else "binary64",
+        precision=precision,
     )
 
 
@@ -961,7 +935,7 @@ def kernel_km_grid(
     majorant.  The rounding (about eps x kernel_km's condition) is not
     reported.
     Nodes are refused (ConvergenceError) as pointwise pairs are: a decay
-    ratio within ctrl.boundary_margin of 1, or more than ctrl.max_terms
+    ratio within BOUNDARY_MARGIN of 1, or more than ctrl.max_terms
     images.  Intended for quadrature node sets and plot grids.
     """
     require_admissible(m, params)
@@ -971,7 +945,7 @@ def kernel_km_grid(
     t = zc * np.conj(w.ravel()) / params.R
     abs_t = np.abs(t)
     for i in (abs_t.argmax(), abs_t.argmin()):  # the largest q+ and q-
-        _decay_ratios(replace(g, t=t[i]), ctrl)
+        _decay_ratios(replace(g, t=t[i]))
     zeta_w = math.pi * np.log(np.abs(w.ravel())) / params.log_R
     V = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * np.cos(zeta_w) / np.sin(zeta_w))
     total, *_ = _image_sum(g, t, _level_polynomial(m, g, V[:, None]), m, m, ctrl)

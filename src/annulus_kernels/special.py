@@ -27,30 +27,28 @@ from .errors import ConvergenceError, DomainError, ImaginaryResidueError, PoleEr
 from .geometry import AnnulusParams, alpha_index
 
 
+# minimum distance of any geometric decay ratio from 1: a series whose ratio
+# comes closer than this to 1 is refused rather than summed slowly and
+# inaccurately
+BOUNDARY_MARGIN = 1e-3
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy shared by all bilateral and theta series.
 
-    tolerance        relative truncation target for every reported value
-    max_terms        hard cap on the number of summed terms
-    boundary_margin  minimum distance of any geometric decay ratio from 1;
-                     a series whose ratio comes closer than this to 1 is
-                     refused rather than summed slowly and inaccurately
+    tolerance  relative truncation target for every reported value
+    max_terms  hard cap on the number of summed terms
     """
 
     tolerance: float = 1e-12
     max_terms: int = 4096
-    boundary_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_terms < 16:
             raise DomainError(f"max_terms must be at least 16, got {self.max_terms}")
-        if not (0.0 < self.boundary_margin < 1.0):
-            raise DomainError(
-                f"boundary_margin must lie in (0, 1), got {self.boundary_margin}"
-            )
 
 
 DEFAULT_SERIES = SeriesControl()
@@ -477,7 +475,7 @@ def theta4_log_derivative(
             = 4 sum_{j>=1} (2j)^(s-1) [R^j / (R^(2j) - 1)] sin(2jz + (s-1) pi/2).
 
     Converges iff exp(2 |Im z|) / R < 1; the distance of that ratio from 1
-    must exceed ctrl.boundary_margin.  An mpmath z (with R in mpmath) is
+    must exceed BOUNDARY_MARGIN.  An mpmath z (with R in mpmath) is
     summed in mpmath at the working precision.
     """
     if order < 1:
@@ -490,10 +488,10 @@ def theta4_log_derivative(
     if not (R > 1.0):
         raise DomainError(f"requires R > 1, got R={R}")
     q = exp(2.0 * abs(z.imag)) / R
-    if q >= 1.0 - ctrl.boundary_margin:
+    if q >= 1.0 - BOUNDARY_MARGIN:
         raise ConvergenceError(
             f"log-derivative series ratio exp(2|Im z|)/R = {q:.6g} is within "
-            f"{ctrl.boundary_margin} of 1 (|Im z| must stay below log(R)/2)"
+            f"{BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
         )
     phase = (order - 1) * pi / 2.0
     total = 0.0 + 0.0j

@@ -51,7 +51,6 @@ from .kernels import (
     inversion_covariance_residual,
     kernel_basis_sum_oracle,
     kernel_jacobi_product_sum,
-    kernel_k0_b1,
     kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
@@ -676,16 +675,6 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
             )
             worst = max(worst, abs(closed - prod) / abs(closed))
         entries.append(ResidualEntry("closed-vs-product-formula", worst, tol))
-
-        if int(round(params.B)) == 1:
-            worst = 0.0
-            for z, w in pairs:
-                closed = kernel_km(
-                    0, z, w, params, ctrl, rounding_rtol=tol / 10
-                ).value
-                elem = kernel_k0_b1(z, w, params.R, ctrl, rounding_rtol=tol / 10)
-                worst = max(worst, abs(closed - elem) / abs(closed))
-            entries.append(ResidualEntry("b1-elementary-form", worst, tol))
     return entries
 
 

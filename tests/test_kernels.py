@@ -21,13 +21,12 @@ from annulus_kernels.errors import (
 from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
 from annulus_kernels.special import SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
-from annulus_kernels.basis import admissible_levels, basis_norm_sq
+from annulus_kernels.basis import admissible_levels
 from annulus_kernels.kernels import (
     KERNEL_PATHS,
     kernel_basis_sum_oracle,
     kernel_by_path,
     kernel_jacobi_product_sum,
-    kernel_k0_b1,
     kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
@@ -37,7 +36,9 @@ from annulus_kernels.kernels import (
     pair_geometry,
     sigma_kl,
     sigma_theta_path,
+    _tail_bound,
 )
+from annulus_kernels.verify import sample_pairs
 
 P43 = AnnulusParams(R=4.0, B=3.0)
 P42 = AnnulusParams(R=4.0, B=2.0)
@@ -130,7 +131,7 @@ def test_sigma_near_boundary_rejected():
     p = AnnulusParams(R=4.0, B=2.0)
     z = 1.0 + 1e-6  # |z w| barely above 1: q_minus ~ 1
     with pytest.raises(ConvergenceError):
-        sigma_kl(0, 0, z, z, 0, p, SeriesControl(boundary_margin=1e-2))
+        sigma_kl(0, 0, z, z, 0, p)
 
 
 def test_sigma_index_validation():
@@ -263,17 +264,20 @@ def test_m0_reduction_exact():
 def test_b1_formula_agreement():
     p = AnnulusParams(R=4.0, B=1.0)
     for z, w in _random_pairs(p, 6, seed=19):
-        a = kernel_k0_b1(z, w, 4.0)
+        a = kernel_k0_integer_product(z, w, p)
         b = kernel_km(0, z, w, p).value
         assert abs(a - b) < 1e-10 * abs(b)
 
 
 def test_b1_hermitian_and_rotation():
-    a = kernel_k0_b1(Z0, W0, 4.0)
-    b = kernel_k0_b1(W0, Z0, 4.0).conjugate()
+    # at unit weight the integer product is the elementary series
+    # (1/(pi z conj(w))) sum_j [j/(1 - R^(-2j))] (z conj(w)/R^2)^j
+    p = AnnulusParams(R=4.0, B=1.0)
+    a = kernel_k0_integer_product(Z0, W0, p)
+    b = kernel_k0_integer_product(W0, Z0, p).conjugate()
     assert abs(a - b) < 1e-13 * abs(a)
     u = cmath.exp(0.83j)
-    c = kernel_k0_b1(u * Z0, u * W0, 4.0)
+    c = kernel_k0_integer_product(u * Z0, u * W0, p)
     assert abs(a - c) < 1e-13 * abs(a)
 
 
@@ -304,22 +308,6 @@ def test_three_path_agreement(R, B):
 
 # ---------------------------------------------------------------------------
 # basis-sum oracle internals
-
-
-def test_oracle_single_term_window():
-    # window J = 0 keeps only j = 0: Phi_0(z) conj(Phi_0(w)) = 1/||phi_0||^2
-    ev = kernel_basis_sum_oracle(0, Z0, W0, P43, window=0)
-    assert ev.terms_used == 1
-    assert ev.value == pytest.approx(1.0 / basis_norm_sq(0, 0, P43), rel=1e-12)
-
-
-def test_oracle_diagonal_monotone_in_window():
-    z = 2.1 + 0.6j
-    vals = [
-        kernel_basis_sum_oracle(1, z, z, P43, window=J).value.real for J in (2, 4, 8, 16)
-    ]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert all(v > 0.0 for v in vals)
 
 
 def test_oracle_reports_tail():
@@ -531,11 +519,25 @@ def test_extended_sum_without_a_digit_is_refused():
 
 def test_oracle_window_with_an_edge_at_j_plus_b_zero():
     # J = B = 3 puts the edge j = -J at j + B = 0, where the growth ratio of
-    # the tail bound is unbounded: the window is summed, its tail infinite
-    ev = kernel_basis_sum_oracle(0, 1.7 + 0.3j, 2.1 - 0.4j, P43, window=3)
-    assert ev.terms_used == 7
-    assert math.isfinite(abs(ev.value))
-    assert ev.tail_bound == math.inf
+    # the tail bound is unbounded: the bound is infinite, not a division error
+    tail = _tail_bound(np.array([1e-3, 1e-3]), np.array([0.2, 0.3]), 5.0, shift=3.0, J=3)
+    assert tail == math.inf
+
+
+@pytest.mark.parametrize("pair", sample_pairs(AnnulusParams(R=1.2, B=3.0), 5, 815)[:2])
+@pytest.mark.parametrize("path", ["kernel_km_theta", "sigma_theta_path"])
+def test_theta_path_refuses_a_34_digit_sum_without_a_digit(path, pair):
+    # the theta suite's first pairs at (1.2, 3): the 34-digit theta
+    # contraction's own rounding, mp.eps x condition, is 3.3e-3 at the first
+    # pair and 2.6e-2 at the second, far past the budget; unchecked, the
+    # kernel came back 1.15 and 7.4e32 relative off, labelled extended
+    z, w = pair
+    p = AnnulusParams(R=1.2, B=3.0)
+    with pytest.raises(ConvergenceError, match="34-digit"):
+        if path == "kernel_km_theta":
+            kernel_km_theta(0, z, w, p, rounding_rtol=1e-10)
+        else:
+            sigma_theta_path(0, 0, z, w, p, rounding_rtol=1e-10)
 
 
 Z_ESC = 1.8 * cmath.exp(0.4j)
@@ -556,7 +558,6 @@ FORCED_PATHS = {
     "sigma_theta_path": lambda r: sigma_theta_path(
         0, 1, Z_ESC, W_ESC, P43, rounding_rtol=r
     ),
-    "k0_b1": lambda r: kernel_k0_b1(Z_ESC, W_ESC, 4.0, rounding_rtol=r),
     "k0_integer_product": lambda r: kernel_k0_integer_product(
         Z_ESC, W_ESC, P42, rounding_rtol=r
     ),
@@ -640,7 +641,7 @@ def test_grid_chunks_match_separate_halves():
 
 
 def test_grid_refuses_boundary_node_like_pointwise():
-    # |z||w|/R^2 = 0.9995: q+ lies within boundary_margin (1e-3) of 1, and
+    # |z||w|/R^2 = 0.9995: q+ lies within BOUNDARY_MARGIN (1e-3) of 1, and
     # one such node refuses the node set with the pointwise message
     z = w = 4.0 * math.sqrt(0.9995)
     with pytest.raises(ConvergenceError, match="too close to the boundary"):

@@ -531,6 +531,4 @@ def test_series_control_validation():
         SeriesControl(tolerance=0.0)
     with pytest.raises(DomainError):
         SeriesControl(max_terms=3)
-    with pytest.raises(DomainError):
-        SeriesControl(boundary_margin=1.5)
     assert DEFAULT_SERIES.tolerance == 1e-12
