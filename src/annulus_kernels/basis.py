@@ -6,11 +6,13 @@ of the invariant Laplacian; its eigenspace is spanned by
     phi_j(z) = z^j RR_m^(-alpha(j,B), 1-B)(cot zeta_z),     j in Z,
 
 with zeta_z = pi log|z| / log R and alpha(j, B) = 2 (j + B) log(R)/pi.  The
-squared norms admit a closed form (a Gamma-pair expression); this module
-also applies the invariant Laplacian, the one-dimensional radial operator
-L_B, and powers of the invariant Cauchy-Riemann operator omega^2 d/dzbar
-by finite differences, which is how the eigenvalue equations and the
-polyanalyticity order are checked without trusting any series identity.
+squared norms admit a closed form (a Gamma-pair expression).  Powers of the
+invariant Cauchy-Riemann operator omega^2 d/dzbar act on phi_j exactly, by
+differentiating RR_m (cr_power_phi), so phi_j is polyanalytic of exact
+order m + 1.  This module also applies the one-dimensional radial operator
+L_B exactly, and the invariant Laplacian and omega^2 d/dzbar by one shared
+finite-difference stencil: the independent checks of the eigenvalue
+equation and of the first rung of every Cauchy-Riemann power.
 """
 
 from __future__ import annotations
@@ -94,6 +96,32 @@ def basis_phi(j: int, m: int, z, params: AnnulusParams):
     xi = xi_coordinate(zc, params)
     radial = routh_romanovski(m, -alpha_index(j, params), 1.0 - params.B, xi)
     return zc**j * radial
+
+
+def cr_power_phi(j: int, m: int, order: int, z, params: AnnulusParams):
+    """(omega^2 d/dzbar)^order phi_j at z, exactly:
+
+        (omega^2 d/dzbar)^k phi_j = (-c/2)^k z^(j+k) RR_m^(k)(cot zeta_z),
+
+    with c = log(R)/pi and RR_m^(k) the k-th derivative of phi_j's
+    Routh-Romanovski factor.  It follows from omega = c|z| sin zeta and
+    d/dzbar cot zeta = -(1 + cot^2 zeta)/(2 c zbar), which give
+    omega^2 d/dzbar [z^j P(xi)] = -(c/2) z^(j+1) P'(xi).  Orders above m
+    return exact zeros; order 0 is phi_j through its coefficient array.
+    z may be an ndarray of interior points, evaluated elementwise as in
+    basis_phi.
+    """
+    require_admissible(m, params)
+    _require_window(j)
+    if order < 0:
+        raise DomainError(f"order must be nonnegative, got {order}")
+    zc = require_interior(z, params)
+    if order > m:
+        return 0.0 * zc
+    poly = np.polynomial.polynomial
+    coeffs = routh_coefficients(m, -alpha_index(j, params), 1.0 - params.B)
+    radial = poly.polyval(xi_coordinate(zc, params), poly.polyder(coeffs, order))
+    return (-0.5 * params.radial_scale) ** order * zc ** (j + order) * radial
 
 
 def basis_phi_nodes(j, m: int, z: np.ndarray, params: AnnulusParams) -> np.ndarray:
@@ -210,39 +238,18 @@ def sturm_liouville_apply(m: int, j: int, xi, params: AnnulusParams):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _default_step(z: complex, params: AnnulusParams) -> float:
-    return 1e-3 * min(abs(z) - 1.0, params.R - abs(z))
+def _stencil(f, z, params: AnnulusParams, step: float | None):
+    """The 4th-order stencil behind both invariant operators at z: returns
+    (z, omega(z), d/dzbar f, f_xx + f_yy).
 
-
-def _on_stencil(f, points: np.ndarray) -> np.ndarray:
-    """f called once on an ndarray of stencil points; a constant f may
-    return a scalar, which is broadcast."""
-    values = np.asarray(f(points))
-    try:
-        return np.broadcast_to(values, points.shape)
-    except ValueError:
-        raise DomainError(
-            f"f returned shape {values.shape} on stencil points of shape "
-            f"{points.shape}; f must act elementwise on an ndarray"
-        ) from None
-
-
-def invariant_laplacian_apply(
-    f, z, params: AnnulusParams, step: float | None = None
-) -> complex:
-    """The invariant Laplacian Delta_B f at z by 4th-order finite differences:
-
-        Delta_B f = omega^2 (f_xx + f_yy) + 4 B omega (d omega/dz) (f_x + i f_y),
-
-    the second term being 8 B omega (d omega/dz) d/dzbar written out in
-    Cartesian derivatives.  f is called once, on an ndarray of the 9
-    stencil points (z itself first, then z + 2h, z + h, z - h, z - 2h and
-    the same four steps along i), and must act elementwise.  Requires
-    boundary distance > 4*step.
+    f is called once, on an ndarray of the 9 stencil points (z itself
+    first, then z + 2h, z + h, z - h, z - 2h and the same four steps along
+    i), and must act elementwise; a constant f may return a scalar, which
+    is broadcast.  Requires boundary distance > 4*step.
     """
     zc = as_complex(z)
     require_interior(zc, params)
-    h = _default_step(zc, params) if step is None else float(step)
+    h = 1e-3 * params.boundary_distance(zc) if step is None else float(step)
     if not (h > 0.0) or params.boundary_distance(zc) <= 4.0 * h:
         raise DomainError(
             f"step {h} too large: z={zc} sits {params.boundary_distance(zc):.3g} "
@@ -250,8 +257,15 @@ def invariant_laplacian_apply(
         )
     offsets = [2.0 * h, h, -h, -2.0 * h]
     points = np.array([zc] + [zc + o * d for d in (1.0, 1.0j) for o in offsets])
-    # the combination in Python complex arithmetic, as on scalar values
-    f0, *along = _on_stencil(f, points).tolist()
+    values = np.asarray(f(points))
+    try:
+        # the combination in Python complex arithmetic, as on scalar values
+        f0, *along = np.broadcast_to(values, points.shape).tolist()
+    except ValueError:
+        raise DomainError(
+            f"f returned shape {values.shape} on stencil points of shape "
+            f"{points.shape}; f must act elementwise on an ndarray"
+        ) from None
 
     def d1(p2: complex, p1: complex, m1: complex, m2: complex) -> complex:
         return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
@@ -260,69 +274,29 @@ def invariant_laplacian_apply(
         return (-p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2) / (12.0 * h * h)
 
     x, y = along[:4], along[4:]
-    fx, fy = d1(*x), d1(*y)
-    lap = d2(*x) + d2(*y)
     om = poincare_density(zc, params)
-    om_z = poincare_density_dz(zc, params)
-    return om * om * lap + 4.0 * params.B * om * om_z * (fx + 1j * fy)
+    return zc, om, 0.5 * (d1(*x) + 1j * d1(*y)), d2(*x) + d2(*y)
 
 
-def _dbar_offsets(h: float) -> np.ndarray:
-    """The 8 points of the d/dzbar stencil around 0: +-2h, +-h along 1 and i."""
-    return np.array([2.0 * h, h, -h, -2.0 * h, 2.0j * h, 1.0j * h, -1.0j * h, -2.0j * h])
-
-
-def _dbar(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dzbar = (d/dx + i d/dy)/2 by the 4th-order stencil whose 8 values
-    (at _dbar_offsets(h)) run along the last axis of values."""
-    v = [values[..., i] for i in range(8)]
-    gx = -v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]
-    gy = -v[4] + 8.0 * v[5] - 8.0 * v[6] + v[7]
-    den = 12.0 * h
-    # by components: numpy's complex-by-real division rounds differently
-    # from Python's, and the next nesting level would amplify the last bit
-    gx = gx.real / den + 1j * (gx.imag / den)
-    gy = gy.real / den + 1j * (gy.imag / den)
-    return 0.5 * (gx + 1j * gy)
-
-
-def cr_power_apply(
-    f, order: int, z, params: AnnulusParams, step: float | None = None
+def invariant_laplacian_apply(
+    f, z, params: AnnulusParams, step: float | None = None
 ) -> complex:
-    """Iterated invariant Cauchy-Riemann operator (omega^2 d/dzbar)^order f.
+    """The invariant Laplacian Delta_B f at z by 4th-order finite differences:
 
-    Each level is a 4th-order stencil for d/dzbar = (d/dx + i d/dy)/2; the
-    steps are staggered (growing by 1.5 per nesting level) so that inner
-    truncation errors are not resonantly amplified.  Accuracy degrades with
-    order; order <= 3 is supported with a ~1e-3 relative contract at the
-    outermost level.  f is called once, on an ndarray of the 8^order nested
-    stencil points (shape (8,) * order, outermost level first), and must
-    act elementwise.
+        Delta_B f = omega^2 (f_xx + f_yy) + 8 B omega (d omega/dz) d/dzbar f.
+
+    f is called once, on an ndarray of the 9 stencil points (z first), and
+    must act elementwise.  Requires boundary distance > 4*step.
     """
-    if not (1 <= order <= 3):
-        raise DomainError(f"order must be in 1..3, got {order}")
-    zc = as_complex(z)
-    require_interior(zc, params)
-    h0 = _default_step(zc, params) if step is None else float(step)
-    if not (h0 > 0.0):
-        raise DomainError(f"step must be positive, got {h0}")
-    # outermost level uses the largest step; total stencil halo is
-    # 2*(h0 + 1.5 h0 + 1.5^2 h0) < 10 h0 at order 3
-    halo = 2.0 * sum(h0 * 1.5**k for k in range(order))
-    if params.boundary_distance(zc) <= halo:
-        raise DomainError(
-            f"z={zc} sits {params.boundary_distance(zc):.3g} from the boundary; "
-            f"the order-{order} stencil needs clearance > {halo:.3g}"
-        )
-    # points[k] are the points at which nesting level order - k is applied;
-    # each level's stencil is broadcast over the points of the level outside
-    steps = [h0 * 1.5 ** (k - 1) for k in range(order, 0, -1)]
-    points = [np.array(zc)]
-    for h in steps:
-        points.append(points[-1][..., None] + _dbar_offsets(h))
-    values = _on_stencil(f, points.pop())
-    for h in reversed(steps):
-        w = points.pop()
-        omega = [poincare_density(p, params) for p in w.ravel().tolist()]
-        values = np.reshape(omega, w.shape) ** 2 * _dbar(values, h)
-    return complex(values)
+    zc, om, dbar, lap = _stencil(f, z, params, step)
+    om_z = poincare_density_dz(zc, params)
+    return om * om * lap + 8.0 * params.B * om * om_z * dbar
+
+
+def cr_apply(f, z, params: AnnulusParams, step: float | None = None) -> complex:
+    """The invariant Cauchy-Riemann operator omega^2 d/dzbar f at z, from the
+    stencil of invariant_laplacian_apply (same points, one call of f, same
+    boundary clearance).  Iterating it is cr_power_phi's job, which gives
+    every power exactly; this is the independent order-1 check of it."""
+    _, om, dbar, _ = _stencil(f, z, params, step)
+    return om * om * dbar

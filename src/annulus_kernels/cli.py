@@ -58,6 +58,8 @@ _EXIT_INVALID = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_UNSUPPORTED = 4
 
+_FORMATS = ("csv", "json")
+
 
 @dataclass
 class CliConfig:
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument(
             "--format",
-            choices=("csv", "json"),
+            choices=_FORMATS,
             default=None,
             help="output format where a choice exists (info: text vs json)",
         )
@@ -173,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = {f.name for f in fields(CliConfig)}
+# each setting's type, as its flag's argparse type converts the token
+_CONFIG_TYPES = {
+    f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(CliConfig)
+}
 
 
 def merge_config(args: argparse.Namespace) -> CliConfig:
@@ -191,18 +196,21 @@ def merge_config(args: argparse.Namespace) -> CliConfig:
             raise DomainError("config file must hold a JSON object of flag values")
         for key, value in loaded.items():
             name = key.replace("-", "_")
-            if name not in _CONFIG_FIELDS:
+            if name not in _CONFIG_TYPES:
                 raise DomainError(f"unknown config key {key!r}")
+            kind = _CONFIG_TYPES[name]
+            try:
+                value = None if value is None and kind is str else kind(str(value))
+            except ValueError:
+                need = "an integer" if kind is int else "a number"
+                raise DomainError(f"config {key} must be {need}, got {value!r}") from None
             setattr(cfg, name, value)
-    for name in _CONFIG_FIELDS:
+        if cfg.format not in (None, *_FORMATS):
+            raise DomainError(f"config format must be one of {', '.join(_FORMATS)}")
+    for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    # basic type/range checks before any computation
-    cfg.R, cfg.B = float(cfg.R), float(cfg.B)
-    cfg.m, cfg.seed = int(cfg.m), int(cfg.seed)
-    cfg.n_ang, cfg.n_rad = int(cfg.n_ang), int(cfg.n_rad)
-    cfg.tol, cfg.max_terms = float(cfg.tol), int(cfg.max_terms)
     return cfg
 
 

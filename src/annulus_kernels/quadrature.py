@@ -12,7 +12,7 @@ modes below the node count) and smooth in zeta for e >= 0 (Gauss-Legendre).
 The default exponent e = 2B - 2 is the measure the kernel theory lives in;
 for 1/2 < B < 1 it lies in (-1, 0), where (sin zeta)^e is integrable but
 unbounded at the ends, the case the endpoint rule below is built for (and
-which ``annulus_integrate`` hands to it).
+which ``annulus_integrate`` hands to it); the plain rule refuses it.
 Exponents e <= -1 are refused: the integral diverges.
 
 Two radial rules are provided.  ``annulus_nodes`` places Gauss-Legendre
@@ -119,8 +119,14 @@ def annulus_nodes(
     Returns (z, w): complex nodes of shape (n_radial, n_angular) and real
     weights of the same shape, such that sum(w * f(z)) approximates the
     integral of f against omega^e dA with e = spec.resolve_exponent(params).
+    e < 0 raises DomainError: annulus_nodes_endpoint is the rule for it.
     """
     e = spec.resolve_exponent(params)
+    if e < 0.0:
+        raise DomainError(
+            f"weight exponent e={e} < 0 is unbounded at the boundary, where "
+            "plain Gauss-Legendre weights are wrong; use annulus_nodes_endpoint"
+        )
     x, gw = _leggauss(spec.n_radial)
     zeta = 0.5 * math.pi * (x + 1.0)
     w_zeta = 0.5 * math.pi * gw

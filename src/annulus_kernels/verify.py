@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .basis import (
     basis_norm_sq,
     basis_phi,
     basis_phi_nodes,
-    cr_power_apply,
+    cr_apply,
+    cr_power_phi,
     invariant_laplacian_apply,
     landau_level_eigenvalue,
     log_basis_norm_sq,
@@ -93,6 +94,9 @@ SUITE_NAMES = (
 
 _INTEGER_B_SUITES = ("inversion", "theta")
 
+REPRODUCING_POINTS = 5  # per level; each costs a kernel row over the rule
+GRAM_HALFWIDTH = 8  # the gram suite's indices: |j + B| <= GRAM_HALFWIDTH
+
 
 @dataclass(frozen=True)
 class ResidualEntry:
@@ -115,16 +119,13 @@ class SuiteOptions:
     """Knobs shared by every suite.
 
     seed drives all sampled points; n_points is the pair/point budget of the
-    sampling-based suites; reproducing_points bounds the (expensive)
-    reproducing-property evaluations per (m, j0) combination.
+    sampling-based suites.
     """
 
     seed: int = 7
     n_points: int = 20
-    reproducing_points: int = 5
     n_angular: int = 128
     n_radial: int = 96
-    gram_halfwidth: int = 8
     ctrl: SeriesControl = field(default_factory=SeriesControl)
 
     def spec(self) -> QuadratureSpec:
@@ -502,7 +503,7 @@ def _suite_basis(params: AnnulusParams, opts: SuiteOptions):
 def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
     B = params.B
-    half = opts.gram_halfwidth
+    half = GRAM_HALFWIDTH
     js = [j for j in range(-half - int(math.ceil(B)), half + 1) if abs(j + B) <= half]
     entries = []
     worst_dev, worst_off, worst_case = 0.0, 0.0, None
@@ -517,8 +518,10 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
             # Angular-mode orthogonality is a statement about the trapezoid
             # sum alone; measure it on the plain rule, whose nodes stay away
             # from the boundary where cot(zeta) reconstruction from |z|
-            # amplifies rounding into the per-term cancellation.
-            g_off = _gram_on_nodes(m, js, *annulus_nodes(params, spec), params)
+            # amplifies rounding into the per-term cancellation.  The radial
+            # weights do not enter the zeros, and the plain rule needs e >= 0.
+            plain = replace(spec, weight_exponent=max(spec.resolve_exponent(params), 0.0))
+            g_off = _gram_on_nodes(m, js, *annulus_nodes(params, plain), params)
             off = np.abs(g_off - np.eye(len(js)))
             off = off - np.diag(np.diag(off))
         else:
@@ -537,7 +540,7 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
 
 def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
-    pts = sample_points(params, opts.reproducing_points, opts.seed + 303)
+    pts = sample_points(params, REPRODUCING_POINTS, opts.seed + 303)
     entries = []
     j0s = (-2, 0, 3)
     worst, worst_case = 0.0, None
@@ -599,24 +602,29 @@ def _suite_eigen(params: AnnulusParams, opts: SuiteOptions):
 
 
 def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
+    """The exact Cauchy-Riemann ladder g_k = (omega^2 d/dzbar)^k phi_j
+    (cr_power_phi) checked rung by rung with the order-1 stencil: for
+    k = 0..m, cr_apply(g_k) must match g_(k+1), which is zero at k = m.  By
+    induction this checks every power up to m + 1 at every level."""
     pts = sample_points(params, 2, opts.seed + 505)
-    entries = []
-    levels = [m for m in admissible_levels(params) if 1 <= m <= 2]
-    checked = levels if levels else [0]
-    worst_ann = 0.0
-    worst_ratio = 0.0
-    for m in checked:
+    levels = admissible_levels(params)
+    worst_fd = worst_ann = worst_ratio = 0.0
+    for m in levels:
         for j in (-1, 2):
             for z0 in pts:
-                f = lambda z, j=j, m=m: basis_phi(j, m, z, params)
-                high = cr_power_apply(f, m + 1, z0, params)
-                scale = max(abs(f(z0)), 1.0)
-                worst_ann = max(worst_ann, abs(high) / scale)
+                g = [cr_power_phi(j, m, k, z0, params) for k in range(m + 1)]
+                for k in range(m + 1):
+                    fd = cr_apply(lambda z, k=k: cr_power_phi(j, m, k, z, params), z0, params)
+                    if k < m:
+                        scale = max(abs(g[k]), abs(g[k + 1]), 1.0)
+                        worst_fd = max(worst_fd, abs(fd - g[k + 1]) / scale)
+                # fd is now the stencil's image of the top rung g_m
+                worst_ann = max(worst_ann, abs(fd) / max(abs(g[m]), 1.0))
                 if m >= 1:
-                    low = cr_power_apply(f, m, z0, params)
-                    worst_ratio = max(worst_ratio, 10.0 * abs(high) / abs(low))
-    entries.append(ResidualEntry("cr-annihilation", worst_ann, 1e-3))
-    if levels:
+                    worst_ratio = max(worst_ratio, 10.0 * abs(fd) / abs(g[m]))
+    entries = [ResidualEntry("cr-annihilation", worst_ann, 1e-8)]
+    if len(levels) > 1:
+        entries.append(ResidualEntry("cr-ladder-fd", worst_fd, 1e-8))
         entries.append(ResidualEntry("cr-order-separation", worst_ratio, 1.0))
     return entries
 
@@ -778,7 +786,7 @@ def run_suite(
             "R": params.R,
             "B": params.B,
             "m": admissible_levels(params),
-            "window": opts.gram_halfwidth,
+            "window": GRAM_HALFWIDTH,
             "seed": opts.seed,
         },
         residuals=tuple(residuals),

@@ -27,7 +27,8 @@ from annulus_kernels import (
     basis_norm_sq,
     basis_phi,
     basis_phi_nodes,
-    cr_power_apply,
+    cr_apply,
+    cr_power_phi,
     gram_matrix,
     invariant_laplacian_apply,
     inversion_covariance_residual,
@@ -233,22 +234,30 @@ def test_criterion_08_polyanalyticity_orders():
     start = time.perf_counter()
     p = AnnulusParams(R=4.0, B=3.0)
     pts = sample_points(p, 2, SEED)
+    worst_rung = 0.0
     worst_ann = 0.0
     worst_ratio = math.inf
-    for m in (1, 2):
+    exact_zero = True
+    for m in admissible_levels(p):
         for j in (-1, 2):
             for z0 in pts:
-                f = lambda z, j=j, m=m: basis_phi(j, m, z, p)
-                high = cr_power_apply(f, m + 1, z0, p)
-                low = cr_power_apply(f, m, z0, p)
-                scale = max(abs(f(z0)), 1.0)
-                worst_ann = max(worst_ann, abs(high) / scale)
-                worst_ratio = min(worst_ratio, abs(low) / max(abs(high), 1e-300))
+                g = [cr_power_phi(j, m, k, z0, p) for k in range(m + 2)]
+                exact_zero = exact_zero and g[m + 1] == 0
+                for k in range(m + 1):
+                    f = lambda z, k=k, j=j, m=m: cr_power_phi(j, m, k, z, p)
+                    fd = cr_apply(f, z0, p)
+                    if k < m:
+                        scale = max(abs(g[k]), abs(g[k + 1]), 1.0)
+                        worst_rung = max(worst_rung, abs(fd - g[k + 1]) / scale)
+                worst_ann = max(worst_ann, abs(fd) / max(abs(g[m]), 1.0))
+                if m >= 1:
+                    worst_ratio = min(worst_ratio, abs(g[m]) / max(abs(fd), 1e-300))
     elapsed = time.perf_counter() - start
     _criterion(
-        8, "polyanalyticity: (m+1)-th weighted CR power annihilates, m-th does not",
-        worst_ann <= 1e-3 and worst_ratio >= 10.0,
-        f"annihilation {worst_ann:.2e} <= 1e-3, order ratio >= {worst_ratio:.1f}x",
+        8, "polyanalyticity: the (m+1)-th weighted CR power annihilates, the m-th does not",
+        exact_zero and worst_rung <= 1e-8 and worst_ann <= 1e-8 and worst_ratio >= 10.0,
+        f"ladder rungs {worst_rung:.2e} <= 1e-8, annihilation {worst_ann:.2e} <= 1e-8, "
+        f"order ratio >= {worst_ratio:.1f}x",
         elapsed, 30.0,
     )
 

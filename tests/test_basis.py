@@ -22,13 +22,18 @@ from annulus_kernels.geometry import (
     xi_coordinate,
 )
 from annulus_kernels.quadrature import annulus_integrate
-from annulus_kernels.special import pochhammer, routh_coefficients
+from annulus_kernels.special import (
+    pochhammer,
+    routh_coefficients,
+    routh_leading_coefficient,
+)
 from annulus_kernels.basis import (
     admissible_levels,
     basis_norm_sq,
     basis_phi,
     basis_phi_nodes,
-    cr_power_apply,
+    cr_apply,
+    cr_power_phi,
     invariant_laplacian_apply,
     landau_level_eigenvalue,
     log_basis_norm_sq,
@@ -298,45 +303,70 @@ def test_laplacian_boundary_proximity_rejected():
     z = 1.001 + 0.0j  # distance 1e-3 from the inner circle
     with pytest.raises(DomainError):
         invariant_laplacian_apply(lambda w: w, z, P43, step=1e-3)
+    with pytest.raises(DomainError):
+        cr_apply(lambda w: w, z, P43, step=1e-3)
 
 
 # ---------------------------------------------------------------------------
-# invariant Cauchy-Riemann powers
+# invariant Cauchy-Riemann powers: the exact ladder and its order-1 check
+
+CR_POINTS = np.array([1.9 + 0.7j, -2.1 + 1.3j, 0.5 - 2.6j, 3.1 - 0.4j])
 
 
 def test_cr_order_one_kills_holomorphic():
     z0 = 2.0 + 0.3j
     for j in (-2, 5):
-        got = cr_power_apply(lambda z, j=j: z**j, 1, z0, P43)
+        got = cr_apply(lambda z, j=j: z**j, z0, P43)
         assert abs(got) < 1e-8 * max(abs(z0**j), 1.0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_cr_annihilation_at_level(m):
-    # (omega^2 dbar)^(m+1) phi_j = 0: the defining polyanalyticity order
-    z0 = 1.9 + 0.7j
+    # (omega^2 dbar)^(m+1) phi_j = 0: the defining polyanalyticity order,
+    # exactly on the ladder and to stencil accuracy on its top rung
     for j in (-1, 2):
-        f = lambda z, j=j, m=m: basis_phi(j, m, z, P43)
-        got = cr_power_apply(f, m + 1, z0, P43)
-        scale = max(abs(f(z0)), 1.0)
-        assert abs(got) < 1e-3 * scale, f"m={m}, j={j}: {abs(got)} vs scale {scale}"
+        for order in (m + 1, m + 3):
+            zero = cr_power_phi(j, m, order, CR_POINTS, P43)
+            assert zero.shape == CR_POINTS.shape and not zero.any()
+        top = lambda z, j=j: cr_power_phi(j, m, m, z, P43)
+        for z0 in CR_POINTS.tolist():
+            scale = max(abs(top(z0)), 1.0)
+            got = cr_apply(top, z0, P43)
+            assert abs(got) < 1e-8 * scale, f"m={m}, j={j}: {abs(got)} vs scale {scale}"
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_cr_lower_order_does_not_annihilate(m):
-    z0 = 1.9 + 0.7j
-    j = 1
-    f = lambda z: basis_phi(j, m, z, P43)
-    low = cr_power_apply(f, m, z0, P43)
-    high = cr_power_apply(f, m + 1, z0, P43)
-    assert abs(low) > 10.0 * abs(high)
+    # the top rung is (-c/2)^m m! a_m z^(j+m), a_m the leading coefficient of
+    # RR_m, which is non-zero: the order is exactly m + 1
+    lead = routh_leading_coefficient(m, P43.B)
+    for j in (-1, 1, 2):
+        low = cr_power_phi(j, m, m, CR_POINTS, P43)
+        top = (-0.5 * P43.radial_scale) ** m * math.factorial(m) * lead
+        want = top * CR_POINTS ** (j + m)
+        np.testing.assert_allclose(low, want, rtol=1e-12, atol=0.0)
+        high = cr_apply(lambda z, j=j: cr_power_phi(j, m, m, z, P43), CR_POINTS[0], P43)
+        assert abs(low[0]) > 10.0 * abs(high)
 
 
 def test_cr_order_validation():
     with pytest.raises(DomainError):
-        cr_power_apply(lambda z: z, 4, 2.0, P43)
+        cr_power_phi(0, 1, -1, 2.0, P43)
     with pytest.raises(DomainError):
-        cr_power_apply(lambda z: z, 0, 2.0, P43)
+        cr_power_phi(65, 1, 1, 2.0, P43)
+    with pytest.raises(InadmissibleLevelError):
+        cr_power_phi(0, 3, 1, 2.0, P43)
+    with pytest.raises(DomainError):
+        cr_power_phi(0, 1, 1, 4.0, P43)
+
+
+def test_cr_ladder_starts_at_phi():
+    for m in admissible_levels(P43):
+        for j in (-10, -1, 0, 3, 10):
+            got = cr_power_phi(j, m, 0, CR_POINTS, P43)
+            for g, w in zip(got.tolist(), CR_POINTS.tolist()):
+                want = basis_phi(j, m, w, P43)
+                assert abs(g - want) <= 1e-13 * _rounding_scale(j, m, w, P43), (m, j, w)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +443,19 @@ def _on_one_point(f):
     return lambda w: complex(f(np.array([w]))[0])
 
 
+def _scalar_d1(f, z: complex, h: float, direction: complex) -> complex:
+    return (
+        -f(z + 2.0 * h * direction)
+        + 8.0 * f(z + h * direction)
+        - 8.0 * f(z - h * direction)
+        + f(z - 2.0 * h * direction)
+    ) / (12.0 * h)
+
+
 def _laplacian_reference(f, z: complex, params: AnnulusParams, h: float) -> complex:
     """invariant_laplacian_apply as it was written before it batched its
     stencil: f at each point separately."""
     f = _on_one_point(f)
-
-    def d1(direction: complex) -> complex:
-        return (
-            -f(z + 2.0 * h * direction)
-            + 8.0 * f(z + h * direction)
-            - 8.0 * f(z - h * direction)
-            + f(z - 2.0 * h * direction)
-        ) / (12.0 * h)
 
     def d2(direction: complex) -> complex:
         return (
@@ -435,31 +466,19 @@ def _laplacian_reference(f, z: complex, params: AnnulusParams, h: float) -> comp
             - f(z - 2.0 * h * direction)
         ) / (12.0 * h * h)
 
-    fx, fy = d1(1.0), d1(1.0j)
+    fx, fy = _scalar_d1(f, z, h, 1.0), _scalar_d1(f, z, h, 1.0j)
     lap = d2(1.0) + d2(1.0j)
     om = poincare_density(z, params)
     om_z = poincare_density_dz(z, params)
     return om * om * lap + 4.0 * params.B * om * om_z * (fx + 1j * fy)
 
 
-def _cr_power_reference(f, order: int, z: complex, params: AnnulusParams, h0: float) -> complex:
-    """cr_power_apply as it was written before it batched its stencil: one
-    nested scalar stencil per level, f at each point separately."""
-
-    def dbar(g, w: complex, h: float) -> complex:
-        gx = (-g(w + 2.0 * h) + 8.0 * g(w + h) - 8.0 * g(w - h) + g(w - 2.0 * h)) / (12.0 * h)
-        gy = (
-            -g(w + 2.0j * h) + 8.0 * g(w + 1.0j * h) - 8.0 * g(w - 1.0j * h) + g(w - 2.0j * h)
-        ) / (12.0 * h)
-        return 0.5 * (gx + 1j * gy)
-
-    def level(k: int):
-        if k == 0:
-            return _on_one_point(f)
-        inner, h = level(k - 1), h0 * 1.5 ** (k - 1)
-        return lambda w: poincare_density(w, params) ** 2 * dbar(inner, w, h)
-
-    return level(order)(z)
+def _cr_reference(f, z: complex, params: AnnulusParams, h: float) -> complex:
+    """omega^2 d/dzbar f by the scalar order-1 stencil, f at each point
+    separately."""
+    f = _on_one_point(f)
+    dbar = 0.5 * (_scalar_d1(f, z, h, 1.0) + 1j * _scalar_d1(f, z, h, 1.0j))
+    return poincare_density(z, params) ** 2 * dbar
 
 
 def _stencil_cases():
@@ -482,10 +501,19 @@ def test_laplacian_batch_matches_scalar_stencil(z0):
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("z0", [1.9 + 0.7j, -2.1 + 1.3j])
 def test_cr_power_batch_matches_scalar_stencil(order, z0):
+    # the batched order-1 stencil on the functions of _stencil_cases and on
+    # the ladder's rung order - 1, whose image is the power of that order
     h = 1e-3 * P43.boundary_distance(z0)
-    for name, f in _stencil_cases():
-        got = cr_power_apply(f, order, z0, P43, step=h)
-        want = _cr_power_reference(f, order, z0, P43, h)
+    rungs = [
+        (f"rung {order - 1} of phi_{j} m={m}",
+         lambda z, j=j, m=m: cr_power_phi(j, m, order - 1, z, P43))
+        for m in admissible_levels(P43) if m >= order - 1
+        for j in (-1, 2)
+    ]
+    cases = list(_stencil_cases()) + rungs
+    for name, f in cases:
+        got = cr_apply(f, z0, P43, step=h)
+        want = _cr_reference(f, z0, P43, h)
         assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
 
 
@@ -498,17 +526,16 @@ def test_stencils_call_f_once_on_an_array():
 
     invariant_laplacian_apply(f, 1.9 + 0.7j, P43)
     assert calls == [(np.ndarray, (9,))]
-    for order in (1, 2, 3):
-        calls.clear()
-        cr_power_apply(f, order, 1.9 + 0.7j, P43)
-        assert calls == [(np.ndarray, (8,) * order)]
+    calls.clear()
+    cr_apply(f, 1.9 + 0.7j, P43)
+    assert calls == [(np.ndarray, (9,))]
 
 
 def test_stencil_rejects_f_that_is_not_elementwise():
     with pytest.raises(DomainError):
         invariant_laplacian_apply(lambda z: np.ones(3), 1.9 + 0.7j, P43)
     with pytest.raises(DomainError):
-        cr_power_apply(lambda z: z[:2], 1, 1.9 + 0.7j, P43)
+        cr_apply(lambda z: z[:2], 1.9 + 0.7j, P43)
 
 
 def test_sturm_liouville_on_an_array_matches_pointwise():

@@ -277,6 +277,38 @@ def test_config_invalid_json_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"m": "two"}, "m must be an integer"),
+        ({"m": 1.5}, "m must be an integer"),
+        ({"R": "wide"}, "R must be a number"),
+        ({"B": None}, "B must be a number"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"max-terms": [64]}, "max-terms must be an integer"),
+        ({"z": [1, 2]}, "cannot parse complex number"),
+        ({"format": "xml"}, "format must be one of csv, json"),
+    ],
+)
+def test_config_bad_value_exits_2(tmp_path, values, named):
+    # a config value gets the check argparse gives the flag: exit 2 with the
+    # field named, not a traceback and the verification-failure code 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 4.0, "B": 2.0, **values}))
+    code, out, err = run_cli(["eval", "--config", str(cfg), "--w", "1.5+0.3i"])
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_config_integral_values_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 9, "B": "2", "m": 1, "seed": "11", "format": "json"}))
+    code, out, _ = run_cli(["info", "--config", str(cfg)])
+    assert code == 0
+    d = json.loads(out)
+    assert d["params"] == {"R": 9.0, "B": 2.0} and d["seed"] == 11
+
+
 def test_workers_flag_removed(tmp_path):
     code, _, _ = run_cli(["info", "--R", "4", "--B", "1", "--workers", "1"])
     assert code == 2

@@ -116,6 +116,20 @@ def test_negative_exponent_rejected():
         assert report.passed, report.to_json_dict()
 
 
+def test_plain_rule_refuses_negative_exponent():
+    # plain Gauss-Legendre weights are 0.75% off the total weight at
+    # (4, 0.75) (79.756 against 80.357): the plain rule refuses e < 0 and
+    # names the endpoint rule, which gets it right
+    p = AnnulusParams(R=4.0, B=0.75)
+    for spec in (QuadratureSpec(), QuadratureSpec(weight_exponent=-0.5)):
+        with pytest.raises(DomainError, match="annulus_nodes_endpoint"):
+            annulus_nodes(p, spec)
+    _, w = annulus_nodes_endpoint(p)
+    assert w.sum() == pytest.approx(_moment_closed(0, p), rel=1e-12)
+    _, w = annulus_nodes(p, QuadratureSpec(weight_exponent=0.0))
+    assert w.sum() == pytest.approx(math.pi * 15.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("R", [1.5, 4.0, 50.0])
 def test_negative_exponent_integrates_on_the_endpoint_rule(R):
     # at B = 0.75 the weight (sin zeta)^(-1/2) is unbounded at both ends;

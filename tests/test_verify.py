@@ -155,6 +155,29 @@ def test_geometry_suite_thin_annulus():
     assert rep.passed
 
 
+ENVELOPE_SUITES = ("special-functions", "geometry", "basis", "gram", "eigen", "polyanalytic")
+
+
+@pytest.mark.parametrize("B", [0.75, 1.0, 2.75, 3.0])
+@pytest.mark.parametrize("R", [1.2, 1.5, 4.0, 50.0])
+def test_suites_pass_over_the_envelope(R, B):
+    # thin to wide annuli, integer and fractional B, and levels with B - m < 1
+    # (B = 0.75 and 2.75); the suites that are cheap at every point of it
+    p = AnnulusParams(R=R, B=B)
+    for name in ENVELOPE_SUITES:
+        rep = run_suite(name, p, SuiteOptions(seed=7))
+        assert rep.passed, (name, [
+            (e.name, e.value, e.tolerance) for e in rep.residuals if not e.passed
+        ])
+        if name == "polyanalytic":
+            # every level's ladder is checked; above level 0 its rungs too
+            names = {e.name for e in rep.residuals}
+            want = {"cr-annihilation"}
+            if len(rep.params["m"]) > 1:
+                want |= {"cr-ladder-fd", "cr-order-separation"}
+            assert names == want
+
+
 def test_all_report_prefixes_subsuite_names():
     rep = run_suite("all", AnnulusParams(R=4.0, B=1.0))
     assert rep.passed
