@@ -35,6 +35,14 @@ for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
 kernel_km_grid all sum through _image_sum.
 
+The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
+from one Lambert table per pair (special.LambertTable): the j-factors
+g_j sin 2jz0 and g_j cos 2jz0, g_j = R^-j/(1 - R^-2j), built once, in numpy
+over j in binary64 and in real mpf arithmetic at 34 digits, and extended
+on demand.  Each order is a weighted sum over the table, stopped by its own
+tail bound; kernel_km_theta's tighter-tolerance passes extend the same
+table, and its terms_used is the largest j summed.
+
 The reference paths sum their j-series as term functions vectorised over
 the window j = -J..J, by one driver (_sum_window): the window doubles until
 the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
@@ -74,11 +82,11 @@ from .special import (
     BOUNDARY_MARGIN,
     DEFAULT_SERIES,
     JacobiParams,
+    LambertTable,
     SeriesControl,
     jacobi_poly,
     log_gamma,
     pochhammer,
-    theta4_log_derivative,
 )
 from .basis import basis_norm_sq, require_admissible
 
@@ -164,7 +172,8 @@ class KernelEvaluation:
     cancelled total), so a binary64 value carries about eps x condition
     relative rounding error on top, and none of its digits once that nears
     1.  terms_used counts the summed terms: images for the closed form,
-    j-window terms for the j-series paths.  precision records whether the
+    j-window terms for the j-series paths, and the largest j of the Lambert
+    series for the theta path.  precision records whether the
     value came from binary64 or the 34-digit re-evaluation.
     """
 
@@ -726,14 +735,18 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
-def _theta_log_derivatives(g: PairGeometry, ctrl: SeriesControl) -> Callable[[int], complex]:
-    """s -> (log theta_4)^(s)(z0) at z0 = (i/2) log t, each order summed
-    once.  The extended evaluation truncates far below its 34-digit
-    rounding."""
-    if g.num is not _BINARY64:
+def _lambert_table(g: PairGeometry) -> LambertTable:
+    """The Lambert table of the theta_4 log-derivatives at z0 = (i/2) log t."""
+    return LambertTable(0.5j * g.num.clog(g.t), g.R)
+
+
+def _theta_log_derivatives(table: LambertTable, ctrl: SeriesControl) -> Callable[[int], complex]:
+    """s -> (log theta_4)^(s)(z0) from the pair's table at ctrl.tolerance,
+    each order summed once.  An extended table truncates far below its
+    34-digit rounding."""
+    if table.extended:
         ctrl = replace(ctrl, tolerance=1e-40, max_terms=100_000)
-    z0 = 0.5j * g.num.clog(g.t)
-    return functools.cache(lambda s: theta4_log_derivative(s, z0, g.R, ctrl))
+    return functools.cache(lambda s: table.derivative(s, ctrl))
 
 
 def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], complex]):
@@ -818,7 +831,7 @@ def sigma_theta_path(
     _decay_ratios(g)
 
     def sigma(e: PairGeometry):
-        value, gross = _sigma_theta(k, l, e, _theta_log_derivatives(e, ctrl))
+        value, gross = _sigma_theta(k, l, e, _theta_log_derivatives(_lambert_table(e), ctrl))
         return value, gross / max(abs(value), 1e-300)
 
     value, condition = sigma(g)
@@ -828,9 +841,9 @@ def sigma_theta_path(
     return _extended(g, value, max(_EPS, ctrl.tolerance) * condition, rounding_rtol, sigma)[0]
 
 
-def _theta_kernel(m: int, g: PairGeometry, ctrl: SeriesControl):
-    """K_m through the theta path with its condition and rounding majorant."""
-    L = _theta_log_derivatives(g, ctrl)
+def _theta_kernel(m: int, g: PairGeometry, L: Callable[[int], complex]):
+    """K_m through the theta path, from the log-derivatives L, with its
+    condition and rounding majorant."""
     total, majorant = _contract(m, g.B, g.V, lambda k, l: _sigma_theta(k, l, g, L))
     return _prefactor(m, g) * total, majorant / max(abs(total), 1e-300), majorant
 
@@ -842,7 +855,8 @@ def kernel_km_theta(
     """K_m assembled with every sigma_{k,l} taken through the theta path.
 
     Integer B only; admissible m automatically satisfies B - m >= 1 there.
-    terms_used counts the distinct theta-derivative contractions; the tail
+    terms_used is the largest j the pair's Lambert table summed for any
+    order (module docstring), growing as the tolerance tightens; the tail
     bound is tolerance times the non-cancelling majorant of the double sum.
     The condition is the gross-to-net ratio including the cancellation
     inside each theta contraction; with rounding_rtol set, conditioned
@@ -851,18 +865,16 @@ def kernel_km_theta(
     digit within the budget.
     """
     require_admissible(m, params)
-    B = _integer_B(params, "theta path")
+    _integer_B(params, "theta path")
     g = _pair(z, w, params)
     _decay_ratios(g)
-    contractions = sum(
-        abs(k - l) + 2 * (B - max(k, l)) - 1
-        for l in range(m + 1)
-        for k in range(m + 1 - l)
-    )
+    tables = [_lambert_table(g)]  # the last one gave the value
     pref = abs(_prefactor(m, g))
     eff = ctrl
     for _ in range(3):
-        value, condition, majorant = _theta_kernel(m, g, eff)
+        value, condition, majorant = _theta_kernel(
+            m, g, _theta_log_derivatives(tables[0], eff)
+        )
         tail = eff.tolerance * pref * majorant
         rounding = _EPS * condition
         # rounding-limited: refinement of the truncation cannot help, so the
@@ -878,13 +890,16 @@ def kernel_km_theta(
         # binary64 truncation cannot certify the requested accuracy at this
         # gross-to-net ratio; the extended evaluation covers both error terms
         rounding = math.inf
-    value, precision = _extended(
-        g, value, rounding, rounding_rtol, lambda e: _theta_kernel(m, e, ctrl)[:2]
-    )
+
+    def extended(e: PairGeometry):
+        tables.append(_lambert_table(e))
+        return _theta_kernel(m, e, _theta_log_derivatives(tables[-1], ctrl))[:2]
+
+    value, precision = _extended(g, value, rounding, rounding_rtol, extended)
     return KernelEvaluation(
         value=value,
         path="theta",
-        terms_used=max(contractions, 1),
+        terms_used=tables[-1].terms,
         tail_bound=tail,
         condition=condition,
         precision=precision,

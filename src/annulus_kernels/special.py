@@ -465,48 +465,138 @@ def theta4(z: complex, R: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
     )
 
 
+class LambertTable:
+    """The logarithmic derivatives (log theta_4)^(s)(z, R), s >= 1, at one
+    point z, summed from one table of the Lambert series' j-factors that
+    every order shares:
+
+        (log theta_4)^(s)(z)
+            = 4 sum_{j>=1} (2j)^(s-1) g_j sin(2jz + (s-1) pi/2),
+        g_j = R^-j / (1 - R^-2j).
+
+    With z = x + iy, g_j sin(2jz) and g_j cos(2jz) are built from sin 2jx,
+    cos 2jx, g_j cosh 2jy and g_j sinh 2jy, the last two from
+    g_j e^(+-2jy) = e^(-j (log R -+ 2y)) / (1 - R^-2j) <= q^j / (1 - R^-2j),
+    q = e^(2|y|) / R, so no factor overflows.  The sine-type orders
+    s = 1, 3, ... weight the sin row, the cosine-type orders the cos row.
+
+    The series converges iff q < 1; a q within BOUNDARY_MARGIN of 1 is
+    refused.  Order s stops at the first j where the tail bound
+
+        4 (2j+2)^(s-1) q^(j+1) / ((1 - q)(1 - R^-2j))
+
+    falls below ctrl.tolerance x |partial sum|.  The binary64 table, over
+    j = 1..n vectorised with numpy, sets that j for every order and doubles
+    on demand.  An mpmath z (R in mpmath or float) adds a table in real mpf
+    arithmetic at the working precision, one cos_sin and two exp per j,
+    extended only as far as an order needs; its orders are summed from it.
+    terms is the largest j any order has summed.
+    """
+
+    def __init__(self, z, R) -> None:
+        mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
+        self._mp = mp if mp is not None and isinstance(z, mp.mpc) else None
+        if self._mp is None:
+            z = complex(z)
+        if not (R > 1.0):
+            raise DomainError(f"requires R > 1, got R={R}")
+        self._z, self._R = z, R
+        x, y, log_R = float(z.real), float(z.imag), math.log(float(R))
+        self._q = math.exp(2.0 * abs(y) - log_R)
+        if self._q >= 1.0 - BOUNDARY_MARGIN:
+            raise ConvergenceError(
+                f"log-derivative series ratio exp(2|Im z|)/R = {self._q:.6g} is "
+                f"within {BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
+            )
+        self._x, self._rates = x, (2.0 * y - log_R, -2.0 * y - log_R)
+        self._n = 0
+        self._exact: list[list] = [[], [], [], []]  # the mpf rows of _extend_exact
+        self.terms = 0
+
+    @property
+    def extended(self) -> bool:
+        """Whether the orders are summed in mpmath."""
+        return self._mp is not None
+
+    def _extend(self, n: int) -> None:
+        """The binary64 rows for j = 1..n: g_j sin 2jz, g_j cos 2jz and the
+        tail factor q^(j+1) / ((1 - q)(1 - R^-2j))."""
+        j = np.arange(1.0, n + 1.0)
+        cos, sin = np.cos(2.0 * self._x * j), np.sin(2.0 * self._x * j)
+        up, down = np.exp(self._rates[0] * j), np.exp(self._rates[1] * j)
+        gap = 1.0 - up * down  # 1 - R^-2j
+        a, b = (up + down) / (2.0 * gap), (up - down) / (2.0 * gap)  # g_j cosh, sinh
+        self._sin = sin * a + 1j * cos * b
+        self._cos = cos * a - 1j * sin * b
+        q = self._q
+        self._tail = np.exp((j + 1.0) * math.log(q)) / ((1.0 - q) * gap)
+        self._n = n
+
+    def _extend_exact(self, n: int) -> None:
+        """The mpf rows sin 2jx g_j cosh, cos 2jx g_j sinh, cos 2jx g_j cosh
+        and sin 2jx g_j sinh up to j = n."""
+        mp, z = self._mp, self._z
+        log_R = mp.log(self._R)
+        x2, up_rate, down_rate = 2 * z.real, 2 * z.imag - log_R, -2 * z.imag - log_R
+        rows = self._exact
+        for j in range(len(rows[0]) + 1, n + 1):
+            cos, sin = mp.cos_sin(j * x2)
+            up, down = mp.exp(j * up_rate), mp.exp(j * down_rate)
+            gap = 2 * (1 - up * down)
+            a, b = (up + down) / gap, (up - down) / gap
+            for row, value in zip(rows, (sin * a, cos * b, cos * a, sin * b)):
+                row.append(value)
+
+    def _stop(self, order: int, ctrl: SeriesControl):
+        """(n, partial sum) of order s at the first j = n whose tail bound
+        is below ctrl.tolerance x |partial sum|, in binary64."""
+        reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(self._q)  # q^j = tolerance
+        n = self._n or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
+        while True:
+            if n > self._n:
+                self._extend(n)
+            weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
+            row = self._sin if order % 2 else self._cos
+            partial = np.cumsum(weight[:-1] * row)[: ctrl.max_terms]
+            tail = (weight[1:] * self._tail)[: ctrl.max_terms]
+            done = tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
+            if done.any():
+                n = int(done.argmax())
+                return n + 1, complex(partial[n])
+            if self._n >= ctrl.max_terms:
+                raise ConvergenceError(
+                    f"log-derivative series (order {order}) hit the "
+                    f"{ctrl.max_terms}-term cap"
+                )
+            n = min(2 * self._n, ctrl.max_terms)
+
+    def derivative(self, order: int, ctrl: SeriesControl = DEFAULT_SERIES):
+        """(log theta_4)^(order)(z): a complex, or an mpc for an mpmath z."""
+        if order < 1:
+            raise DomainError(f"derivative order must be >= 1, got {order}")
+        n, value = self._stop(order, ctrl)
+        self.terms = max(self.terms, n)
+        sign = 1 if (order - 1) % 4 < 2 else -1  # sin, cos, -sin, -cos
+        if self._mp is None:
+            return sign * value
+        self._extend_exact(n)
+        # (2j)^(s-1) as exact integers: a rounded power would put a
+        # term-dependent error into the mpf sum
+        weight = [4 * (2 * j) ** (order - 1) for j in range(1, n + 1)]
+        fdot, rows = self._mp.fdot, self._exact
+        if order % 2:  # sin 2jz = sin 2jx cosh 2jy + i cos 2jx sinh 2jy
+            return sign * self._mp.mpc(fdot(weight, rows[0][:n]), fdot(weight, rows[1][:n]))
+        return sign * self._mp.mpc(fdot(weight, rows[2][:n]), -fdot(weight, rows[3][:n]))
+
+
 def theta4_log_derivative(
     order: int, z: complex, R: float, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> complex:
-    """Derivative of order s >= 1 of log theta_4(z, R), as the Lambert-type
-    series
-
-        (log theta_4)^(s)(z)
-            = 4 sum_{j>=1} (2j)^(s-1) [R^j / (R^(2j) - 1)] sin(2jz + (s-1) pi/2).
+    """Derivative of order s >= 1 of log theta_4(z, R), the Lambert-type
+    series of LambertTable summed for one order.
 
     Converges iff exp(2 |Im z|) / R < 1; the distance of that ratio from 1
     must exceed BOUNDARY_MARGIN.  An mpmath z (with R in mpmath) is
     summed in mpmath at the working precision.
     """
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
-    mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
-    if mp is not None and isinstance(z, mp.mpc):
-        sin, exp, pi = mp.sin, mp.exp, mp.pi
-    else:
-        z, sin, exp, pi = complex(z), cmath.sin, math.exp, math.pi
-    if not (R > 1.0):
-        raise DomainError(f"requires R > 1, got R={R}")
-    q = exp(2.0 * abs(z.imag)) / R
-    if q >= 1.0 - BOUNDARY_MARGIN:
-        raise ConvergenceError(
-            f"log-derivative series ratio exp(2|Im z|)/R = {q:.6g} is within "
-            f"{BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
-        )
-    phase = (order - 1) * pi / 2.0
-    total = 0.0 + 0.0j
-    for j in range(1, ctrl.max_terms + 1):
-        g = R ** (-j) / (1.0 - R ** (-2 * j))
-        # (2j)^(s-1) as an exact integer: a rounded power would put a
-        # term-dependent error into an mpmath sum
-        weight = 4 * (2 * j) ** (order - 1) * g
-        term = weight * sin(2.0 * j * z + phase)
-        total += term
-        bound = weight * exp(2.0 * j * abs(z.imag))
-        # geometric tail with ratio ~ 2^(order-1) adjustment absorbed by q-margin
-        tail = bound * q * (1.0 + 1.0 / j) ** (order - 1) / (1.0 - q)
-        if tail < ctrl.tolerance * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError(
-        f"log-derivative series (order {order}) hit the {ctrl.max_terms}-term cap"
-    )
+    return LambertTable(z, R).derivative(order, ctrl)

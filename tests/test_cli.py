@@ -62,6 +62,19 @@ def test_invalid_radius_exits_2():
     assert "R > 1" in err
 
 
+def test_eval_theta_on_a_wide_annulus_exits_0():
+    # decay ratio 0.912 at (50, 2): the theta path's tail bound once
+    # overflowed there, a traceback with exit 1
+    args = ["--R", "50", "--B", "2", "--z", "48", "--w", "43.75+18.5j"]
+    values = {}
+    for path in ("theta", "closed"):
+        code, out, err = run_cli(["eval", *args, "--path", path])
+        assert code == 0, err
+        d = json.loads(out)
+        values[path] = complex(d["value"]["re"], d["value"]["im"])
+    assert abs(values["theta"] - values["closed"]) < 1e-12 * abs(values["closed"])
+
+
 def test_eval_paths_agree():
     base = ["--R", "4", "--B", "2", "--m", "1", "--z", "1.5+0.3i", "--w", "-1.2+1.1i"]
     values = {}

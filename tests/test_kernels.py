@@ -391,6 +391,51 @@ def test_theta_kernel_all_levels():
         assert abs(a - b) < 1e-9 * abs(b), f"m={m}"
 
 
+# the pair of decay ratio 0.912 at (50, 2): e^(2j |Im z0|) passes the
+# binary64 range at j = 186, long before R^-j underflows
+P502 = AnnulusParams(R=50.0, B=2.0)
+Z_WIDE, W_WIDE = 48.0, 47.5 * cmath.exp(0.4j)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_theta_path_past_the_exponent_range_of_its_tail(m):
+    theta = kernel_km_theta(m, Z_WIDE, W_WIDE, P502)
+    closed = kernel_km(m, Z_WIDE, W_WIDE, P502)
+    eps = np.finfo(float).eps
+    certificates = (
+        theta.tail_bound + eps * theta.condition * abs(theta.value)
+        + closed.tail_bound + eps * closed.condition * abs(closed.value)
+    )
+    assert abs(theta.value - closed.value) <= certificates
+    assert theta.terms_used > 200  # the series runs past j = 186
+    for k in range(m + 1):
+        for l in range(m + 1):
+            a = sigma_theta_path(k, l, Z_WIDE, W_WIDE, P502)
+            b = sigma_kl(k, l, Z_WIDE, W_WIDE, m, P502)
+            assert abs(a - b) < 1e-11 * abs(b), (k, l)
+
+
+def test_theta_terms_used_grows_as_the_tolerance_tightens():
+    # terms_used is the largest j of the Lambert series, not a count fixed
+    # by B and m
+    counts = [
+        kernel_km_theta(1, Z0, W0, P43, SeriesControl(tolerance=tol)).terms_used
+        for tol in (1e-6, 1e-10, 1e-14)
+    ]
+    assert counts[0] < counts[1] < counts[2]
+
+
+def test_theta_escalating_case_of_the_benchmark():
+    # the verify workload's escalating theta case at (4, 3), m = 0, with the
+    # theta suite's rounding budget: binary64 cannot certify it, the 34-digit
+    # sum must, and its value matches the closed form
+    z, w = 2.1036 * cmath.exp(3.1209j), 1.7578
+    theta = kernel_km_theta(0, z, w, P43, rounding_rtol=1e-10)
+    closed = kernel_km(0, z, w, P43).value
+    assert theta.precision == "extended"
+    assert abs(theta.value - closed) <= 1e-14 * abs(closed)
+
+
 # ---------------------------------------------------------------------------
 # limit kernel
 

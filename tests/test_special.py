@@ -18,6 +18,7 @@ from annulus_kernels.geometry import AnnulusParams, alpha_index
 from annulus_kernels.special import (
     DEFAULT_SERIES,
     JacobiParams,
+    LambertTable,
     SeriesControl,
     _binomial_table,
     arccot,
@@ -524,6 +525,97 @@ def test_theta4_log_derivative_strip_guard():
     R = 4.0
     with pytest.raises(ConvergenceError):
         theta4_log_derivative(1, 1j * (0.5 * math.log(R)), R)
+
+
+def _strip_point(R, x, fraction):
+    """x + i fraction log(R)/2: fraction of the way to the strip edge."""
+    return complex(x, fraction * math.log(R) / 2.0)
+
+
+# (R, z): inside the strip, near its edge (q = e^(2|Im z|)/R up to 0.96),
+# and, at R = 50, the point z0 = (i/2) log(z conj(w)/R) of the pair
+# z = 48, w = 47.5 e^(0.4i), where the tail bound once overflowed
+LAMBERT_REFERENCE_POINTS = [
+    (1.5, _strip_point(1.5, 0.3, 0.1)),
+    (1.5, _strip_point(1.5, 0.05, 0.9)),
+    (1.5, _strip_point(1.5, 3.0, -0.9)),
+    (1.5, _strip_point(1.5, 1.1, -0.5)),
+    (4.0, _strip_point(4.0, 0.3, 0.1)),
+    (4.0, _strip_point(4.0, 1.1, -0.5)),
+    (4.0, _strip_point(4.0, -0.1, -0.95)),
+    (50.0, _strip_point(50.0, 0.3, 0.1)),
+    (50.0, _strip_point(50.0, 3.0, -0.9)),
+    (50.0, 0.5j * cmath.log(48.0 * 47.5 * cmath.exp(-0.4j) / 50.0)),
+]
+
+
+def _lambert_gross(order, z, R):
+    """sum_j 4 (2j)^(s-1) q^j / (1 - R^-2j), q = e^(2|Im z|)/R: a majorant of
+    the moduli of the Lambert series' terms."""
+    j = np.arange(1.0, 200_000.0)
+    q = math.exp(2.0 * abs(z.imag)) / R
+    return float((4.0 * (2.0 * j) ** (order - 1) * q**j / -np.expm1(-2.0 * j * math.log(R))).sum())
+
+
+@pytest.mark.parametrize("R, z", LAMBERT_REFERENCE_POINTS)
+def test_theta4_log_derivative_vs_mpmath_reference(R, z):
+    # orders 1-6 against mpmath's numerical derivatives of log theta_4 at 40
+    # digits (jtheta, nome 1/R): binary64 within 1e-11 relative, the 34-digit
+    # sum of an mpc argument within 1e-28.  Any sum of the series rounds by
+    # about eps x its gross magnitude; where the terms cancel (at (1.5,
+    # 1.1 - 0.5 i h) the gross is 1e7 |L_3|) that is the bound instead
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        f = lambda u: mp.log(mp.jtheta(4, u, 1 / mp.mpf(R)))
+        reference = list(mp.diffs(f, mp.mpc(z), 6))[1:]
+    extended = SeriesControl(tolerance=1e-40, max_terms=100_000)
+    with mp.workdps(34):
+        table = LambertTable(mp.mpc(z), mp.mpf(R))  # one table for every order
+    for order, ref in enumerate(reference, start=1):
+        gross = _lambert_gross(order, z, R)
+        got = theta4_log_derivative(order, z, R)
+        assert abs(got - ref) <= 1e-11 * abs(ref) + 16.0 * 2.0**-52 * gross, order
+        with mp.workdps(34):
+            got = table.derivative(order, extended)
+            assert isinstance(got, mp.mpc)
+            assert abs(got - ref) <= 1e-28 * abs(ref) + 16.0 * mp.eps * gross, order
+
+
+def test_lambert_table_serves_every_order_from_one_table():
+    z, R = 0.4 + 0.3j, 4.0
+    table = LambertTable(z, R)
+    assert not table.extended
+    for order in (5, 1, 2, 8, 3):
+        alone = theta4_log_derivative(order, z, R)
+        assert abs(table.derivative(order) - alone) <= 1e-15 * abs(alone)
+    # higher orders need more terms; the table reports the largest j summed
+    single = LambertTable(z, R)
+    single.derivative(1)
+    assert 0 < single.terms < table.terms
+
+
+def test_lambert_table_terms_grow_with_tolerance():
+    table = LambertTable(0.2 + 0.6j, 4.0)
+    counts = []
+    for tol in (1e-4, 1e-8, 1e-12, 1e-15):
+        table.derivative(2, SeriesControl(tolerance=tol))
+        counts.append(table.terms)
+    assert counts == sorted(counts) and len(set(counts)) == len(counts)
+
+
+def test_lambert_table_term_cap():
+    # q = R^-0.024 = 0.990 at R = 1.5: 64 terms cannot reach 1e-12
+    z = _strip_point(1.5, 0.2, 0.976)
+    with pytest.raises(ConvergenceError, match="64-term cap"):
+        theta4_log_derivative(1, z, 1.5, SeriesControl(max_terms=64))
+    assert math.isfinite(abs(theta4_log_derivative(1, z, 1.5)))
+
+
+def test_lambert_table_validation():
+    with pytest.raises(DomainError):
+        theta4_log_derivative(0, 0.1, 4.0)
+    with pytest.raises(DomainError):
+        LambertTable(0.1, 1.0)
 
 
 def test_series_control_validation():
