@@ -15,11 +15,9 @@ from .basis import (
     basis_phi,
     basis_phi_nodes,
     cr_apply,
-    cr_power_phi,
     invariant_laplacian_apply,
     landau_level_eigenvalue,
     log_basis_norm_sq,
-    orthonormal_phi,
     sturm_liouville_apply,
 )
 from .errors import (
@@ -38,7 +36,6 @@ from .geometry import (
     alpha_index,
     invert_point,
     make_point,
-    measure_weight,
     poincare_density,
     polar_point,
     xi_coordinate,
@@ -74,7 +71,6 @@ from .special import (
     gamma_abs_sq,
     jacobi_poly,
     log_gamma,
-    routh_romanovski,
     theta4,
     theta4_log_derivative,
 )
@@ -119,7 +115,6 @@ __all__ = [
     "basis_phi",
     "basis_phi_nodes",
     "cr_apply",
-    "cr_power_phi",
     "gamma_abs_sq",
     "gram_matrix",
     "invariant_laplacian_apply",
@@ -138,13 +133,10 @@ __all__ = [
     "log_basis_norm_sq",
     "log_gamma",
     "make_point",
-    "measure_weight",
-    "orthonormal_phi",
     "pair_geometry",
     "poincare_density",
     "polar_point",
     "reproducing_residual",
-    "routh_romanovski",
     "run_suite",
     "sample_pairs",
     "sample_points",

@@ -6,13 +6,15 @@ of the invariant Laplacian; its eigenspace is spanned by
     phi_j(z) = z^j RR_m^(-alpha(j,B), 1-B)(cot zeta_z),     j in Z,
 
 with zeta_z = pi log|z| / log R and alpha(j, B) = 2 (j + B) log(R)/pi.  The
-squared norms admit a closed form (a Gamma-pair expression).  Powers of the
-invariant Cauchy-Riemann operator omega^2 d/dzbar act on phi_j exactly, by
-differentiating RR_m (cr_power_phi), so phi_j is polyanalytic of exact
-order m + 1.  This module also applies the one-dimensional radial operator
-L_B exactly, and the invariant Laplacian and omega^2 d/dzbar by one shared
-finite-difference stencil: the independent checks of the eigenvalue
-equation and of the first rung of every Cauchy-Riemann power.
+squared norms admit a closed form (a Gamma-pair expression).  One evaluator,
+basis_phi_nodes, gives phi_j and every power of the invariant
+Cauchy-Riemann operator omega^2 d/dzbar on it, exactly, by differentiating
+RR_m, so phi_j is polyanalytic of exact order m + 1; basis_phi is the same
+evaluator behind an interior check.  This module also applies the
+one-dimensional radial operator L_B exactly, and the invariant Laplacian
+and omega^2 d/dzbar by one shared finite-difference stencil: the
+independent checks of the eigenvalue equation and of the first rung of
+every Cauchy-Riemann power.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from .geometry import (
     poincare_density,
     poincare_density_dz,
     require_interior,
-    xi_coordinate,
 )
-from .special import log_gamma, routh_coefficients, routh_romanovski
+from .special import log_gamma, routh_coefficients
 
 J_MAX_DEFAULT = 64
 NORM_MARGIN = 1e-6
@@ -70,102 +71,89 @@ def landau_level_eigenvalue(m: int, params: AnnulusParams) -> float:
     return -float(m) * (2.0 * params.B - m - 1.0)
 
 
-def _require_window(j: int, j_max: int = J_MAX_DEFAULT) -> None:
-    if abs(j) > j_max:
-        raise DomainError(f"basis index j={j} outside the window |j| <= {j_max}")
+def basis_phi(j, m: int, z, params: AnnulusParams, order: int = 0):
+    """phi_j(z) = z^j RR_m^(-alpha(j,B), 1-B)(cot zeta_z), or its image
+    (omega^2 d/dzbar)^order phi_j: basis_phi_nodes behind an interior check.
 
-
-def basis_phi(j: int, m: int, z, params: AnnulusParams):
-    """Eigenbasis function phi_j(z) = z^j RR_m^(-alpha(j,B), 1-B)(cot zeta_z).
-
-    z^j is single-valued for integer j, so the principal power suffices.
-    z may be an ndarray of points, every one interior: phi_j then acts
-    elementwise and returns a complex array of z's shape, from one Jacobi
-    evaluation over the array.  Each point's cot-coordinate is the one a
-    single point gets (see xi_coordinate); the rest differs from pointwise
-    evaluation by a few ulp of the terms' scale, as numpy's complex
-    products round differently from Python's.  A 0-d ndarray is evaluated
-    as a batch of one, since numpy's scalar math on 0-d operands rounds
-    differently from its array loops, and returns a 0-d value.
+    z is a point, a 0-d ndarray or an ndarray; every point must be interior
+    (DomainError otherwise).  An ndarray is one basis_phi_nodes call and
+    gives its shape; a point or a 0-d ndarray is evaluated as a batch of
+    one, since numpy's scalar math rounds unlike its array loops, so it
+    equals the matching element of any batch bit for bit.  A point gives
+    a complex (an ndarray for a window j), a 0-d ndarray an ndarray.
     """
-    if isinstance(z, np.ndarray) and z.ndim == 0:
-        return basis_phi(j, m, z.reshape(1), params).reshape(())
-    require_admissible(m, params)
-    _require_window(j)
     zc = require_interior(z, params)
-    xi = xi_coordinate(zc, params)
-    radial = routh_romanovski(m, -alpha_index(j, params), 1.0 - params.B, xi)
-    return zc**j * radial
+    if isinstance(zc, np.ndarray) and zc.ndim:
+        return basis_phi_nodes(j, m, zc, params, order)
+    phi = basis_phi_nodes(j, m, np.reshape(zc, 1), params, order)[0]
+    if isinstance(zc, np.ndarray):
+        return np.asarray(phi)
+    return complex(phi) if np.ndim(phi) == 0 else phi
 
 
-def cr_power_phi(j: int, m: int, order: int, z, params: AnnulusParams):
-    """(omega^2 d/dzbar)^order phi_j at z, exactly:
+def basis_phi_nodes(
+    j, m: int, z: np.ndarray, params: AnnulusParams, order: int = 0
+) -> np.ndarray:
+    """(omega^2 d/dzbar)^order phi_j on an ndarray of interior points, exactly:
 
         (omega^2 d/dzbar)^k phi_j = (-c/2)^k z^(j+k) RR_m^(k)(cot zeta_z),
 
     with c = log(R)/pi and RR_m^(k) the k-th derivative of phi_j's
     Routh-Romanovski factor.  It follows from omega = c|z| sin zeta and
     d/dzbar cot zeta = -(1 + cot^2 zeta)/(2 c zbar), which give
-    omega^2 d/dzbar [z^j P(xi)] = -(c/2) z^(j+1) P'(xi).  Orders above m
-    return exact zeros; order 0 is phi_j through its coefficient array.
-    z may be an ndarray of interior points, evaluated elementwise as in
-    basis_phi.
-    """
-    require_admissible(m, params)
-    _require_window(j)
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
-    zc = require_interior(z, params)
-    if order > m:
-        return 0.0 * zc
-    poly = np.polynomial.polynomial
-    coeffs = routh_coefficients(m, -alpha_index(j, params), 1.0 - params.B)
-    radial = poly.polyval(xi_coordinate(zc, params), poly.polyder(coeffs, order))
-    return (-0.5 * params.radial_scale) ** order * zc ** (j + order) * radial
-
-
-def basis_phi_nodes(j, m: int, z: np.ndarray, params: AnnulusParams) -> np.ndarray:
-    """phi_j evaluated on an ndarray of interior points in one shot.
+    omega^2 d/dzbar [z^j P(xi)] = -(c/2) z^(j+1) P'(xi).  Order 0 is phi_j;
+    orders above m give exact zeros, so phi_j is polyanalytic of exact
+    order m + 1.
 
     j is an int, or a 1-D sequence of ints (any order, repeats allowed).
     The int form returns an array of z's shape; the sequence form returns
     z.shape + (len(j),), one column per entry of j.
 
-    Same polynomial as basis_phi (shared coefficient array), evaluated by
-    Horner on the cot-coordinate array, which is computed once per call.
-    The powers z^j are a multiplication ladder over the sorted distinct
-    indices, starting from one principal power at the lowest; each rung
-    adds at most a few eps of relative rounding, so the int form (a ladder
-    of no rungs) is z**j itself.  No per-point boundary checks, so the
-    caller is responsible for interior nodes (quadrature rules are).
+    (-c/2)^k RR_m^(k) is evaluated by Horner from the coefficient array,
+    differentiated k times, on the cot-coordinate array, which is computed
+    once per call.  The powers z^(j+k) are a multiplication ladder
+    over the sorted distinct indices, starting from one principal power at
+    the lowest; each rung adds at most a few eps of relative rounding, so
+    the int form (a ladder of no rungs) is z**(j+k) itself.  No per-point
+    boundary checks, so the caller is responsible for interior nodes
+    (quadrature rules are; basis_phi checks).
     """
     require_admissible(m, params)
+    if order < 0:
+        raise DomainError(f"order must be nonnegative, got {order}")
     idx = np.atleast_1d(j)
     if idx.ndim > 1 or idx.size == 0 or not np.array_equal(idx, idx.astype(int)):
         raise DomainError(
             "basis indices must be an int or a non-empty 1-D sequence of "
             f"ints, got {j!r}"
         )
-    js, slot = np.unique(idx.astype(int), return_inverse=True)
-    for k in js:
-        _require_window(int(k))
+    ks = idx.astype(int).tolist()
+    js = sorted(set(ks))
+    if max(-js[0], js[-1]) > J_MAX_DEFAULT:
+        raise DomainError(f"basis indices {j!r} outside the window |j| <= {J_MAX_DEFAULT}")
+    dtype = np.result_type(z, 1.0)
+    if order > m:
+        return np.zeros(np.shape(z) + np.shape(j), dtype=dtype)
     zeta = math.pi * np.log(np.abs(z)) / params.log_R
     xi = np.cos(zeta) / np.sin(zeta)
     # one row per distinct index: each is written once, in contiguous memory
-    phi = np.empty((len(js),) + np.shape(z), dtype=np.result_type(z, 1.0))
-    power = z ** int(js[0])
+    phi = np.empty((len(js),) + np.shape(z), dtype=dtype)
+    power = z ** (js[0] + order)
+    scl = -0.5 * params.radial_scale
     for a, k in enumerate(js):
         for _ in range(k - js[a - 1] if a else 0):
             power = power * z
-        coeffs = routh_coefficients(m, -alpha_index(int(k), params), 1.0 - params.B)
-        # Horner in the operation order of numpy's polyval, so the int form
-        # is unchanged
+        coeffs = routh_coefficients(m, -alpha_index(k, params), 1.0 - params.B)
+        for _ in range(order):  # differentiate, times -c/2
+            coeffs = scl * np.arange(1.0, len(coeffs)) * coeffs[1:]
+        # Horner in the operation order of numpy's polyval: the basis and
+        # gram residuals are pinned to polyval's rounding
         radial = coeffs[-1] + xi * 0.0
         for c in coeffs[-2::-1]:
             radial = c + radial * xi
         np.multiply(power, radial, out=phi[a, ...])
-    if not np.array_equal(slot, np.arange(len(js))):
-        phi = phi[slot]
+    if ks != js:
+        phi = phi[[js.index(k) for k in ks]]
     return phi[0] if np.ndim(j) == 0 else np.moveaxis(phi, 0, -1)
 
 
@@ -200,13 +188,6 @@ def log_basis_norm_sq(j: int, m: int, params: AnnulusParams) -> float:
 def basis_norm_sq(j: int, m: int, params: AnnulusParams) -> float:
     """Closed-form squared norm ||phi_j||^2 (see log_basis_norm_sq)."""
     return math.exp(log_basis_norm_sq(j, m, params))
-
-
-def orthonormal_phi(j: int, m: int, z, params: AnnulusParams) -> complex:
-    """Unit-norm basis function Phi_j = phi_j / ||phi_j||."""
-    return basis_phi(j, m, z, params) * math.exp(
-        -0.5 * log_basis_norm_sq(j, m, params)
-    )
 
 
 def sturm_liouville_apply(m: int, j: int, xi, params: AnnulusParams):
@@ -296,7 +277,7 @@ def invariant_laplacian_apply(
 def cr_apply(f, z, params: AnnulusParams, step: float | None = None) -> complex:
     """The invariant Cauchy-Riemann operator omega^2 d/dzbar f at z, from the
     stencil of invariant_laplacian_apply (same points, one call of f, same
-    boundary clearance).  Iterating it is cr_power_phi's job, which gives
-    every power exactly; this is the independent order-1 check of it."""
+    boundary clearance).  Its powers on phi_j are basis_phi's order
+    argument, exact; this is the independent order-1 check of them."""
     _, om, dbar, _ = _stencil(f, z, params, step)
     return om * om * dbar

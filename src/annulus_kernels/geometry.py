@@ -7,7 +7,8 @@ natural radial coordinate
     zeta(z) = (pi / log R) * log|z|  in (0, pi)
 
 is linear in log|z| and all weights and polynomials downstream are functions
-of zeta (or of xi = cot zeta) only.
+of zeta (or of xi = cot zeta) only.  The coordinate functions here take one
+point; node arrays get their cot-coordinate inside basis_phi_nodes.
 """
 
 from __future__ import annotations
@@ -119,21 +120,7 @@ def zeta_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
 
 
 def xi_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
-    """xi = cot(zeta(z)); diverges at the boundary circles.
-
-    An ndarray of interior points gives an array of xi, computed point by
-    point with the scalar math functions, exactly as for a single point:
-    numpy's vectorised abs, log, sin and cos round differently (within an
-    ulp), and a finite-difference stencil amplifies such differences by
-    step^-order.
-    """
-    if isinstance(z, np.ndarray):
-        log_R = params.log_R
-        xi = []
-        for w in require_interior(z, params).ravel().tolist():
-            zeta = math.pi * math.log(abs(w)) / log_R
-            xi.append(math.cos(zeta) / math.sin(zeta))
-        return np.array(xi, dtype=float).reshape(z.shape)
+    """xi = cot(zeta(z)); diverges at the boundary circles."""
     zeta = zeta_coordinate(z, params)
     return math.cos(zeta) / math.sin(zeta)
 
@@ -165,11 +152,6 @@ def poincare_density_dz(z: complex | AnnulusPoint, params: AnnulusParams) -> com
     c = params.radial_scale
     radial = c * math.sin(zeta) + math.cos(zeta)
     return zc.conjugate() / (2.0 * abs(zc)) * radial
-
-
-def measure_weight(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
-    """Density (omega_R(z))^(2B-2) of the weighted area measure."""
-    return poincare_density(z, params) ** (2.0 * params.B - 2.0)
 
 
 def invert_point(z: complex | AnnulusPoint, params: AnnulusParams) -> AnnulusPoint:

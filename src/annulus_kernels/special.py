@@ -7,7 +7,8 @@ arbitrary complex parameters, the Routh-Romanovski polynomials
 
     RR_m^(a,b)(x) = (-2i)^m m! P_m^(b-1+ia/2, b-1-ia/2)(ix),
 
-their Rodrigues-formula oracle, the Student-type orthogonality weight, the
+their monomial coefficients (routh_coefficients, the one form the basis
+evaluates) with the Rodrigues-formula oracle they are checked against, the
 Cauchy Beta integral, and Jacobi's theta_4 together with its logarithmic
 derivatives.
 """
@@ -24,7 +25,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceError, DomainError, ImaginaryResidueError, PoleError
-from .geometry import AnnulusParams, alpha_index
 
 
 # minimum distance of any geometric decay ratio from 1: a series whose ratio
@@ -268,51 +268,11 @@ def jacobi_product_bateman(params: JacobiParams, x, y):
     return result
 
 
-def routh_romanovski_with_residual(m: int, a: float, b: float, x: float):
-    """Routh-Romanovski value together with its discarded imaginary residue.
-
-    Returns (value, residual) where residual is the relative size of the
-    imaginary part of the underlying complex Jacobi evaluation.  The value
-    is real by construction (complex-conjugate parameters on the imaginary
-    axis); the residue is a health indicator of the special-function stack.
-    x may be a float ndarray: the value is then an array of x's shape,
-    computed elementwise by the same arithmetic, and the residual is the
-    largest over the array.
-    """
-    pa = complex(b - 1.0, a / 2.0)
-    pb = complex(b - 1.0, -a / 2.0)
-    val = (-2j) ** m * math.factorial(m) * jacobi_poly(JacobiParams(pa, pb, m), 1j * x)
-    if isinstance(val, np.ndarray):
-        residual = np.abs(val.imag) / np.maximum(np.abs(val), 1.0)
-        return val.real, float(residual.max())
-    val = complex(val)
-    scale = max(abs(val), 1.0)
-    return val.real, abs(val.imag) / scale
-
-
-def routh_romanovski(m: int, a: float, b: float, x: float) -> float:
-    """Routh-Romanovski polynomial RR_m^(a,b)(x), real for real (a, b, x).
-
-        RR_m^(a,b)(x) = (-2i)^m m! P_m^(b-1+ia/2, b-1-ia/2)(ix)
-
-    Raises ImaginaryResidueError if the imaginary residue of the underlying
-    complex evaluation exceeds 1e-8 relative, which would indicate a bug in
-    the Jacobi evaluation rather than a property of the inputs.  A float
-    ndarray x is evaluated elementwise and checked at its worst element.
-    """
-    value, residual = routh_romanovski_with_residual(m, a, b, x)
-    if residual > 1e-8:
-        raise ImaginaryResidueError(
-            f"RR_{m}^({a},{b})({x}): imaginary residue {residual:.3e} exceeds 1e-8"
-        )
-    return value
-
-
 def routh_coefficients(m: int, a: float, b: float) -> np.ndarray:
-    """Real monomial coefficients (ascending) of RR_m^(a,b).
-
-    Used wherever exact polynomial derivatives are needed (Sturm-Liouville
-    residuals, leading-coefficient checks)."""
+    """Real monomial coefficients (ascending) of RR_m^(a,b): the one form
+    in which the package evaluates RR_m, values and exact derivatives
+    alike.  An imaginary residue above 1e-8 relative (a bug in the Jacobi
+    coefficients) raises ImaginaryResidueError."""
     cj = jacobi_coefficients(JacobiParams(complex(b - 1.0, a / 2.0), complex(b - 1.0, -a / 2.0), m))
     pref = (-2j) ** m * math.factorial(m)
     coeffs = pref * cj * (1j) ** np.arange(m + 1)
@@ -343,20 +303,6 @@ def arccot(x: float) -> float:
     """The (0, pi) branch of the inverse cotangent: the exact inverse of
     x = cot(theta) for theta in (0, pi)."""
     return math.pi / 2.0 - math.atan(x)
-
-
-def student_weight(xi: float, j: int, params: AnnulusParams) -> float:
-    """Student-type weight of finite orthogonality on the real line,
-
-        rho_j(xi) = (1 + xi^2)^(-B) * exp(alpha(j, B) * arccot(xi)),
-
-    with arccot valued in (0, pi).  Under xi = cot(theta) this is exactly the
-    radial weight exp(alpha * theta) * (sin theta)^(2B - 2) times the Jacobian
-    of the substitution, which is what makes the Routh-Romanovski family with
-    first parameter -alpha(j, B) finitely orthogonal against it.
-    """
-    alpha = alpha_index(j, params)
-    return (1.0 + xi * xi) ** (-params.B) * math.exp(alpha * arccot(xi))
 
 
 def cauchy_beta_integral(p: float, nu: float) -> float:

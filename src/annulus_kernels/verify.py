@@ -13,8 +13,9 @@ comparison form (SuiteReport.canonical) for exactly that reason.
 
 Quadrature-backed residuals are accompanied by a self-convergence delta:
 the worst case of each family is re-evaluated at a refined rule (angular
-nodes doubled, radial + 32) and the change is reported as a residual of its
-own, with tolerance a tenth of the family's.
+nodes doubled, after any alias-free bump of the reproducing rule; radial
++ 32) and the change is reported as a residual of its own, with tolerance
+a tenth of the family's.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .basis import (
     admissible_levels,
@@ -32,7 +34,6 @@ from .basis import (
     basis_phi,
     basis_phi_nodes,
     cr_apply,
-    cr_power_phi,
     invariant_laplacian_apply,
     landau_level_eigenvalue,
     log_basis_norm_sq,
@@ -49,6 +50,7 @@ from .geometry import (
     zeta_coordinate,
 )
 from .kernels import (
+    _tail_bound,
     inversion_covariance_residual,
     kernel_basis_sum_oracle,
     kernel_jacobi_product_sum,
@@ -61,6 +63,7 @@ from .kernels import (
 )
 from .quadrature import QuadratureSpec, annulus_nodes, annulus_nodes_endpoint
 from .special import (
+    BOUNDARY_MARGIN,
     DEFAULT_SERIES,
     JacobiParams,
     SeriesControl,
@@ -73,7 +76,6 @@ from .special import (
     routh_coefficients,
     routh_leading_coefficient,
     routh_rodrigues_oracle,
-    routh_romanovski,
     theta4,
     theta4_log_derivative,
 )
@@ -131,10 +133,10 @@ class SuiteOptions:
     def spec(self) -> QuadratureSpec:
         return QuadratureSpec(n_angular=self.n_angular, n_radial=self.n_radial)
 
-    def refined_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            n_angular=2 * self.n_angular, n_radial=self.n_radial + 32
-        )
+
+def _refined(spec: QuadratureSpec) -> QuadratureSpec:
+    """The self-convergence rule: angular nodes doubled, radial + 32."""
+    return replace(spec, n_angular=2 * spec.n_angular, n_radial=spec.n_radial + 32)
 
 
 @dataclass(frozen=True)
@@ -260,22 +262,32 @@ def _alias_free_spec(
     """Angular refinement needed so the kernel's bilateral modes do not
     alias in the trapezoid sum.
 
-    The kernel row K_m(z, .) over the node set carries angular modes out to
-    the window the decay ratio q = max(|z||w|/R^2, 1/(R|z||w|)) dictates;
-    the n-node trapezoid rule folds the orders beyond +-n back onto the
-    integral with weight ~ q^n, which is not negligible on thin annuli.
-    Returns a spec with enough angular nodes to push that fold-back below
-    1e-13, or None if the given spec already suffices.
+    The kernel row K_m(z, .) carries angular modes j of moduli ~ q^|j|
+    |j + B|^(2B-1), q the extreme decay ratios over the nodes (those of
+    kernels._decay_ratios: 1/|z||w| for j < 0, |z||w|/R^2 for j > 0); the
+    n-node trapezoid rule folds the modes |j| >= n back onto the integral.
+    Returns a spec with the first count, stepping up from spec's by an
+    eighth at a time, at which _tail_bound puts that fold-back below 1e-13
+    of the j = 0 mode, or None
+    if spec's count already does or a ratio is within BOUNDARY_MARGIN of 1
+    (kernel_km_grid refuses that row).
     """
     mods = np.abs(nodes.ravel()) * abs(zc)
-    q = max(float(mods.max()) / params.R**2, 1.0 / (params.R * float(mods.min())))
-    if q <= 0.5:
+    ratios = np.array([1.0 / float(mods.min()), float(mods.max()) / params.R**2])
+    if not 1.0 - ratios.max() >= BOUNDARY_MARGIN:
         return None
-    need = int(math.ceil(math.log(1e-13) / math.log(q)))
-    need += need % 2
-    if need <= spec.n_angular:
+    p, shift = 2.0 * params.B - 1.0, params.B
+
+    def folded(n: int) -> float:  # the modes |j| >= n, relative to j = 0
+        edge = np.array([abs(1 - n + shift), abs(n - 1 + shift)]) / shift
+        return float(_tail_bound(ratios ** (n - 1) * edge**p, ratios, p, shift, n - 1))
+
+    n = spec.n_angular
+    while not folded(n) <= 1e-13:
+        n += 2 * max(1, n // 16)
+    if n == spec.n_angular:
         return None
-    return QuadratureSpec(need, spec.n_radial, spec.weight_exponent)
+    return replace(spec, n_angular=n)
 
 
 def reproducing_residual(
@@ -302,14 +314,19 @@ def _reproducing_defect(
     spec: QuadratureSpec,
     params: AnnulusParams,
     ctrl: SeriesControl,
+    refined: bool = False,
 ) -> list[float]:
     """The reproducing integrals of the level-m_kernel kernel against the
     level-m_function basis elements with indices j0s, one defect per index,
     all from one kernel row.  With distinct levels the eigenspaces are
-    orthogonal, so the integral is ~0 and the relative defect is ~1."""
+    orthogonal, so the integral is ~0 and the relative defect is ~1.
+    refined evaluates on the _refined rule of the bumped spec, so it always
+    has more angular nodes than the unrefined evaluation."""
     zc = as_complex(z)
     nodes, wq = _level_nodes(params, spec, m_kernel, m_function)
     bumped = _alias_free_spec(zc, nodes, params, spec)
+    if refined:
+        bumped = _refined(bumped or spec)
     if bumped is not None:
         nodes, wq = _level_nodes(params, bumped, m_kernel, m_function)
     flat, wf = nodes.ravel(), wq.ravel()
@@ -380,7 +397,7 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
     for m in range(5):
         for a, b in ((0.8, -1.2), (2.0, -2.0), (-1.5, -0.5)):
             for x in (-0.7, 0.2, 1.1):
-                ref = routh_romanovski(m, a, b, x)
+                ref = npoly.polyval(x, routh_coefficients(m, a, b))
                 got = routh_rodrigues_oracle(m, a, b, x)
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     entries.append(ResidualEntry("rodrigues-oracle", worst, 1e-7))
@@ -486,7 +503,7 @@ def _suite_basis(params: AnnulusParams, opts: SuiteOptions):
     entries.append(ResidualEntry("norm-closed-vs-quadrature", worst, 1e-7))
 
     m, j, coarse = worst_case
-    zf, wfq = _level_nodes(params, opts.refined_spec(), m, m)
+    zf, wfq = _level_nodes(params, _refined(spec), m, m)
     fine = float(wfq.ravel() @ np.abs(basis_phi_nodes(j, m, zf.ravel(), params)) ** 2)
     delta = abs(fine - coarse) / basis_norm_sq(j, m, params)
     entries.append(ResidualEntry("norm-self-convergence-delta", delta, 1e-8))
@@ -531,7 +548,7 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
     entries.append(ResidualEntry("gram-off-diagonal", worst_off, 1e-12))
 
     m, j_row, j_col, coarse = worst_case
-    nodes = _level_nodes(params, opts.refined_spec(), m, m)
+    nodes = _level_nodes(params, _refined(spec), m, m)
     fine = _gram_on_nodes(m, [j_row, j_col], *nodes, params)[0, 1]
     delta = abs(fine - coarse)
     entries.append(ResidualEntry("gram-self-convergence-delta", delta, 1e-7))
@@ -553,7 +570,7 @@ def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
     entries.append(ResidualEntry("reproducing-identity", worst, 1e-6))
 
     m, z, j0 = worst_case
-    fine = reproducing_residual(m, z, j0, opts.refined_spec(), params, opts.ctrl)
+    (fine,) = _reproducing_defect(m, m, z, (j0,), spec, params, opts.ctrl, refined=True)
     entries.append(
         ResidualEntry("reproducing-self-convergence-delta", abs(fine - worst), 1e-7)
     )
@@ -603,7 +620,7 @@ def _suite_eigen(params: AnnulusParams, opts: SuiteOptions):
 
 def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
     """The exact Cauchy-Riemann ladder g_k = (omega^2 d/dzbar)^k phi_j
-    (cr_power_phi) checked rung by rung with the order-1 stencil: for
+    (basis_phi's order) checked rung by rung with the order-1 stencil: for
     k = 0..m, cr_apply(g_k) must match g_(k+1), which is zero at k = m.  By
     induction this checks every power up to m + 1 at every level."""
     pts = sample_points(params, 2, opts.seed + 505)
@@ -612,9 +629,9 @@ def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
     for m in levels:
         for j in (-1, 2):
             for z0 in pts:
-                g = [cr_power_phi(j, m, k, z0, params) for k in range(m + 1)]
+                g = [basis_phi(j, m, z0, params, k) for k in range(m + 1)]
                 for k in range(m + 1):
-                    fd = cr_apply(lambda z, k=k: cr_power_phi(j, m, k, z, params), z0, params)
+                    fd = cr_apply(lambda z, k=k: basis_phi(j, m, z, params, k), z0, params)
                     if k < m:
                         scale = max(abs(g[k]), abs(g[k + 1]), 1.0)
                         worst_fd = max(worst_fd, abs(fd - g[k + 1]) / scale)

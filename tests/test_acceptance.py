@@ -28,7 +28,6 @@ from annulus_kernels import (
     basis_phi,
     basis_phi_nodes,
     cr_apply,
-    cr_power_phi,
     gram_matrix,
     invariant_laplacian_apply,
     inversion_covariance_residual,
@@ -241,10 +240,10 @@ def test_criterion_08_polyanalyticity_orders():
     for m in admissible_levels(p):
         for j in (-1, 2):
             for z0 in pts:
-                g = [cr_power_phi(j, m, k, z0, p) for k in range(m + 2)]
+                g = [basis_phi(j, m, z0, p, k) for k in range(m + 2)]
                 exact_zero = exact_zero and g[m + 1] == 0
                 for k in range(m + 1):
-                    f = lambda z, k=k, j=j, m=m: cr_power_phi(j, m, k, z, p)
+                    f = lambda z, k=k, j=j, m=m: basis_phi(j, m, z, p, k)
                     fd = cr_apply(f, z0, p)
                     if k < m:
                         scale = max(abs(g[k]), abs(g[k + 1]), 1.0)

@@ -23,6 +23,8 @@ from annulus_kernels.geometry import (
 )
 from annulus_kernels.quadrature import annulus_integrate
 from annulus_kernels.special import (
+    JacobiParams,
+    jacobi_poly,
     pochhammer,
     routh_coefficients,
     routh_leading_coefficient,
@@ -33,11 +35,9 @@ from annulus_kernels.basis import (
     basis_phi,
     basis_phi_nodes,
     cr_apply,
-    cr_power_phi,
     invariant_laplacian_apply,
     landau_level_eigenvalue,
     log_basis_norm_sq,
-    orthonormal_phi,
     require_admissible,
     sturm_liouville_apply,
 )
@@ -221,14 +221,6 @@ def test_orthonormal_phi_unit_norm():
         assert val.real == pytest.approx(1.0, abs=1e-7)
 
 
-def test_orthonormal_phi_scaling_identity():
-    z = 1.7 - 0.9j
-    for j, m in [(1, 0), (-2, 1)]:
-        lhs = abs(orthonormal_phi(j, m, z, P43)) ** 2 * basis_norm_sq(j, m, P43)
-        rhs = abs(basis_phi(j, m, z, P43)) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
 def test_distinct_indices_orthogonal_under_quadrature():
     for m in (0, 1):
         for j1, j2 in [(0, 1), (-2, 3)]:
@@ -326,9 +318,9 @@ def test_cr_annihilation_at_level(m):
     # exactly on the ladder and to stencil accuracy on its top rung
     for j in (-1, 2):
         for order in (m + 1, m + 3):
-            zero = cr_power_phi(j, m, order, CR_POINTS, P43)
+            zero = basis_phi(j, m, CR_POINTS, P43, order)
             assert zero.shape == CR_POINTS.shape and not zero.any()
-        top = lambda z, j=j: cr_power_phi(j, m, m, z, P43)
+        top = lambda z, j=j: basis_phi(j, m, z, P43, m)
         for z0 in CR_POINTS.tolist():
             scale = max(abs(top(z0)), 1.0)
             got = cr_apply(top, z0, P43)
@@ -341,31 +333,34 @@ def test_cr_lower_order_does_not_annihilate(m):
     # RR_m, which is non-zero: the order is exactly m + 1
     lead = routh_leading_coefficient(m, P43.B)
     for j in (-1, 1, 2):
-        low = cr_power_phi(j, m, m, CR_POINTS, P43)
+        low = basis_phi(j, m, CR_POINTS, P43, m)
         top = (-0.5 * P43.radial_scale) ** m * math.factorial(m) * lead
         want = top * CR_POINTS ** (j + m)
         np.testing.assert_allclose(low, want, rtol=1e-12, atol=0.0)
-        high = cr_apply(lambda z, j=j: cr_power_phi(j, m, m, z, P43), CR_POINTS[0], P43)
+        high = cr_apply(lambda z, j=j: basis_phi(j, m, z, P43, m), CR_POINTS[0], P43)
         assert abs(low[0]) > 10.0 * abs(high)
 
 
 def test_cr_order_validation():
     with pytest.raises(DomainError):
-        cr_power_phi(0, 1, -1, 2.0, P43)
+        basis_phi(0, 1, 2.0, P43, -1)
     with pytest.raises(DomainError):
-        cr_power_phi(65, 1, 1, 2.0, P43)
+        basis_phi_nodes(0, 1, CR_POINTS, P43, -1)
+    with pytest.raises(DomainError):
+        basis_phi(65, 1, 2.0, P43, 1)
     with pytest.raises(InadmissibleLevelError):
-        cr_power_phi(0, 3, 1, 2.0, P43)
+        basis_phi(0, 3, 2.0, P43, 1)
     with pytest.raises(DomainError):
-        cr_power_phi(0, 1, 1, 4.0, P43)
+        basis_phi(0, 1, 4.0, P43, 1)
 
 
 def test_cr_ladder_starts_at_phi():
+    # rung 0 from the coefficient array against the Jacobi sum
     for m in admissible_levels(P43):
         for j in (-10, -1, 0, 3, 10):
-            got = cr_power_phi(j, m, 0, CR_POINTS, P43)
+            got = basis_phi(j, m, CR_POINTS, P43, 0)
             for g, w in zip(got.tolist(), CR_POINTS.tolist()):
-                want = basis_phi(j, m, w, P43)
+                want = _phi_by_jacobi_sum(j, m, w, P43)
                 assert abs(g - want) <= 1e-13 * _rounding_scale(j, m, w, P43), (m, j, w)
 
 
@@ -400,6 +395,61 @@ def _rounding_scale(j: int, m: int, z: complex, params: AnnulusParams) -> float:
         for l in range(m + 1)
     )
     return abs(z) ** j * 2.0**m * math.factorial(m) * terms * half**m
+
+
+def _phi_by_jacobi_sum(j: int, m: int, z: complex, params: AnnulusParams) -> complex:
+    """phi_j = z^j (-2i)^m m! P_m^(b-1+ia/2, b-1-ia/2)(i cot zeta_z), with
+    a = -alpha(j, B) and b = 1 - B: the Jacobi sum at imaginary argument,
+    independent of routh_coefficients."""
+    a, b = -alpha_index(j, params), 1.0 - params.B
+    jp = JacobiParams(complex(b - 1.0, a / 2.0), complex(b - 1.0, -a / 2.0), m)
+    rr = (-2j) ** m * math.factorial(m) * complex(jacobi_poly(jp, 1j * xi_coordinate(z, params)))
+    return z**j * rr.real
+
+
+@pytest.mark.parametrize(
+    "params", SUITE_PARAMS + [AnnulusParams(R=4.0, B=0.75)], ids=lambda p: f"R{p.R}-B{p.B}"
+)
+def test_basis_phi_is_a_batch_of_one_of_basis_phi_nodes(params):
+    # one evaluator: basis_phi at a point, at a 0-d array and on an array
+    # equals the matching element of one basis_phi_nodes call, bit for bit,
+    # at every Cauchy-Riemann order up to the first that vanishes
+    z = _interior_points(params, 12, 9).reshape(3, 4)
+    for m in admissible_levels(params):
+        for j in (-64, -1, 0, 3, 64, [5, -3, 0, 2, -3]):
+            for order in range(m + 2):
+                nodes = basis_phi_nodes(j, m, z, params, order)
+                np.testing.assert_array_equal(basis_phi(j, m, z, params, order), nodes)
+                for i, w in np.ndenumerate(z):
+                    point = basis_phi(j, m, complex(w), params, order)
+                    zero_d = basis_phi(j, m, np.array(w), params, order)
+                    assert isinstance(zero_d, np.ndarray)
+                    assert zero_d.shape == np.shape(j) == np.shape(point)
+                    if np.ndim(j) == 0:
+                        assert type(point) is complex
+                    np.testing.assert_array_equal(point, nodes[i])
+                    np.testing.assert_array_equal(zero_d, nodes[i])
+                if order > m:
+                    assert not nodes.any()
+
+
+@pytest.mark.parametrize("params", SUITE_PARAMS, ids=lambda p: f"R{p.R}-B{p.B}")
+def test_phi_matches_the_jacobi_sum(params):
+    z = _interior_points(params, 16, 13)
+    for m in admissible_levels(params):
+        for j in (-10, -1, 0, 3, 10):
+            got = basis_phi_nodes(j, m, z, params)
+            for g, w in zip(got.tolist(), z.tolist()):
+                want = _phi_by_jacobi_sum(j, m, w, params)
+                assert abs(g - want) <= 1e-12 * abs(want), (m, j, w)
+
+
+def test_basis_phi_rejects_exterior_points():
+    for bad in (4.0 + 0.0j, 0.5j, 1.0 + 1e-12j):
+        for z in (bad, np.array(bad), np.array([2.0 + 0.5j, bad])):
+            for order in (0, 1, 3):
+                with pytest.raises(DomainError):
+                    basis_phi(0, 1, z, P43, order)
 
 
 @pytest.mark.parametrize("params", SUITE_PARAMS, ids=lambda p: f"R{p.R}-B{p.B}")
@@ -506,7 +556,7 @@ def test_cr_power_batch_matches_scalar_stencil(order, z0):
     h = 1e-3 * P43.boundary_distance(z0)
     rungs = [
         (f"rung {order - 1} of phi_{j} m={m}",
-         lambda z, j=j, m=m: cr_power_phi(j, m, order - 1, z, P43))
+         lambda z, j=j, m=m: basis_phi(j, m, z, P43, order - 1))
         for m in admissible_levels(P43) if m >= order - 1
         for j in (-1, 2)
     ]

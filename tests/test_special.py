@@ -33,9 +33,6 @@ from annulus_kernels.special import (
     routh_coefficients,
     routh_leading_coefficient,
     routh_rodrigues_oracle,
-    routh_romanovski,
-    routh_romanovski_with_residual,
-    student_weight,
     theta4,
     theta4_log_derivative,
 )
@@ -246,18 +243,6 @@ def test_binomial_table_is_cached_and_read_only():
     np.testing.assert_array_equal(jacobi_coefficients(params), before)
 
 
-def test_routh_romanovski_on_an_array_checks_its_worst_residue():
-    xi = np.array([[-2.0, 0.3, 1.1], [4.0, -0.7, 2.5]])
-    values, residual = routh_romanovski_with_residual(3, 5.5, -2.0, xi)
-    assert values.shape == xi.shape
-    pointwise = [routh_romanovski(3, 5.5, -2.0, float(x)) for x in xi.ravel()]
-    np.testing.assert_allclose(values.ravel(), pointwise, rtol=1e-13)
-    # each element's residue, from one-element batches (the same arithmetic);
-    # the worst is not the first
-    each = [routh_romanovski_with_residual(3, 5.5, -2.0, xi.ravel()[i : i + 1])[1] for i in range(6)]
-    assert residual == max(each) > each[0]
-
-
 def test_jacobi_degree_cap():
     with pytest.raises(DomainError):
         JacobiParams(0.0, 0.0, 65)
@@ -291,13 +276,25 @@ def test_jacobi_product_bateman_degree_zero_is_one():
 
 
 # ---------------------------------------------------------------------------
-# Routh-Romanovski
+# Routh-Romanovski, as the package evaluates it: its monomial coefficients
+
+
+def _rr(m, a, b, x):
+    """RR_m^(a,b)(x) from routh_coefficients, the form the basis evaluates."""
+    return np.polynomial.polynomial.polyval(x, routh_coefficients(m, a, b))
+
+
+def _rr_jacobi(m, a, b, x):
+    """(-2i)^m m! P_m^(b-1+ia/2, b-1-ia/2)(ix) by the Jacobi sum: complex,
+    real up to the rounding of the complex evaluation."""
+    params = JacobiParams(complex(b - 1.0, a / 2.0), complex(b - 1.0, -a / 2.0), m)
+    return (-2j) ** m * math.factorial(m) * complex(jacobi_poly(params, 1j * x))
 
 
 def test_routh_degree_zero_and_one():
     for a, b, x in [(0.7, -1.5, 0.3), (-2.0, 2.5, -1.1), (3.1, 0.0, 2.4)]:
-        assert routh_romanovski(0, a, b, x) == pytest.approx(1.0, abs=1e-14)
-        assert routh_romanovski(1, a, b, x) == pytest.approx(a + 2.0 * b * x, rel=1e-12)
+        assert _rr(0, a, b, x) == pytest.approx(1.0, abs=1e-14)
+        assert _rr(1, a, b, x) == pytest.approx(a + 2.0 * b * x, rel=1e-12)
 
 
 def test_routh_degree_two_closed_form():
@@ -309,7 +306,7 @@ def test_routh_degree_two_closed_form():
             + a * a
             + 2.0 * (b + 1.0)
         )
-        assert routh_romanovski(2, a, b, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
+        assert _rr(2, a, b, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
@@ -320,7 +317,7 @@ def test_routh_matches_rodrigues_oracle(m):
         a = float(rng.uniform(-4.0, 4.0))
         b = float(rng.uniform(-3.0, 1.0))
         x = float(rng.uniform(-2.0, 2.0))
-        series = routh_romanovski(m, a, b, x)
+        series = _rr(m, a, b, x)
         oracle = routh_rodrigues_oracle(m, a, b, x)
         scale = max(abs(series), abs(oracle), 1.0)
         assert abs(series - oracle) < 1e-7 * scale, (
@@ -329,14 +326,14 @@ def test_routh_matches_rodrigues_oracle(m):
 
 
 def test_routh_coefficients_match_values():
-    for m, a, b in [(0, 1.0, 0.5), (2, -1.3, -0.75), (4, 2.2, -1.5)]:
+    # the coefficients (from jacobi_coefficients) against the Jacobi sum
+    # (jacobi_poly) at imaginary argument: two routes to one polynomial
+    for m, a, b in [(0, 1.0, 0.5), (2, -1.3, -0.75), (4, 2.2, -1.5), (3, 5.5, -2.0)]:
         coeffs = routh_coefficients(m, a, b)
         assert len(coeffs) == m + 1
         for x in (-1.7, 0.25, 2.1):
-            val = float(np.polynomial.polynomial.polyval(x, coeffs))
-            assert routh_romanovski(m, a, b, x) == pytest.approx(
-                val, rel=1e-11, abs=1e-11
-            )
+            want = _rr_jacobi(m, a, b, x)
+            assert _rr(m, a, b, x) == pytest.approx(want.real, rel=1e-11, abs=1e-11)
 
 
 def test_routh_leading_coefficient():
@@ -348,8 +345,10 @@ def test_routh_leading_coefficient():
 
 
 def test_routh_imaginary_residual_is_tiny():
-    _, res = routh_romanovski_with_residual(3, 1.3, -2.0, 0.9)
-    assert res < 1e-12
+    # conjugate parameters on the imaginary axis: the complex Jacobi sum is
+    # real up to rounding
+    val = _rr_jacobi(3, 1.3, -2.0, 0.9)
+    assert abs(val.imag) < 1e-12 * max(abs(val), 1.0)
 
 
 def test_routh_finite_orthogonality():
@@ -366,10 +365,7 @@ def test_routh_finite_orthogonality():
     # d(xi) = -(1+xi^2) d(theta): the weight in theta is exp(alpha*theta) sin^(2B-2)
     wt = np.exp(alpha * theta) * np.sin(theta) ** (2.0 * params.B - 2.0)
 
-    def rr(m, x):
-        return np.array([routh_romanovski(m, -alpha, 1.0 - params.B, float(v)) for v in x])
-
-    r0, r1 = rr(0, xi), rr(1, xi)
+    r0, r1 = (_rr(m, -alpha, 1.0 - params.B, xi) for m in (0, 1))
     inner01 = float(np.sum(w * wt * r0 * r1))
     norm0 = float(np.sum(w * wt * r0 * r0))
     norm1 = float(np.sum(w * wt * r1 * r1))
@@ -378,7 +374,7 @@ def test_routh_finite_orthogonality():
 
 
 # ---------------------------------------------------------------------------
-# arccot / student weight
+# arccot
 
 
 def test_arccot_branch():
@@ -388,20 +384,6 @@ def test_arccot_branch():
     # inverse of cot on (0, pi)
     for theta in (0.1, 1.0, 2.0, 3.0):
         assert arccot(1.0 / math.tan(theta)) == pytest.approx(theta, rel=1e-12)
-
-
-def test_student_weight_tail_decay():
-    # rho_j(xi) ~ xi^(-2B) exp(alpha/xi) -> xi^(-2B) as xi -> +inf
-    params = AnnulusParams(R=4.0, B=2.5)
-    for xi in (50.0, 200.0):
-        ratio = student_weight(xi, 0, params) / xi ** (-2.0 * params.B)
-        assert abs(ratio - 1.0) < 0.2
-
-
-def test_student_weight_positive_everywhere():
-    params = AnnulusParams(R=3.0, B=1.75)
-    for xi in np.linspace(-30.0, 30.0, 17):
-        assert student_weight(float(xi), -2, params) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,16 @@ import sys
 import numpy as np
 import pytest
 
-from annulus_kernels.errors import UnknownSuiteError, UnsupportedPathError
-from annulus_kernels.geometry import AnnulusParams
+from annulus_kernels import verify
+from annulus_kernels.errors import (
+    ConvergenceError,
+    DomainError,
+    UnknownSuiteError,
+    UnsupportedPathError,
+)
+from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec
+from annulus_kernels.special import SeriesControl
 from annulus_kernels.verify import (
     ResidualEntry,
     SUITE_NAMES,
@@ -129,6 +136,65 @@ def test_gram_identity_singular_level():
 def test_reproducing_residual_single_point():
     z = 2.0 * complex(math.cos(0.4), math.sin(0.4))
     assert reproducing_residual(0, z, 0, QuadratureSpec(), P41) < 1e-6
+
+
+@pytest.mark.parametrize("R, B", [(1.5, 2.0), (1.2, 3.0)])
+def test_reproducing_suite_passes_on_thin_annuli(R, B):
+    # the angular rule is sized with the modes' growth |j + B|^(2B - 1)
+    rep = run_suite("reproducing", AnnulusParams(R=R, B=B), SuiteOptions(seed=7))
+    assert rep.passed, [(e.name, e.value, e.tolerance) for e in rep.residuals]
+
+
+def test_refined_reproducing_rule_has_more_angular_nodes(monkeypatch):
+    # the self-convergence delta can see an angular shortfall only if the
+    # refined rule keeps more angular nodes than the bumped base rule
+    p = AnnulusParams(R=1.5, B=2.0)
+    z = polar_point(0.3 * math.pi, 0.4, p)
+    used = []
+    level_nodes = verify._level_nodes
+
+    def recording(params, spec, *orders):
+        used.append(spec.n_angular)
+        return level_nodes(params, spec, *orders)
+
+    monkeypatch.setattr(verify, "_level_nodes", recording)
+    spec, ctrl = QuadratureSpec(), SeriesControl()
+    verify._reproducing_defect(0, 0, z, (0,), spec, p, ctrl)
+    base = used[-1]
+    verify._reproducing_defect(0, 0, z, (0,), spec, p, ctrl, refined=True)
+    assert spec.n_angular < base < used[-1]
+
+
+@pytest.mark.parametrize("R, B", [(1.5, 2.75), (1.2, 2.0)])
+def test_alias_free_count_covers_the_growing_modes(R, B):
+    # at the returned count the edge modes q^n |n + B|^(2B-1) (relative to
+    # j = 0) are below 1e-13 on both sides, with the kernel's decay ratios
+    # 1/|z||w| and |z||w|/R^2 at the extreme nodes
+    p = AnnulusParams(R=R, B=B)
+    spec = QuadratureSpec()
+    nodes, _ = verify._level_nodes(p, spec, 0, 0)
+    for z in sample_points(p, 5, 7 + 303):
+        n = (verify._alias_free_spec(z, nodes, p, spec) or spec).n_angular
+        mods = abs(z) * np.abs(nodes)
+        for q in (1.0 / mods.min(), mods.max() / R**2):
+            assert q**n * ((n + B) / B) ** (2.0 * B - 1.0) <= 1e-13, (z, n, q)
+
+
+def test_alias_free_spec_keeps_a_sufficient_rule():
+    # on a wide annulus the kernel row's modes decay fast: no bump
+    p = AnnulusParams(R=50.0, B=2.0)
+    spec = QuadratureSpec()
+    nodes, _ = verify._level_nodes(p, spec, 0, 0)
+    z = polar_point(0.325 * math.pi, 1.0, p)
+    assert verify._alias_free_spec(z, nodes, p, spec) is None
+
+
+def test_reproducing_residual_refuses_points_off_its_rule():
+    # a decay ratio >= 1 leaves no alias-free count: the kernel row refuses
+    with pytest.raises(DomainError):
+        reproducing_residual(0, 0.5, 0, QuadratureSpec(), P43)
+    with pytest.raises(ConvergenceError):
+        reproducing_residual(0, 3.9999, 0, QuadratureSpec(), P43)
 
 
 def test_batched_basis_checks_stay_measured():
