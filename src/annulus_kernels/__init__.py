@@ -32,10 +32,8 @@ from .errors import (
 )
 from .geometry import (
     AnnulusParams,
-    AnnulusPoint,
     alpha_index,
     invert_point,
-    make_point,
     poincare_density,
     polar_point,
     xi_coordinate,
@@ -88,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusParams",
-    "AnnulusPoint",
     "ConvergenceError",
     "DEFAULT_SERIES",
     "DomainError",
@@ -132,7 +129,6 @@ __all__ = [
     "landau_level_eigenvalue",
     "log_basis_norm_sq",
     "log_gamma",
-    "make_point",
     "pair_geometry",
     "poincare_density",
     "polar_point",

@@ -27,7 +27,6 @@ from .errors import DomainError, InadmissibleLevelError
 from .geometry import (
     AnnulusParams,
     alpha_index,
-    as_complex,
     poincare_density,
     poincare_density_dz,
     require_interior,
@@ -228,7 +227,7 @@ def _stencil(f, z, params: AnnulusParams, step: float | None):
     i), and must act elementwise; a constant f may return a scalar, which
     is broadcast.  Requires boundary distance > 4*step.
     """
-    zc = as_complex(z)
+    zc = complex(z)
     require_interior(zc, params)
     h = 1e-3 * params.boundary_distance(zc) if step is None else float(step)
     if not (h > 0.0) or params.boundary_distance(zc) <= 4.0 * h:

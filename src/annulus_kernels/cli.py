@@ -27,16 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ImaginaryResidueError,
-    InadmissibleLevelError,
-    KernelError,
-    PoleError,
-    UnknownSuiteError,
-    UnsupportedPathError,
-)
+from .errors import ConvergenceError, DomainError, KernelError, UnsupportedPathError
 from .geometry import AnnulusParams
 from .kernels import KERNEL_PATHS, kernel_by_path, kernel_km_grid
 from .basis import admissible_levels, landau_level_eigenvalue
@@ -361,25 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "grid":
             return cmd_grid(cfg)
         return cmd_verify(args.suite, cfg)
-    except (
-        DomainError,
-        InadmissibleLevelError,
-        PoleError,
-        ImaginaryResidueError,
-        UnknownSuiteError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONVERGENCE
     except UnsupportedPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
-    except KernelError as exc:  # any remaining library failure mode
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except OSError as exc:
+    except (KernelError, OSError) as exc:  # every other library failure mode
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

@@ -62,33 +62,7 @@ class AnnulusParams:
         return min(r - 1.0, self.R - r)
 
 
-@dataclass(frozen=True)
-class AnnulusPoint:
-    """A validated interior point of the annulus."""
-
-    z: complex
-
-    def __complex__(self) -> complex:
-        return self.z
-
-
-def make_point(z: complex, params: AnnulusParams) -> AnnulusPoint:
-    """Validate z against the annulus and wrap it.
-
-    Rejects points within BOUNDARY_MARGIN_FACTOR * (R - 1) of either circle.
-    """
-    require_interior(z, params)
-    return AnnulusPoint(complex(z))
-
-
-def as_complex(z: complex | AnnulusPoint) -> complex:
-    """Accept either a raw complex number or an AnnulusPoint."""
-    if isinstance(z, AnnulusPoint):
-        return z.z
-    return complex(z)
-
-
-def require_interior(z: complex | AnnulusPoint, params: AnnulusParams) -> complex:
+def require_interior(z: complex, params: AnnulusParams) -> complex:
     """Return z as complex, raising DomainError unless it is safely interior.
 
     An ndarray of points is returned as a complex ndarray and must be
@@ -103,7 +77,7 @@ def require_interior(z: complex | AnnulusPoint, params: AnnulusParams) -> comple
             return zc
         r = float(r[~inside].flat[0])
     else:
-        zc = as_complex(z)
+        zc = complex(z)
         r = abs(zc)
     if not (r - 1.0 > margin and params.R - r > margin):
         raise DomainError(
@@ -113,19 +87,19 @@ def require_interior(z: complex | AnnulusPoint, params: AnnulusParams) -> comple
     return zc
 
 
-def zeta_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
+def zeta_coordinate(z: complex, params: AnnulusParams) -> float:
     """zeta = (pi / log R) * log|z|, strictly inside (0, pi) for interior z."""
     zc = require_interior(z, params)
     return math.pi * math.log(abs(zc)) / params.log_R
 
 
-def xi_coordinate(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
+def xi_coordinate(z: complex, params: AnnulusParams) -> float:
     """xi = cot(zeta(z)); diverges at the boundary circles."""
     zeta = zeta_coordinate(z, params)
     return math.cos(zeta) / math.sin(zeta)
 
 
-def poincare_density(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
+def poincare_density(z: complex, params: AnnulusParams) -> float:
     """Hyperbolic (Poincare) density of the annulus,
 
         omega_R(z) = (log R / pi) * |z| * sin(pi log|z| / log R).
@@ -137,7 +111,7 @@ def poincare_density(z: complex | AnnulusPoint, params: AnnulusParams) -> float:
     return params.radial_scale * abs(zc) * math.sin(zeta)
 
 
-def poincare_density_dz(z: complex | AnnulusPoint, params: AnnulusParams) -> complex:
+def poincare_density_dz(z: complex, params: AnnulusParams) -> complex:
     """The Wirtinger derivative d(omega_R)/dz.
 
     With c = log(R)/pi and zeta as above,
@@ -154,10 +128,9 @@ def poincare_density_dz(z: complex | AnnulusPoint, params: AnnulusParams) -> com
     return zc.conjugate() / (2.0 * abs(zc)) * radial
 
 
-def invert_point(z: complex | AnnulusPoint, params: AnnulusParams) -> AnnulusPoint:
+def invert_point(z: complex, params: AnnulusParams) -> complex:
     """The inversion automorphism z -> R/z of the annulus."""
-    zc = require_interior(z, params)
-    return make_point(params.R / zc, params)
+    return require_interior(params.R / require_interior(z, params), params)
 
 
 def alpha_index(j: int, params: AnnulusParams) -> float:

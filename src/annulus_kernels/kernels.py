@@ -36,27 +36,30 @@ as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
 kernel_km_grid all sum through _image_sum.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
-from one Lambert table per pair (special.LambertTable): the j-factors
-g_j sin 2jz0 and g_j cos 2jz0, g_j = R^-j/(1 - R^-2j), built once, in numpy
-over j in binary64 and in real mpf arithmetic at 34 digits, and extended
-on demand.  Each order is a weighted sum over the table, stopped by its own
-tail bound; kernel_km_theta's tighter-tolerance passes extend the same
-table, and its terms_used is the largest j summed.
+from one Lambert table per pair (special.LambertTable), in numpy over j in
+binary64 and in real mpf arithmetic at 34 digits.  kernel_km_theta and
+sigma_theta_path are two contractions of one driver (_theta) with one
+truncation rule: every order is summed at ctrl.tolerance, which gives the
+condition (each log-derivative charged at the gross sum of its Lambert
+terms); a condition whose rounding exceeds the budget goes to 34 digits,
+otherwise every order is summed again at tolerance / (2 condition), so the
+truncation is within tolerance x |value|.
 
 The reference paths sum their j-series as term functions vectorised over
 the window j = -J..J, by one driver (_sum_window): the window doubles until
 the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
 
 Extended precision re-runs the same term code at 34 digits, for every path
-through one policy (_extended).  When a path's binary64 error estimate
-(machine epsilon times the condition, the gross-to-net ratio of the summed
-series) exceeds the caller's rounding budget, the pair geometry is rebuilt
-from the binary64 inputs in mpmath numbers and the value is summed again;
-a 34-digit sum whose own rounding still exceeds the budget is refused, the
-theta path's included.  The number type of the pair selects the
-elementwise functions: numpy (and special.log_gamma) for binary64, mpmath
-over numpy object arrays for the extended evaluation.  mpmath is imported
-at the first extended evaluation.
+through one policy (_extended).  When eps times the condition (the
+gross-to-net ratio of the summed series) exceeds the caller's rounding
+budget, the pair geometry is rebuilt from the binary64 inputs in mpmath
+numbers and the value is summed again under the same truncation rule (the
+theta path's target capped at binary64's eps, the precision it is returned
+in); a 34-digit sum whose own rounding still exceeds the budget is refused.
+Without a budget a path returns its binary64 value with its condition.  The
+pair's number type selects the elementwise functions: numpy (and
+special.log_gamma) for binary64, mpmath over numpy object arrays, imported
+at the first extended evaluation, at 34 digits.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -77,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
-from .geometry import AnnulusParams, as_complex, require_interior
+from .geometry import AnnulusParams, require_interior
 from .special import (
     BOUNDARY_MARGIN,
     DEFAULT_SERIES,
@@ -97,10 +100,11 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class _Numbers:
-    """The functions a number type is evaluated with.  exp, clogs (the
-    complex log) and loggamma act elementwise on arrays; index arrays j have
-    dtype."""
+    """The functions a number type is evaluated with, and its unit
+    roundoff eps.  exp, clogs (the complex log) and loggamma act elementwise
+    on arrays; index arrays j have dtype."""
 
+    eps: float
     dtype: type
     convert: Callable
     pi: object
@@ -114,7 +118,7 @@ class _Numbers:
 
 
 _BINARY64 = _Numbers(
-    float, lambda x: x, math.pi, math.log, cmath.log,
+    _EPS, float, lambda x: x, math.pi, math.log, cmath.log,
     lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp,
     lambda z: np.log(abs(z)) + 1j * np.angle(z),  # a fifth of np.log's time
     log_gamma,
@@ -123,12 +127,14 @@ _BINARY64 = _Numbers(
 
 @functools.cache
 def _mpmath_numbers() -> _Numbers:
-    """mpmath numbers at the working precision, held in numpy object
-    arrays; mpmath is imported on the first call."""
+    """mpmath numbers, held in numpy object arrays, for the 34-digit
+    evaluation (_extended); mpmath is imported on the first call."""
     import mpmath as mp
 
+    with mp.workdps(34):
+        eps = float(mp.eps)
     return _Numbers(
-        object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
+        eps, object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
         np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
         np.frompyfunc(mp.loggamma, 1, 1),
     )
@@ -167,14 +173,13 @@ class KernelEvaluation:
     """A kernel value with its evaluation path and truncation diagnostics.
 
     tail_bound bounds the truncation error only.  condition is the
-    gross-to-net ratio of the summed series (the factor by which
-    floating-point rounding of individual terms can be amplified in the
-    cancelled total), so a binary64 value carries about eps x condition
-    relative rounding error on top, and none of its digits once that nears
-    1.  terms_used counts the summed terms: images for the closed form,
+    gross-to-net ratio of the summed series (the factor by which rounding
+    of its terms is amplified in the cancelled total), so a binary64 value
+    carries about eps x condition relative rounding error on top.
+    terms_used counts the summed terms: images for the closed form,
     j-window terms for the j-series paths, and the largest j of the Lambert
-    series for the theta path.  precision records whether the
-    value came from binary64 or the 34-digit re-evaluation.
+    series for the theta path.  precision records whether the value came
+    from binary64 or the 34-digit re-evaluation.
     """
 
     value: complex
@@ -186,7 +191,7 @@ class KernelEvaluation:
 
 
 def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> PairGeometry:
-    zc, wc = as_complex(z), as_complex(w)
+    zc, wc = complex(z), complex(w)
     require_interior(zc, params)
     require_interior(wc, params)
     zn, wn = num.convert(zc), num.convert(wc)
@@ -214,30 +219,40 @@ def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
     return _pair(z, w, params)
 
 
+def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> bool:
+    """Whether a sum of this condition, in the number type num, rounds past
+    the budget: num.eps x condition against rounding_rtol, at 34 digits or
+    binary64's eps if that is larger (the value is returned in binary64).
+    Without a budget nothing does."""
+    floor = 0.0 if num is _BINARY64 else _EPS
+    return rounding_rtol is not None and num.eps * condition > max(rounding_rtol, floor)
+
+
 def _extended(
     g: PairGeometry,
     value,
-    rel_error: float,
+    condition: float,
     rounding_rtol: float | None,
     evaluate: Callable[[PairGeometry], tuple],
 ) -> tuple[complex, str]:
     """The extended-precision policy of every path: (value, precision).
 
-    value is the binary64 evaluation at the pair g and rel_error its
-    relative error estimate.  While that is within rounding_rtol (or no
-    budget is set) the value stands.  Otherwise evaluate(pair) -> (value,
-    condition) re-runs on 34-digit numbers, the pair geometry rebuilt from
-    the binary64 inputs, and the result is rounded back to binary64; it is
-    refused (ConvergenceError) when its own rounding, mp.eps x condition,
-    exceeds the budget: rounding_rtol, or binary64's eps if that is larger.
+    value is the binary64 evaluation at the pair g and condition its
+    gross-to-net ratio.  While its rounding is within rounding_rtol
+    (_rounding_exceeds; always, without a budget) the value stands.
+    Otherwise evaluate(pair) -> (value, condition) re-runs on 34-digit
+    numbers, the pair geometry rebuilt from the binary64 inputs, and the
+    result is rounded back to binary64; it is refused (ConvergenceError)
+    when its own rounding exceeds the budget.
     """
-    if rounding_rtol is None or rel_error <= rounding_rtol:
+    if not _rounding_exceeds(g.num, condition, rounding_rtol):
         return complex(value), "binary64"
     import mpmath as mp
 
     with mp.workdps(34):
-        value, condition = evaluate(_pair(g.z, g.w, g.params, _mpmath_numbers()))
-        if mp.eps * condition > max(rounding_rtol, _EPS):
+        e = _pair(g.z, g.w, g.params, _mpmath_numbers())
+        value, condition = evaluate(e)
+        if _rounding_exceeds(e.num, condition, rounding_rtol):
             raise ConvergenceError(
                 f"34-digit sum keeps no digit within the rounding budget "
                 f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
@@ -416,13 +431,7 @@ def _image_sum(g: PairGeometry, t, poly: Callable, k_max: int, l_max: int, ctrl:
     scale = np.abs(np.asarray(unit, dtype=complex))
 
     # counts and bounds in binary64, with the slowest decay of each side
-    if num is _BINARY64:
-        eps = _EPS
-    else:
-        import mpmath as mp
-
-        eps = float(mp.eps)
-    d, b = float(spacing), float(B)
+    eps, d, b = num.eps, float(spacing), float(B)
     rates = (b - l_max, b - k_max)  # of the + and - sides
     reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
     n_plus, n_minus = (
@@ -496,7 +505,7 @@ def sigma_kl(
         return total[0], gross[0] / max(abs(total[0]), 1e-300)
 
     value, condition = sigma(g)
-    return _extended(g, value, _EPS * condition, rounding_rtol, sigma)[0]
+    return _extended(g, value, condition, rounding_rtol, sigma)[0]
 
 
 def _closed_form(m: int, g: PairGeometry, ctrl: SeriesControl):
@@ -536,7 +545,7 @@ def kernel_km(
     _decay_ratios(g)
     value, condition, tail, images = _closed_form(m, g, ctrl)
     value, precision = _extended(
-        g, value, _EPS * condition, rounding_rtol, lambda e: _closed_form(m, e, ctrl)[:2]
+        g, value, condition, rounding_rtol, lambda e: _closed_form(m, e, ctrl)[:2]
     )
     return KernelEvaluation(
         value, "closed_form", images, float(tail), float(condition), precision
@@ -568,7 +577,7 @@ def _series(
         total = values.sum()
         return const(e) * total, abs(values).sum() / max(abs(total), 1e-300)
 
-    value, precision = _extended(g, scale * total, _EPS * condition, rounding_rtol, widened)
+    value, precision = _extended(g, scale * total, condition, rounding_rtol, widened)
     J = wide if precision == "extended" else J
     return KernelEvaluation(
         value, path, 2 * J + 1, abs(scale) * float(tail), condition, precision
@@ -712,7 +721,7 @@ def kernel_limit_R_inf(
     """
     if B != int(B) or B < 1:
         raise DomainError(f"limit kernel implemented for integer B >= 1, got {B}")
-    u = as_complex(z) * as_complex(w).conjugate()
+    u = complex(z) * complex(w).conjugate()
     if abs(u) <= 1.0 + BOUNDARY_MARGIN:
         raise ConvergenceError(
             f"limit kernel series needs |z conj(w)| > 1 + margin, got {abs(u):.6g}"
@@ -735,28 +744,13 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
-def _lambert_table(g: PairGeometry) -> LambertTable:
-    """The Lambert table of the theta_4 log-derivatives at z0 = (i/2) log t."""
-    return LambertTable(0.5j * g.num.clog(g.t), g.R)
-
-
-def _theta_log_derivatives(table: LambertTable, ctrl: SeriesControl) -> Callable[[int], complex]:
-    """s -> (log theta_4)^(s)(z0) from the pair's table at ctrl.tolerance,
-    each order summed once.  An extended table truncates far below its
-    34-digit rounding."""
-    if table.extended:
-        ctrl = replace(ctrl, tolerance=1e-40, max_terms=100_000)
-    return functools.cache(lambda s: table.derivative(s, ctrl))
-
-
-def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], complex]):
+def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], tuple]):
     """sigma_{k,l} via the theta contraction, with its rounding majorant.
 
-    The second return value is the non-cancelling magnitude of the
-    contraction (|prefactor| times the summed |c_p s_p| pieces, the p = 0
-    constant counted separately): the cancellation between the theta
-    log-derivative terms and the 1/(2 log R) constant is exactly what makes
-    sigma small near off-diagonal kernel zeros.
+    L(s) gives L_s and G_s, the gross sum of its Lambert terms.  The
+    majorant, |prefactor| times the summed |c_p| G_(p+2)/2^(p+2) and the
+    p = 0 constant, holds the cancellation inside each Lambert series and
+    the one against 1/(2 log R) that makes sigma small near kernel zeros.
     """
     B = int(round(g.params.B))
     c, log_R = g.radial_scale, g.log_R
@@ -764,31 +758,67 @@ def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], complex]):
 
     # gap polynomial G(n): prod_(p=0)^(|k-l|-1) (c0 + p +- i n c), sign +i for
     # k < l (gap sits in the first Gamma factor), -i for k > l
-    poly = np.polynomial.polynomial
     P = np.array([1.0 + 0.0j])
     sign = 1.0 if k < l else -1.0
     for p in range(abs(k - l)):
-        P = poly.polymul(P, np.array([c0 + p, sign * 1j * c]))
+        P = np.convolve(P, np.array([c0 + p, sign * 1j * c]))
     for q in range(1, c0):
-        P = poly.polymul(P, np.array([1.0, 0.0, (log_R / (g.num.pi * q)) ** 2]))
+        P = np.convolve(P, np.array([1.0, 0.0, (log_R / (g.num.pi * q)) ** 2]))
 
-    total = 0.0 + 0.0j
-    gross = 0.0
+    total = 1.0 / (2.0 * log_R) * P[0]
+    gross = abs(total)
     for p, cp in enumerate(P):
         if cp == 0.0:
             continue
-        if p % 2 == 0:
-            s_p = (-1.0) ** (p // 2) * L(p + 2) / 2.0 ** (p + 2)
-        else:
-            s_p = -1j * (-1.0) ** ((p + 1) // 2) * L(p + 2) / 2.0 ** (p + 2)
-        gross += abs(cp) * abs(s_p)
-        if p == 0:
-            s_p = s_p + 1.0 / (2.0 * log_R)
-            gross += abs(cp) / (2.0 * log_R)
-        total += cp * s_p
+        value, G = L(p + 2)
+        total += cp * (0.5j) ** p * value / 4.0  # i^p L_(p+2) / 2^(p+2)
+        gross += abs(cp) * 0.5**p * G / 4.0
 
     pref = g.t ** (-B) * 2.0 * log_R * math.factorial(c0 - 1) ** 2
     return pref * total, abs(pref) * gross
+
+
+def _theta(
+    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
+    contraction: Callable[[PairGeometry, Callable[[int], tuple]], tuple],
+) -> KernelEvaluation:
+    """The theta path's one driver: contraction(pair, L) -> (value, rounding
+    majorant) at (z, w), L the log-derivatives of the pair's Lambert table.
+
+    Every order is summed at the target, each within target x |L_s|, so the
+    truncation is at most target x the majorant = target x condition x
+    |value|.  A condition whose rounding exceeds the budget stops there and
+    goes to _extended; otherwise the orders are summed again at
+    target / (2 condition) until that is within target x |value| (the 2
+    covers the condition's growth over the pass, a relative target x
+    condition).  The target is ctrl.tolerance, at 34 digits capped at
+    binary64's eps, the precision the value is returned in.
+    """
+    _integer_B(params, "theta path")
+    g = _pair(z, w, params)
+    _decay_ratios(g)
+    last = {}
+
+    def certified(e: PairGeometry):
+        table = LambertTable(0.5j * e.num.clog(e.t), e.R)  # at z0 = (i/2) log t
+        target = tol = ctrl.tolerance if e.num is _BINARY64 else min(ctrl.tolerance, _EPS)
+        while True:
+            eff = replace(ctrl, tolerance=tol)
+            value, gross = contraction(e, functools.cache(lambda s: table.derivative(s, eff)))
+            condition = gross / max(abs(value), 1e-300)
+            if tol * gross <= target * abs(value):
+                break
+            if _rounding_exceeds(e.num, condition, rounding_rtol):
+                break
+            tol = target / float(2 * condition)
+        last.update(tail=float(tol * gross), terms=table.terms)
+        return value, condition
+
+    value, condition = certified(g)
+    value, precision = _extended(g, value, condition, rounding_rtol, certified)
+    return KernelEvaluation(
+        value, "theta", last["terms"], last["tail"], float(condition), precision
+    )
 
 
 def sigma_theta_path(
@@ -812,40 +842,19 @@ def sigma_theta_path(
     each power contracts against a theta_4 log-derivative at
     z0 = (i/2) log(z conj(w)/R):
 
-        sum_n n^p [n R^n/(R^(2n)-1)] t^n
-            = delta_(p,0)/(2 log R)
-              + (-1)^(p/2)     L_(p+2)/2^(p+2)        (p even)
-              - i (-1)^((p+1)/2) L_(p+2)/2^(p+2)      (p odd),
+        sum_n n^p [n R^n/(R^(2n)-1)] t^n = delta_(p,0)/(2 log R) + i^p L_(p+2)/2^(p+2),
 
     L_s = (log theta_4)^(s)(z0).  The result carries the t^(-B) prefactor
-    from the shift.  With rounding_rtol set, a contraction whose truncation
-    or rounding, amplified by its condition, exceeds it is summed again at
-    34 digits, and refused when that sum keeps no digit within the budget.
+    from the shift.  Truncation and escalation are kernel_km_theta's
+    (_theta): within ctrl.tolerance x |sigma|, and at 34 digits when
+    eps x the condition exceeds rounding_rtol.
     """
     B = _integer_B(params, "theta path")
     if k < 0 or l < 0 or B - max(k, l) < 1:
         raise DomainError(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
-    g = _pair(z, w, params)
-    _decay_ratios(g)
-
-    def sigma(e: PairGeometry):
-        value, gross = _sigma_theta(k, l, e, _theta_log_derivatives(_lambert_table(e), ctrl))
-        return value, gross / max(abs(value), 1e-300)
-
-    value, condition = sigma(g)
-    # the log-derivative series truncate relative to their own magnitude,
-    # so truncation error is amplified by the contraction's gross-to-net
-    # ratio exactly like rounding
-    return _extended(g, value, max(_EPS, ctrl.tolerance) * condition, rounding_rtol, sigma)[0]
-
-
-def _theta_kernel(m: int, g: PairGeometry, L: Callable[[int], complex]):
-    """K_m through the theta path, from the log-derivatives L, with its
-    condition and rounding majorant."""
-    total, majorant = _contract(m, g.B, g.V, lambda k, l: _sigma_theta(k, l, g, L))
-    return _prefactor(m, g) * total, majorant / max(abs(total), 1e-300), majorant
+    return _theta(z, w, params, ctrl, rounding_rtol, lambda e, L: _sigma_theta(k, l, e, L)).value
 
 
 def kernel_km_theta(
@@ -855,55 +864,20 @@ def kernel_km_theta(
     """K_m assembled with every sigma_{k,l} taken through the theta path.
 
     Integer B only; admissible m automatically satisfies B - m >= 1 there.
-    terms_used is the largest j the pair's Lambert table summed for any
-    order (module docstring), growing as the tolerance tightens; the tail
-    bound is tolerance times the non-cancelling majorant of the double sum.
-    The condition is the gross-to-net ratio including the cancellation
-    inside each theta contraction; with rounding_rtol set, conditioned
-    evaluations, and those whose truncation binary64 cannot certify, are
-    redone at extended precision and refused when the 34-digit sum keeps no
-    digit within the budget.
+    terms_used is the largest j of the pair's Lambert table.  The tail bound
+    is within ctrl.tolerance x |value|; the condition includes the
+    cancellation inside each theta contraction and Lambert series (_theta).
+    With rounding_rtol set, an evaluation whose rounding exceeds it is
+    redone at 34 digits, and refused when that sum keeps no digit within it.
     """
     require_admissible(m, params)
-    _integer_B(params, "theta path")
-    g = _pair(z, w, params)
-    _decay_ratios(g)
-    tables = [_lambert_table(g)]  # the last one gave the value
-    pref = abs(_prefactor(m, g))
-    eff = ctrl
-    for _ in range(3):
-        value, condition, majorant = _theta_kernel(
-            m, g, _theta_log_derivatives(tables[0], eff)
-        )
-        tail = eff.tolerance * pref * majorant
-        rounding = _EPS * condition
-        # rounding-limited: refinement of the truncation cannot help, so the
-        # escalation decision comes before the truncation check
-        if rounding_rtol is not None and rounding > rounding_rtol:
-            break
-        if tail <= ctrl.tolerance * abs(value):
-            break
-        eff = replace(eff, tolerance=eff.tolerance / 100.0)
-    else:
-        if rounding_rtol is None:
-            raise ConvergenceError("theta-path kernel failed to reach tolerance x |value|")
-        # binary64 truncation cannot certify the requested accuracy at this
-        # gross-to-net ratio; the extended evaluation covers both error terms
-        rounding = math.inf
 
-    def extended(e: PairGeometry):
-        tables.append(_lambert_table(e))
-        return _theta_kernel(m, e, _theta_log_derivatives(tables[-1], ctrl))[:2]
+    def kernel(e: PairGeometry, L):
+        total, majorant = _contract(m, e.B, e.V, lambda k, l: _sigma_theta(k, l, e, L))
+        pref = _prefactor(m, e)
+        return pref * total, abs(pref) * majorant
 
-    value, precision = _extended(g, value, rounding, rounding_rtol, extended)
-    return KernelEvaluation(
-        value=value,
-        path="theta",
-        terms_used=tables[-1].terms,
-        tail_bound=tail,
-        condition=condition,
-        precision=precision,
-    )
+    return _theta(z, w, params, ctrl, rounding_rtol, kernel)
 
 
 def inversion_covariance_residual(
@@ -918,7 +892,7 @@ def inversion_covariance_residual(
     even integer.
     """
     _integer_B(params, "inversion covariance")
-    zc, wc = as_complex(z), as_complex(w)
+    zc, wc = complex(z), complex(w)
     # the covariance factor |z conj(w)/R|^(2B) amplifies both truncation and
     # rounding error of each side relative to |K_m(z, w)|, so the kernels are
     # evaluated two orders tighter than requested and with a rounding budget
@@ -954,7 +928,7 @@ def kernel_km_grid(
     images.  Intended for quadrature node sets and plot grids.
     """
     require_admissible(m, params)
-    zc = as_complex(z)
+    zc = complex(z)
     g = _pair(zc, zc, params)  # the coordinates of z and the scalars
     w = np.asarray(w_nodes, dtype=complex)
     t = zc * np.conj(w.ravel()) / params.R

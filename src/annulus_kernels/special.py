@@ -433,7 +433,8 @@ class LambertTable:
 
     falls below ctrl.tolerance x |partial sum|.  The binary64 table, over
     j = 1..n vectorised with numpy, sets that j for every order and doubles
-    on demand.  An mpmath z (R in mpmath or float) adds a table in real mpf
+    on demand; an order's partial sums are kept until it does, so a tighter
+    tolerance moves the stop without summing again.  An mpmath z (R in mpmath or float) adds a table in real mpf
     arithmetic at the working precision, one cos_sin and two exp per j,
     extended only as far as an order needs; its orders are summed from it.
     terms is the largest j any order has summed.
@@ -456,6 +457,7 @@ class LambertTable:
             )
         self._x, self._rates = x, (2.0 * y - log_R, -2.0 * y - log_R)
         self._n = 0
+        self._sums: dict = {}  # order -> partial sums, tail bounds, gross sums
         self._exact: list[list] = [[], [], [], []]  # the mpf rows of _extend_exact
         self.terms = 0
 
@@ -494,21 +496,25 @@ class LambertTable:
                 row.append(value)
 
     def _stop(self, order: int, ctrl: SeriesControl):
-        """(n, partial sum) of order s at the first j = n whose tail bound
-        is below ctrl.tolerance x |partial sum|, in binary64."""
+        """(n, partial sum, gross sum of its terms' moduli) of order s at the
+        first j = n whose tail bound is below ctrl.tolerance x |partial sum|,
+        in binary64."""
         reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(self._q)  # q^j = tolerance
         n = self._n or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
         while True:
             if n > self._n:
                 self._extend(n)
-            weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
-            row = self._sin if order % 2 else self._cos
-            partial = np.cumsum(weight[:-1] * row)[: ctrl.max_terms]
-            tail = (weight[1:] * self._tail)[: ctrl.max_terms]
+            sums = self._sums.get(order)
+            if sums is None or sums[0].size != self._n:  # kept while the table stands
+                weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
+                terms = weight[:-1] * (self._sin if order % 2 else self._cos)
+                sums = np.cumsum(terms), weight[1:] * self._tail, np.cumsum(np.abs(terms))
+                self._sums[order] = sums
+            partial, tail, gross = (x[: ctrl.max_terms] for x in sums)
             done = tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
             if done.any():
                 n = int(done.argmax())
-                return n + 1, complex(partial[n])
+                return n + 1, complex(partial[n]), float(gross[n])
             if self._n >= ctrl.max_terms:
                 raise ConvergenceError(
                     f"log-derivative series (order {order}) hit the "
@@ -517,22 +523,27 @@ class LambertTable:
             n = min(2 * self._n, ctrl.max_terms)
 
     def derivative(self, order: int, ctrl: SeriesControl = DEFAULT_SERIES):
-        """(log theta_4)^(order)(z): a complex, or an mpc for an mpmath z."""
+        """(value, gross) of (log theta_4)^(order)(z): the value a complex, or
+        an mpc for an mpmath z, and gross the sum of its terms' moduli, the
+        rounding majorant of the series.  The gross is summed in binary64
+        for either table: a sum of moduli carries no cancellation."""
         if order < 1:
             raise DomainError(f"derivative order must be >= 1, got {order}")
-        n, value = self._stop(order, ctrl)
+        n, value, gross = self._stop(order, ctrl)
         self.terms = max(self.terms, n)
         sign = 1 if (order - 1) % 4 < 2 else -1  # sin, cos, -sin, -cos
         if self._mp is None:
-            return sign * value
+            return sign * value, gross
         self._extend_exact(n)
         # (2j)^(s-1) as exact integers: a rounded power would put a
         # term-dependent error into the mpf sum
         weight = [4 * (2 * j) ** (order - 1) for j in range(1, n + 1)]
         fdot, rows = self._mp.fdot, self._exact
         if order % 2:  # sin 2jz = sin 2jx cosh 2jy + i cos 2jx sinh 2jy
-            return sign * self._mp.mpc(fdot(weight, rows[0][:n]), fdot(weight, rows[1][:n]))
-        return sign * self._mp.mpc(fdot(weight, rows[2][:n]), -fdot(weight, rows[3][:n]))
+            value = self._mp.mpc(fdot(weight, rows[0][:n]), fdot(weight, rows[1][:n]))
+        else:
+            value = self._mp.mpc(fdot(weight, rows[2][:n]), -fdot(weight, rows[3][:n]))
+        return sign * value, gross
 
 
 def theta4_log_derivative(
@@ -545,4 +556,4 @@ def theta4_log_derivative(
     must exceed BOUNDARY_MARGIN.  An mpmath z (with R in mpmath) is
     summed in mpmath at the working precision.
     """
-    return LambertTable(z, R).derivative(order, ctrl)
+    return LambertTable(z, R).derivative(order, ctrl)[0]

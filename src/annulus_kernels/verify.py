@@ -42,7 +42,6 @@ from .basis import (
 from .errors import UnknownSuiteError, UnsupportedPathError
 from .geometry import (
     AnnulusParams,
-    as_complex,
     invert_point,
     poincare_density,
     polar_point,
@@ -322,7 +321,7 @@ def _reproducing_defect(
     orthogonal, so the integral is ~0 and the relative defect is ~1.
     refined evaluates on the _refined rule of the bumped spec, so it always
     has more angular nodes than the unrefined evaluation."""
-    zc = as_complex(z)
+    zc = complex(z)
     nodes, wq = _level_nodes(params, spec, m_kernel, m_function)
     bumped = _alias_free_spec(zc, nodes, params, spec)
     if refined:
@@ -464,7 +463,7 @@ def _suite_geometry(params: AnnulusParams, opts: SuiteOptions):
 
     worst = 0.0
     for z in pts:
-        back = complex(invert_point(complex(invert_point(z, params)), params))
+        back = invert_point(invert_point(z, params), params)
         worst = max(worst, abs(back - z) / abs(z))
     entries.append(ResidualEntry("involution", worst, 1e-15))
 

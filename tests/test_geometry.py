@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 from annulus_kernels.errors import DomainError
 from annulus_kernels.geometry import (
     AnnulusParams,
-    AnnulusPoint,
     alpha_index,
-    as_complex,
     invert_point,
-    make_point,
     poincare_density,
     poincare_density_dz,
     polar_point,
@@ -51,25 +48,19 @@ def test_integer_b_detection():
     assert not AnnulusParams(R=4.0, B=0.9999).is_integer_B()  # rounds to wrong side
 
 
-def test_make_point_and_interior_margin():
+def test_require_interior_margin():
     p = AnnulusParams(R=4.0, B=2.5)
-    pt = make_point(2.0 + 0.5j, p)
-    assert isinstance(pt, AnnulusPoint)
-    assert complex(pt) == 2.0 + 0.5j
+    pt = require_interior(2.0 + 0.5j, p)
+    assert type(pt) is complex and pt == 2.0 + 0.5j
+    assert type(require_interior(2, p)) is complex
     with pytest.raises(DomainError):
-        make_point(1.0, p)  # on the inner circle
+        require_interior(1.0, p)  # on the inner circle
     with pytest.raises(DomainError):
-        make_point(4.0 * cmath.exp(0.3j), p)  # on the outer circle
+        require_interior(4.0 * cmath.exp(0.3j), p)  # on the outer circle
     with pytest.raises(DomainError):
-        make_point(0.2, p)
+        require_interior(0.2, p)
     with pytest.raises(DomainError):
-        make_point(7.0j, p)
-
-
-def test_as_complex_accepts_both():
-    p = AnnulusParams(R=4.0, B=2.5)
-    assert as_complex(make_point(2.0j, p)) == 2.0j
-    assert as_complex(1.5 - 0.25j) == 1.5 - 0.25j
+        require_interior(7.0j, p)
 
 
 def test_zeta_endpoints_and_midpoint():
@@ -122,10 +113,11 @@ def test_density_gradient_matches_finite_differences():
 def test_inversion_swaps_boundaries():
     p = AnnulusParams(R=4.0, B=2.0)
     z = 1.2 * cmath.exp(0.7j)
-    w = complex(invert_point(z, p))
+    w = invert_point(z, p)
+    assert type(w) is complex
     assert abs(w) == pytest.approx(4.0 / 1.2)
     # involution
-    assert complex(invert_point(w, p)) == pytest.approx(z)
+    assert invert_point(w, p) == pytest.approx(z)
     # zeta flips: zeta(R/z) = pi - zeta(z)
     assert zeta_coordinate(w, p) == pytest.approx(math.pi - zeta_coordinate(z, p))
 

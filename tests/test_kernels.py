@@ -36,7 +36,9 @@ from annulus_kernels.kernels import (
     pair_geometry,
     sigma_kl,
     sigma_theta_path,
+    _sigma_theta,
     _tail_bound,
+    _theta,
 )
 from annulus_kernels.verify import sample_pairs
 
@@ -434,6 +436,50 @@ def test_theta_escalating_case_of_the_benchmark():
     closed = kernel_km(0, z, w, P43).value
     assert theta.precision == "extended"
     assert abs(theta.value - closed) <= 1e-14 * abs(closed)
+
+
+EPS = np.finfo(float).eps
+# the theta suite's seed-7 pairs (sample_pairs(params, 5, 7 + 808))
+THETA_PAIRS_93 = sample_pairs(AnnulusParams(R=9.0, B=3.0), 5, 815)
+THETA_PAIRS_43 = sample_pairs(P43, 5, 815)
+
+
+def test_sigma_theta_path_without_a_budget_is_certified():
+    # at (9, 3), pair 0, sigma_00's theta contraction has condition 3.3e4:
+    # an uncertified truncation shows as an error far above tol + eps x
+    # condition, even without a budget
+    p = AnnulusParams(R=9.0, B=3.0)
+    z, w = THETA_PAIRS_93[0]
+    got = sigma_theta_path(0, 0, z, w, p)
+    ref = sigma_kl(0, 0, z, w, 0, p, rounding_rtol=1e-17)
+    sigma = _theta(z, w, p, SeriesControl(), None, lambda e, L: _sigma_theta(0, 0, e, L))
+    assert sigma.value == got and sigma.precision == "binary64" and sigma.condition > 1e4
+    assert sigma.tail_bound <= 1e-12 * abs(got)
+    assert abs(got - ref) <= (1e-12 + 4 * EPS * sigma.condition) * abs(ref)
+
+
+def test_theta_kernel_without_a_budget_returns_a_certified_value():
+    # at (4, 3), pair 0, the condition is 7e7: without a budget the value
+    # is returned, its truncation certified within tolerance x |value| and
+    # its rounding reported
+    z, w = THETA_PAIRS_43[0]
+    theta = kernel_km_theta(0, z, w, P43)
+    ref = kernel_km(0, z, w, P43, rounding_rtol=0.0).value
+    assert theta.precision == "binary64" and theta.condition > 1e4
+    assert theta.tail_bound <= 1e-12 * abs(theta.value)
+    certificate = theta.tail_bound + EPS * theta.condition * abs(theta.value)
+    assert abs(theta.value - ref) <= certificate
+
+
+def test_theta_condition_holds_the_lambert_cancellation():
+    # at (4, 3), pair 3, m = 0, binary64 is 2.7e-12 off, and charging each
+    # log-derivative at |L_s| alone gives eps x condition 3.5e-13: the
+    # condition must hold the cancellation inside each Lambert series
+    z, w = THETA_PAIRS_43[3]
+    theta = kernel_km_theta(0, z, w, P43)
+    ref = kernel_km(0, z, w, P43, rounding_rtol=0.0).value
+    assert theta.precision == "binary64"
+    assert abs(theta.value - ref) <= EPS * theta.condition * abs(theta.value)
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,16 @@ def test_geometry_suite_thin_annulus():
     assert rep.passed
 
 
-ENVELOPE_SUITES = ("special-functions", "geometry", "basis", "gram", "eigen", "polyanalytic")
+ENVELOPE_SUITES = (
+    "special-functions", "geometry", "basis", "gram", "eigen", "polyanalytic", "reproducing",
+)
 
 
 @pytest.mark.parametrize("B", [0.75, 1.0, 2.75, 3.0])
 @pytest.mark.parametrize("R", [1.2, 1.5, 4.0, 50.0])
 def test_suites_pass_over_the_envelope(R, B):
     # thin to wide annuli, integer and fractional B, and levels with B - m < 1
-    # (B = 0.75 and 2.75); the suites that are cheap at every point of it
+    # (B = 0.75 and 2.75); the suites that pass at every point of it
     p = AnnulusParams(R=R, B=B)
     for name in ENVELOPE_SUITES:
         rep = run_suite(name, p, SuiteOptions(seed=7))
