@@ -52,7 +52,6 @@ from .kernels import (
     kernel_km_grid,
     kernel_km_theta,
     kernel_limit_R_inf,
-    pair_geometry,
     sigma_kl,
     sigma_theta_path,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "landau_level_eigenvalue",
     "log_basis_norm_sq",
     "log_gamma",
-    "pair_geometry",
     "poincare_density",
     "polar_point",
     "reproducing_residual",

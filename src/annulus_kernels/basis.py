@@ -30,6 +30,7 @@ from .geometry import (
     poincare_density,
     poincare_density_dz,
     require_interior,
+    xi_nodes,
 )
 from .special import log_gamma, routh_coefficients
 
@@ -133,8 +134,7 @@ def basis_phi_nodes(
     dtype = np.result_type(z, 1.0)
     if order > m:
         return np.zeros(np.shape(z) + np.shape(j), dtype=dtype)
-    zeta = math.pi * np.log(np.abs(z)) / params.log_R
-    xi = np.cos(zeta) / np.sin(zeta)
+    xi = xi_nodes(z, params)
     # one row per distinct index: each is written once, in contiguous memory
     phi = np.empty((len(js),) + np.shape(z), dtype=dtype)
     power = z ** (js[0] + order)

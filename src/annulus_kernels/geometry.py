@@ -8,7 +8,8 @@ natural radial coordinate
 
 is linear in log|z| and all weights and polynomials downstream are functions
 of zeta (or of xi = cot zeta) only.  The coordinate functions here take one
-point; node arrays get their cot-coordinate inside basis_phi_nodes.
+point, except xi_nodes: the binary64 cot-coordinate of an array of points,
+which xi_coordinate, basis_phi_nodes and the kernels' pair geometry share.
 """
 
 from __future__ import annotations
@@ -93,10 +94,17 @@ def zeta_coordinate(z: complex, params: AnnulusParams) -> float:
     return math.pi * math.log(abs(zc)) / params.log_R
 
 
+def xi_nodes(z: np.ndarray, params: AnnulusParams) -> np.ndarray:
+    """xi = cot(zeta) at each point of an ndarray, in binary64: the one
+    evaluation of the cot-coordinate.  No interior check."""
+    zeta = math.pi * np.log(np.abs(z)) / params.log_R
+    return np.cos(zeta) / np.sin(zeta)
+
+
 def xi_coordinate(z: complex, params: AnnulusParams) -> float:
-    """xi = cot(zeta(z)); diverges at the boundary circles."""
-    zeta = zeta_coordinate(z, params)
-    return math.cos(zeta) / math.sin(zeta)
+    """xi = cot(zeta(z)), xi_nodes at one point; diverges at the boundary
+    circles."""
+    return float(xi_nodes(np.array([require_interior(z, params)]), params)[0])
 
 
 def poincare_density(z: complex, params: AnnulusParams) -> float:
@@ -106,9 +114,8 @@ def poincare_density(z: complex, params: AnnulusParams) -> float:
 
     Strictly positive in the interior, vanishing at both boundary circles.
     """
-    zc = require_interior(z, params)
-    zeta = math.pi * math.log(abs(zc)) / params.log_R
-    return params.radial_scale * abs(zc) * math.sin(zeta)
+    zeta = zeta_coordinate(z, params)
+    return params.radial_scale * abs(complex(z)) * math.sin(zeta)
 
 
 def poincare_density_dz(z: complex, params: AnnulusParams) -> complex:
@@ -121,10 +128,8 @@ def poincare_density_dz(z: complex, params: AnnulusParams) -> complex:
     which is the radial derivative c*sin(zeta) + cos(zeta) times the usual
     dz-factor conj(z)/(2|z|) of a radial function.
     """
-    zc = require_interior(z, params)
-    zeta = math.pi * math.log(abs(zc)) / params.log_R
-    c = params.radial_scale
-    radial = c * math.sin(zeta) + math.cos(zeta)
+    zc, zeta = complex(z), zeta_coordinate(z, params)
+    radial = params.radial_scale * math.sin(zeta) + math.cos(zeta)
     return zc.conjugate() / (2.0 * abs(zc)) * radial
 
 

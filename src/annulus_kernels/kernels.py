@@ -33,7 +33,9 @@ arg t)/c, 2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
 
 for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
-kernel_km_grid all sum through _image_sum.
+kernel_km_grid are three calls of one driver (_closed_form) summing
+through _image_sum, on one pair geometry (_pair) for a point or a node
+array w, so a pair's value is its node's in any grid.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
 from one Lambert table per pair (special.LambertTable), in numpy over j in
@@ -46,8 +48,9 @@ otherwise every order is summed again at tolerance / (2 condition), so the
 truncation is within tolerance x |value|.
 
 The reference paths sum their j-series as term functions vectorised over
-the window j = -J..J, by one driver (_sum_window): the window doubles until
-the rigorous geometric tail bound (_tail_bound) falls below the tolerance.
+the window j = -J..J, by one driver (_sum_window) in either number type: the
+window doubles until the rigorous geometric tail bound (_tail_bound) falls
+below the tolerance, at 34 digits from the binary64 stop on.
 
 Extended precision re-runs the same term code at 34 digits, for every path
 through one policy (_extended).  When eps times the condition (the
@@ -80,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
-from .geometry import AnnulusParams, require_interior
+from .geometry import AnnulusParams, require_interior, xi_nodes
 from .special import (
     BOUNDARY_MARGIN,
     DEFAULT_SERIES,
@@ -106,11 +109,8 @@ class _Numbers:
 
     eps: float
     dtype: type
-    convert: Callable
     pi: object
-    log: Callable
     clog: Callable
-    cot: Callable
     gamma: Callable
     exp: Callable
     clogs: Callable
@@ -118,8 +118,7 @@ class _Numbers:
 
 
 _BINARY64 = _Numbers(
-    _EPS, float, lambda x: x, math.pi, math.log, cmath.log,
-    lambda x: math.cos(x) / math.sin(x), math.gamma, np.exp,
+    _EPS, float, math.pi, cmath.log, math.gamma, np.exp,
     lambda z: np.log(abs(z)) + 1j * np.angle(z),  # a fifth of np.log's time
     log_gamma,
 )
@@ -134,7 +133,7 @@ def _mpmath_numbers() -> _Numbers:
     with mp.workdps(34):
         eps = float(mp.eps)
     return _Numbers(
-        eps, object, mp.mpmathify, mp.pi, mp.log, mp.log, mp.cot, mp.gamma,
+        eps, object, mp.pi, mp.log, mp.gamma,
         np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
         np.frompyfunc(mp.loggamma, 1, 1),
     )
@@ -148,7 +147,8 @@ class PairGeometry:
     V = (1 + iX)(1 + iY)/4,  mu(j) = i (j + B) log(R)/pi,
 
     in one number type (num), with the points and the parameters in that
-    type.
+    type.  For an ndarray of nodes w (binary64 only) w, t, Y and V are
+    columns, one row per node.
     """
 
     t: complex
@@ -174,8 +174,11 @@ class KernelEvaluation:
 
     tail_bound bounds the truncation error only.  condition is the
     gross-to-net ratio of the summed series (the factor by which rounding
-    of its terms is amplified in the cancelled total), so a binary64 value
-    carries about eps x condition relative rounding error on top.
+    of its terms is amplified in the cancelled total): eps x condition
+    charges the rounding of the summation, not that of the pair coordinates
+    the series is summed at.  Near the boundary circles, where cot zeta
+    amplifies the rounding of zeta, a binary64 value can miss its 34-digit
+    value by more than tail_bound + eps x condition x |value|.
     terms_used counts the summed terms: images for the closed form,
     j-window terms for the j-series paths, and the largest j of the Lambert
     series for the theta path.  precision records whether the value came
@@ -191,32 +194,27 @@ class KernelEvaluation:
 
 
 def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> PairGeometry:
-    zc, wc = complex(z), complex(w)
-    require_interior(zc, params)
-    require_interior(wc, params)
-    zn, wn = num.convert(zc), num.convert(wc)
-    R, B = num.convert(params.R), num.convert(params.B)
-    log_R = num.log(R)
-    X, Y = (num.cot(num.pi * num.log(abs(v)) / log_R) for v in (zn, wn))
-    return PairGeometry(
-        t=zn * wn.conjugate() / R,
-        X=X,
-        Y=Y,
-        V=0.25 * (1 + 1j * X) * (1 + 1j * Y),
-        B=B,
-        radial_scale=log_R / num.pi,
-        num=num,
-        params=params,
-        z=zn,
-        w=wn,
-        R=R,
-        log_R=log_R,
-    )
+    """The geometry of z and w, a point or (binary64 only) a 1-D ndarray of
+    nodes.  X and Y come from one xi_nodes call on [z, w...] in binary64,
+    and t and V from real arithmetic, which rounds alike on scalars and
+    arrays: a pair's coordinates are its node's in any batch."""
+    nodes = isinstance(w, np.ndarray) and w.ndim > 0
+    zc = require_interior(complex(z), params)
+    wc = require_interior(w[:, None] if nodes else complex(w), params)
+    if num is _BINARY64:
+        R, B, log_R = params.R, params.B, params.log_R
+        xi = xi_nodes(np.append(zc, wc) if nodes else np.array([zc, wc]), params)
+        X, Y = float(xi[0]), xi[1:, None] if nodes else float(xi[1])
+    else:
+        import mpmath as mp
 
-
-def pair_geometry(z, w, params: AnnulusParams) -> PairGeometry:
-    """Pair coordinates (t, X, Y, V) of two interior points."""
-    return _pair(z, w, params)
+        zc, wc, R, B = (mp.mpmathify(v) for v in (zc, wc, params.R, params.B))
+        log_R = mp.log(R)
+        X, Y = (mp.cot(mp.pi * mp.log(abs(v)) / log_R) for v in (zc, wc))
+    x, y, u, v = zc.real, zc.imag, wc.real, wc.imag
+    t = (x * u + y * v) / R + 1j * ((y * u - x * v) / R)  # z conj(w) / R
+    V = 0.25 * (1 - X * Y) + 0.25j * (X + Y)  # (1 + iX)(1 + iY) / 4
+    return PairGeometry(t, X, Y, V, B, log_R / num.pi, num, params, zc, wc, R, log_R)
 
 
 def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> bool:
@@ -269,9 +267,12 @@ def _integer_B(params: AnnulusParams, what: str) -> int:
 
 def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
     """Geometric decay ratios of the bilateral series: q_plus for j -> +inf,
-    q_minus for j -> -inf.  Both are < 1 exactly when 1/R < |t| < R; a pair
-    with either ratio within BOUNDARY_MARGIN of 1 is refused."""
-    q_plus, q_minus = abs(g.t) / g.R, 1.0 / (g.R * abs(g.t))
+    q_minus for j -> -inf, the largest over a batch of nodes.  Both are < 1
+    exactly when 1/R < |t| < R; a pair with either ratio within
+    BOUNDARY_MARGIN of 1 is refused."""
+    abs_t, R = abs(g.t), float(g.R)
+    hi, lo = (abs_t.max(), abs_t.min()) if isinstance(abs_t, np.ndarray) else (abs_t, abs_t)
+    q_plus, q_minus = float(hi) / R, 1.0 / (R * float(lo))
     if min(1.0 - q_plus, 1.0 - q_minus) < BOUNDARY_MARGIN:
         raise ConvergenceError(
             f"pair too close to the boundary: decay ratios q+={q_plus:.6g}, "
@@ -292,34 +293,34 @@ def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarra
     edge = np.array([abs(-J + shift), abs(J + shift)])
     with np.errstate(divide="ignore"):
         q_eff = ratios * ((edge + 1.0) / edge) ** p
-    if q_eff.max() < 1.0:
+    if np.max(q_eff) < 1.0:
         return (edges * q_eff / (1.0 - q_eff)).sum(axis=-1)
     return np.full(edges.shape[:-1], math.inf)
 
 
 def _sum_window(
-    terms: Callable[[int], np.ndarray], p, shift: float, g: PairGeometry, ctrl: SeriesControl
+    terms: Callable[[int], np.ndarray], p, shift: float, g: PairGeometry,
+    ctrl: SeriesControl, J: int = 32,
 ):
     """Sum one or more bilateral series over the window j = -J..J.
 
-    terms(J) gives the terms of each series along the last axis; their
-    growth exponent p and shift are those of _tail_bound.  J doubles from 32
-    until every tail is below ctrl.tolerance times the largest sum.  Returns
-    the sums, the tail bounds, the gross magnitudes (sums of |term|, the
-    rounding majorants) and J.
+    terms(J) gives the terms of each series along the last axis, in either
+    number type; their growth exponent p and shift are those of _tail_bound.
+    J doubles from its start until every tail is below ctrl.tolerance times
+    the largest sum.  Returns the sums, the tail bounds, the gross
+    magnitudes (sums of |term|, the rounding majorants) and J.
     """
     q_plus, q_minus = _decay_ratios(g)
     ratios = np.array([q_minus, q_plus])
     p_edges = np.asarray(p)[..., None]
-    J = 32
     while True:
         values = terms(J)
         total = values.sum(axis=-1)
         moduli = np.abs(values)
         gross = moduli.sum(axis=-1)
         tails = _tail_bound(moduli[..., :: 2 * J], ratios, p_edges, shift, J)  # j = -J, J
-        scale = max(float(abs(total).max()), 1e-300)
-        if tails.max() <= ctrl.tolerance * scale:
+        scale = max(float(np.max(np.abs(total))), 1e-300)
+        if np.max(tails) <= ctrl.tolerance * scale:
             return total, tails, gross, J
         if 4 * J + 1 > ctrl.max_terms:
             raise ConvergenceError(
@@ -338,32 +339,21 @@ def _ladder(g: PairGeometry, J: int, m: int):
     return lg + lg.conj() + j * g.num.clog(g.t), g.mu(j)
 
 
-def _weights(m: int, B, V) -> list:
-    """(k, l, weight) of each sigma_{k,l} in the closed-form double sum,
-    weight = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k, k + l <= m
-    (arrangement pinned against the basis-sum oracle; see module docstring).
-    """
+def _contract(m: int, B, V, family: Callable) -> tuple:
+    """The closed-form double sum  sum_{k+l<=m} weight_{k,l} sigma_{k,l},
+    weight = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k (arrangement
+    pinned against the basis-sum oracle; see module docstring), and its
+    rounding majorant: family(k, l) returns (sigma_{k,l}, its majorant),
+    summed with the weights' magnitudes."""
     f = math.factorial
-    return [
-        (k, l, pochhammer(1 - 2 * B + m, k + l) / (f(m - k - l) * f(k) * f(l))
-         * V**l * V.conjugate() ** k)
-        for l in range(m + 1) for k in range(m + 1 - l)
-    ]
-
-
-def _contract(m: int, B, V, family: Callable) -> list:
-    """The closed-form double sum  sum_{k+l<=m} weight_{k,l} sigma_{k,l}.
-
-    family(k, l) returns (sigma_{k,l}, *moduli); the result is the sum above
-    followed by the same sum of each modulus with the weights' magnitudes
-    (tail bounds and rounding majorants of the contraction).
-    """
-    sums = None
-    for k, l, weight in _weights(m, B, V):
-        value, *moduli = family(k, l)
-        terms = [weight * value] + [abs(weight) * x for x in moduli]
-        sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
-    return sums
+    total = majorant = 0
+    for l in range(m + 1):
+        for k in range(m + 1 - l):
+            weight = (pochhammer(1 - 2 * B + m, k + l) / (f(m - k - l) * f(k) * f(l))
+                      * V**l * V.conjugate() ** k)
+            value, modulus = family(k, l)
+            total, majorant = total + weight * value, majorant + abs(weight) * modulus
+    return total, majorant
 
 
 def _prefactor(m: int, g: PairGeometry):
@@ -377,18 +367,18 @@ def _prefactor(m: int, g: PairGeometry):
     )
 
 
-def _level_polynomial(m: int, g: PairGeometry, V) -> Callable:
+def _level_polynomial(m: int, g: PairGeometry) -> Callable:
     """The (k, l) contraction of kernel_km's image terms,
 
         poly(a, b) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
                    = sum_n c_n u^n,  u = conj(V) a + V b,
         c_n = (1-2B+m)_n Gamma(2B-n) / ((m-n)! n!),
 
-    (weights of _weights, collapsed by the binomial theorem).  With
+    (weights of _contract, collapsed by the binomial theorem).  With
     modulus=True it is the same sum with each coefficient's modulus,
-    sum_n |c_n| (|V| (a + b))^n.  V broadcasts against a and b."""
+    sum_n |c_n| (|V| (a + b))^n, V = g.V (a column for nodes)."""
     f = math.factorial
-    B = g.B
+    B, V = g.B, g.V
     c = [pochhammer(1 - 2 * B + m, n) * g.num.gamma(2 * B - n) / (f(m - n) * f(n))
          for n in range(m + 1)]
 
@@ -404,9 +394,9 @@ def _level_polynomial(m: int, g: PairGeometry, V) -> Callable:
     return poly
 
 
-def _image_sum(g: PairGeometry, t, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
+def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
     """The image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l)
-    at each t of an array, given poly(a, b) = sum coef_{k,l} a^k b^l over
+    at the pair's t (one row per node), given poly(a, b) = sum coef_{k,l} a^k b^l over
     k <= k_max, l <= l_max (with modulus=True: the coefficients' moduli).
 
     Over a family the term bound of the module docstring sums to
@@ -424,7 +414,7 @@ def _image_sum(g: PairGeometry, t, poly: Callable, k_max: int, l_max: int, ctrl:
     its argument.  Returns the sums, tail bounds, majorants and images.
     """
     num, B = g.num, g.B
-    log_t = num.clogs(np.reshape(t, (-1, 1)))  # one row per t
+    log_t = num.clogs(np.reshape(g.t, (-1, 1)))  # one row per t
     spacing = 2 * num.pi / g.radial_scale  # xi_(nu+1) - xi_nu
     q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
     unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
@@ -474,14 +464,8 @@ def _image_sum(g: PairGeometry, t, poly: Callable, k_max: int, l_max: int, ctrl:
 
 
 def sigma_kl(
-    k: int,
-    l: int,
-    z,
-    w,
-    m_context: int,
-    params: AnnulusParams,
-    ctrl: SeriesControl = DEFAULT_SERIES,
-    rounding_rtol: float | None = None,
+    k: int, l: int, z, w, m_context: int, params: AnnulusParams,
+    ctrl: SeriesControl = DEFAULT_SERIES, rounding_rtol: float | None = None,
 ) -> complex:
     """The bilateral Gamma-pair series sigma_{k,l}(z, w), summed as its
     image sum.
@@ -494,33 +478,45 @@ def sigma_kl(
     if not (0 <= k <= m_context and 0 <= l <= m_context):
         raise DomainError(f"need 0 <= k,l <= m={m_context}, got k={k}, l={l}")
     require_admissible(m_context, params)
-    g = _pair(z, w, params)
-    _decay_ratios(g)
 
     def sigma(e: PairGeometry):
         gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
-        total, _, gross, _ = _image_sum(
-            e, e.t, lambda a, b, modulus=False: gamma * a**k * b**l, k, l, ctrl
-        )
-        return total[0], gross[0] / max(abs(total[0]), 1e-300)
+        return (lambda a, b, modulus=False: gamma * a**k * b**l), 1
 
-    value, condition = sigma(g)
-    return _extended(g, value, condition, rounding_rtol, sigma)[0]
+    return _closed_form(z, w, params, ctrl, rounding_rtol, sigma, k, l)[0]
 
 
-def _closed_form(m: int, g: PairGeometry, ctrl: SeriesControl):
-    """K_m with its condition, tail bound and image count."""
-    total, tail, gross, images = _image_sum(g, g.t, _level_polynomial(m, g, g.V), m, m, ctrl)
-    pref = _prefactor(m, g)
-    return pref * total[0], gross[0] / max(abs(total[0]), 1e-300), abs(pref) * tail[0], images
+def _closed_form(
+    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
+    contraction: Callable[[PairGeometry], tuple], k_max: int, l_max: int,
+):
+    """The closed form's one driver: prefactor x the image sums of poly at
+    (z, w), contraction(pair) -> (poly, prefactor) with poly's degrees
+    k_max and l_max (_image_sum); w is a point or an ndarray of nodes.
+
+    Returns the binary64 values at nodes, and at a point (value, tail
+    bound, condition, images, precision): the value through _extended, the
+    tail bound and images of the sum that gave it.
+    """
+    g = _pair(z, w, params)
+    _decay_ratios(g)
+    last = {}
+
+    def evaluate(e: PairGeometry):
+        poly, pref = contraction(e)
+        total, tail, gross, images = _image_sum(e, poly, k_max, l_max, ctrl)
+        last.update(pref=pref, total=total, tail=float(abs(pref) * tail[0]), images=images)
+        return pref * total[0], gross[0] / max(abs(total[0]), 1e-300)
+
+    value, condition = evaluate(g)
+    if isinstance(g.t, np.ndarray):
+        return last["pref"] * last["total"]
+    value, precision = _extended(g, value, condition, rounding_rtol, evaluate)
+    return value, last["tail"], float(condition), last["images"], precision
 
 
 def kernel_km(
-    m: int,
-    z,
-    w,
-    params: AnnulusParams,
-    ctrl: SeriesControl = DEFAULT_SERIES,
+    m: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> KernelEvaluation:
     """Closed-form reproducing kernel K_m(z, w) of the m-th eigenspace.
@@ -532,55 +528,45 @@ def kernel_km(
     tolerance x |value| + eps x condition x |value|: truncation goes no
     further than the rounding the value carries anyway.
 
-    ctrl.tolerance governs truncation only.  Rounding error is about machine
-    epsilon times the reported condition (gross-to-net cancellation of the
-    contraction, each term charged for the rounding its exponential
-    amplifies); when rounding_rtol is given and that bound exceeds it, the
-    value is recomputed at 34 digits and reported with
-    precision="extended", and a 34-digit value whose own rounding exceeds
-    the budget raises ConvergenceError.
+    ctrl.tolerance governs truncation only.  The summation's rounding is
+    about machine epsilon times the reported condition (gross-to-net
+    cancellation of the contraction, each term charged for the rounding its
+    exponential amplifies; KernelEvaluation says what it leaves out); when
+    rounding_rtol is given and that bound exceeds it, the value is
+    recomputed at 34 digits and reported with precision="extended", and a
+    34-digit value whose own rounding exceeds the budget raises
+    ConvergenceError.  The value equals kernel_km_grid's at the node w.
     """
     require_admissible(m, params)
-    g = _pair(z, w, params)
-    _decay_ratios(g)
-    value, condition, tail, images = _closed_form(m, g, ctrl)
-    value, precision = _extended(
-        g, value, condition, rounding_rtol, lambda e: _closed_form(m, e, ctrl)[:2]
+    value, tail, condition, images, precision = _closed_form(
+        z, w, params, ctrl, rounding_rtol,
+        lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m,
     )
-    return KernelEvaluation(
-        value, "closed_form", images, float(tail), float(condition), precision
-    )
+    return KernelEvaluation(value, "closed_form", images, tail, condition, precision)
 
 
 def _series(
-    path: str,
-    terms: Callable[[PairGeometry, int], np.ndarray],
-    const: Callable[[PairGeometry], object],
-    p: float,
-    shift: float,
-    z,
-    w,
-    params: AnnulusParams,
-    ctrl: SeriesControl,
+    path: str, terms: Callable[[PairGeometry, int], np.ndarray], const: Callable,
+    p: float, shift: float, z, w, params: AnnulusParams, ctrl: SeriesControl,
     rounding_rtol: float | None,
 ) -> KernelEvaluation:
     """const(pair) x the bilateral series of terms(pair, J), summed by the
-    window driver; the extended evaluation (_extended) sums the widened
-    window J + J//2 + 16."""
+    window driver under one rule at both precisions: the extended
+    evaluation (_extended) doubles its window from the binary64 stop on.
+    The tail bound and window are those of the sum that gave the value."""
     g = _pair(z, w, params)
-    total, tail, gross, J = _sum_window(lambda J: terms(g, J), p, shift, g, ctrl)
-    condition = float(gross / max(abs(total), 1e-300))
-    scale, wide = const(g), J + J // 2 + 16
+    last = {"J": 32}
 
-    def widened(e: PairGeometry):
-        values = terms(e, wide)
-        total = values.sum()
-        return const(e) * total, abs(values).sum() / max(abs(total), 1e-300)
+    def evaluate(e: PairGeometry):
+        total, tail, gross, J = _sum_window(lambda J: terms(e, J), p, shift, e, ctrl, last["J"])
+        scale = const(e)
+        last.update(J=J, tail=float(abs(scale) * tail))
+        return scale * total, gross / max(abs(total), 1e-300)
 
-    value, precision = _extended(g, scale * total, condition, rounding_rtol, widened)
-    J = wide if precision == "extended" else J
+    value, condition = evaluate(g)
+    value, precision = _extended(g, value, condition, rounding_rtol, evaluate)
     return KernelEvaluation(
-        value, path, 2 * J + 1, abs(scale) * float(tail), condition, precision
+        value, path, 2 * last["J"] + 1, last["tail"], float(condition), precision
     )
 
 
@@ -605,7 +591,7 @@ def kernel_basis_sum_oracle(
     factors absorbed into the effective ratio) drops below
     tol * |partial sum|.  When rounding_rtol is given and machine epsilon
     times the gross-to-net condition exceeds it, the same per-term formula
-    is re-summed at extended precision over a widened window.
+    is summed again at 34 digits under the same rule.
     """
     require_admissible(m, params)
 
@@ -641,7 +627,7 @@ def kernel_jacobi_product_sum(
     as complex-parameter Jacobi values; it exercises the Jacobi plumbing and
     the norm closed form jointly, independently of the sigma machinery.
     With rounding_rtol set, cancellation-limited sums escalate to extended
-    precision (same formula, widened window).
+    precision (same formula, same rule).
     """
     require_admissible(m, params)
 
@@ -909,36 +895,28 @@ def inversion_covariance_residual(
 
 
 def kernel_km_grid(
-    m: int,
-    z,
-    w_nodes: np.ndarray,
-    params: AnnulusParams,
+    m: int, z, w_nodes: np.ndarray, params: AnnulusParams,
     ctrl: SeriesControl = DEFAULT_SERIES,
 ) -> np.ndarray:
     """K_m(z, w) for one fixed first argument and an array of second
-    arguments: the image sums of kernel_km, over one common set of images.
+    arguments: kernel_km's driver and pair geometry on the whole node array,
+    over one common set of images.
 
     One set of images, as many as the most demanding node needs, serves
-    every node, so each node's truncation is certified as kernel_km's: tail
-    bound within ctrl.tolerance x its own |K| plus eps x its rounding
-    majorant.  The rounding (about eps x kernel_km's condition) is not
-    reported.
-    Nodes are refused (ConvergenceError) as pointwise pairs are: a decay
-    ratio within BOUNDARY_MARGIN of 1, or more than ctrl.max_terms
-    images.  Intended for quadrature node sets and plot grids.
+    every node, so each node's truncation is certified as kernel_km's, and
+    each node is kernel_km(m, z, w) within that value's certificate (tail
+    bound plus eps x condition x |K|); neither is reported.  Nodes are
+    refused as pointwise pairs are: off the interior (DomainError), a decay
+    ratio within BOUNDARY_MARGIN of 1, or more than ctrl.max_terms images
+    (ConvergenceError).  Intended for quadrature node sets and plot grids.
     """
     require_admissible(m, params)
-    zc = complex(z)
-    g = _pair(zc, zc, params)  # the coordinates of z and the scalars
     w = np.asarray(w_nodes, dtype=complex)
-    t = zc * np.conj(w.ravel()) / params.R
-    abs_t = np.abs(t)
-    for i in (abs_t.argmax(), abs_t.argmin()):  # the largest q+ and q-
-        _decay_ratios(replace(g, t=t[i]))
-    zeta_w = math.pi * np.log(np.abs(w.ravel())) / params.log_R
-    V = 0.25 * (1.0 + 1j * g.X) * (1.0 + 1j * np.cos(zeta_w) / np.sin(zeta_w))
-    total, *_ = _image_sum(g, t, _level_polynomial(m, g, V[:, None]), m, m, ctrl)
-    return (_prefactor(m, g) * total).reshape(w.shape)
+    values = _closed_form(
+        z, w.ravel(), params, ctrl, None,
+        lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m,
+    )
+    return values.reshape(w.shape)
 
 
 def kernel_by_path(

@@ -6,9 +6,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import annulus_kernels
+from annulus_kernels import kernels
+from annulus_kernels.geometry import AnnulusParams, polar_point
+from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -38,3 +42,22 @@ def test_every_traced_function_resolves_and_the_tracer_installs():
     tracer.install()
     tracer.uninstall()
     assert table == before
+
+
+def test_traced_grid_row_and_pair_record_one_span_each():
+    # the traced benchmark charges a grid row and a pair to these spans, so
+    # kernel_km_grid must reach no other traced name (kernel_km above all)
+    spans = _spans_module()
+    p = AnnulusParams(R=4.0, B=3.0)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    z = polar_point(0.325 * math.pi, 0.7, p)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        kernels.kernel_km_grid(1, z, row, p)
+        kernels.kernel_km(1, z, complex(row[5]), p)
+    finally:
+        tracer.uninstall()
+    names = [span[spans._NAME] for span in tracer.spans]
+    assert names == ["kernels.kernel_km_grid", "kernels.kernel_km"]
+    assert all(isinstance(span[spans._PREC], (str, type(None))) for span in tracer.spans)

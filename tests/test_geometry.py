@@ -21,8 +21,12 @@ from annulus_kernels.geometry import (
     polar_point,
     require_interior,
     xi_coordinate,
+    xi_nodes,
     zeta_coordinate,
 )
+from annulus_kernels.basis import basis_phi_nodes
+from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
+from annulus_kernels.special import routh_coefficients
 
 
 def test_params_validation():
@@ -77,6 +81,20 @@ def test_xi_is_cot_zeta():
     for z in (1.3, 2.0 + 1.0j, -2.5 + 0.1j):
         zeta = zeta_coordinate(z, p)
         assert xi_coordinate(z, p) == pytest.approx(math.cos(zeta) / math.sin(zeta))
+
+
+@pytest.mark.parametrize("R,B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_one_cot_coordinate_bit_for_bit(R, B):
+    # xi_nodes is the one binary64 cot-coordinate: a point's xi_coordinate is
+    # its node's entry in a batch, and basis_phi_nodes evaluates RR_m on it
+    p = AnnulusParams(R=R, B=B)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    xi = xi_nodes(row, p)
+    assert [xi_coordinate(complex(z), p) for z in row] == xi.tolist()
+    # phi_0 at level 1 is RR_1(xi), by Horner in numpy polyval's order
+    c = routh_coefficients(1, -alpha_index(0, p), 1.0 - B)
+    expected = np.ones_like(row) * (c[0] + (c[1] + xi * 0.0) * xi)
+    assert np.array_equal(basis_phi_nodes(0, 1, row, p), expected)
 
 
 def test_interior_check_on_an_array_names_the_first_offender():

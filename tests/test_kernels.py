@@ -33,9 +33,9 @@ from annulus_kernels.kernels import (
     kernel_km_theta,
     kernel_limit_R_inf,
     inversion_covariance_residual,
-    pair_geometry,
     sigma_kl,
     sigma_theta_path,
+    _pair,
     _sigma_theta,
     _tail_bound,
     _theta,
@@ -66,7 +66,7 @@ def _random_pairs(params, n, seed):
 
 def test_pair_geometry_on_central_circle():
     r = math.sqrt(P43.R)
-    geo = pair_geometry(r * cmath.exp(0.3j), r * cmath.exp(-1.2j), P43)
+    geo = _pair(r * cmath.exp(0.3j), r * cmath.exp(-1.2j), P43)
     assert geo.X == pytest.approx(0.0, abs=1e-12)
     assert geo.Y == pytest.approx(0.0, abs=1e-12)
     assert geo.V == pytest.approx(0.25)
@@ -74,7 +74,7 @@ def test_pair_geometry_on_central_circle():
 
 def test_pair_geometry_diagonal():
     z = 1.8 + 0.9j
-    geo = pair_geometry(z, z, P43)
+    geo = _pair(z, z, P43)
     assert geo.t == pytest.approx(abs(z) ** 2 / P43.R)
     assert geo.Y == pytest.approx(geo.X)
 
@@ -83,12 +83,19 @@ def test_pair_geometry_unit_modulus_product():
     # |z||w| = R puts t on the unit circle
     z = 1.6 * cmath.exp(0.7j)
     w = (P43.R / 1.6) * cmath.exp(0.2j)
-    geo = pair_geometry(z, w, P43)
+    geo = _pair(z, w, P43)
     assert abs(geo.t) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_pair_geometry_is_its_node_in_a_batch():
+    nodes = np.array([1.3 + 0.4j, W0, -3.1 + 0.8j])
+    batch = _pair(Z0, nodes, P43)
+    pair = _pair(Z0, W0, P43)
+    assert (batch.X, batch.Y[1, 0], batch.t[1, 0], batch.V[1, 0]) == (pair.X, pair.Y, pair.t, pair.V)
+
+
 def test_pair_geometry_mu_purely_imaginary():
-    geo = pair_geometry(Z0, W0, P43)
+    geo = _pair(Z0, W0, P43)
     for j in (-3, 0, 5):
         mu = geo.mu(j)
         assert mu.real == 0.0
@@ -112,7 +119,7 @@ def test_sigma_integer_b_matches_elementary_product():
     # must reproduce sigma_{0,0}
     p = P42
     B = 2
-    geo = pair_geometry(Z0, W0, p)
+    geo = _pair(Z0, W0, p)
     direct = sigma_kl(0, 0, Z0, W0, 0, p)
     total = 0.0 + 0.0j
     for n in range(-80, 81):
@@ -167,7 +174,7 @@ def test_arrangement_pin_regression():
     """
     m = 1
     p = P43
-    geo = pair_geometry(Z0, W0, p)
+    geo = _pair(Z0, W0, p)
     B = p.B
     pref = (
         (2.0 * math.pi) ** (2.0 * B - 3.0)
@@ -347,7 +354,7 @@ def test_sigma_theta_b1_is_second_log_derivative():
     # B = 1, k = l = 0: sigma = t^(-1) [1 + (log R/2) L_2(z0)] with the
     # L-series at z0 = (i/2) log t; the direct series must agree
     p = AnnulusParams(R=4.0, B=1.0)
-    geo = pair_geometry(Z0, W0, p)
+    geo = _pair(Z0, W0, p)
     z0 = 0.5j * cmath.log(geo.t)
     L2 = theta4_log_derivative(2, z0, p.R)
     expected = (1.0 / geo.t) * 2.0 * math.log(p.R) * (
@@ -689,6 +696,24 @@ def test_grid_matches_pointwise_on_a_thin_annulus_row():
     grid = kernel_km_grid(0, z, row, p)
     ref = np.array([kernel_km(0, z, complex(w), p).value for w in row])
     assert np.all(np.abs(grid - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("R,B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_pointwise_is_its_grid_node(R, B):
+    # kernel_km and kernel_km_grid share one driver and one pair geometry,
+    # so every node of a row is its pointwise value within that value's
+    # certificate (truncation plus eps x condition rounding)
+    p = AnnulusParams(R=R, B=B)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    eps = np.finfo(float).eps
+    for zeta in (0.325 * math.pi, 0.675 * math.pi):
+        z = polar_point(zeta, 0.7, p)
+        for m in admissible_levels(p):
+            grid = kernel_km_grid(m, z, row, p)
+            for i, w in enumerate(row):
+                ev = kernel_km(m, z, complex(w), p)
+                certificate = ev.tail_bound + eps * ev.condition * abs(ev.value)
+                assert abs(grid[i] - ev.value) <= certificate, (m, zeta, i)
 
 
 def test_grid_preserves_shape():
