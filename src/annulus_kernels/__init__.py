@@ -42,7 +42,6 @@ from .geometry import (
 from .kernels import (
     KERNEL_PATHS,
     KernelEvaluation,
-    PairGeometry,
     inversion_covariance_residual,
     kernel_basis_sum_oracle,
     kernel_by_path,
@@ -94,7 +93,6 @@ __all__ = [
     "KERNEL_PATHS",
     "KernelError",
     "KernelEvaluation",
-    "PairGeometry",
     "PoleError",
     "QuadratureSpec",
     "SeriesControl",

@@ -33,14 +33,14 @@ arg t)/c, 2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
 
 for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
-kernel_km_grid are three calls of one driver (_closed_form) summing
-through _image_sum, on one pair geometry (_pair) for a point or a node
-array w, so a pair's value is its node's in any grid.
+kernel_km_grid sum through one closed-form summation (_closed_form over
+_image_sum), on one pair geometry (_pair) for a point or a node array w,
+so a pair's value is its node's in any grid.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
 from one Lambert table per pair (special.LambertTable), in numpy over j in
 binary64 and in real mpf arithmetic at 34 digits.  kernel_km_theta and
-sigma_theta_path are two contractions of one driver (_theta) with one
+sigma_theta_path are two contractions of one summation (_theta) with one
 truncation rule: every order is summed at ctrl.tolerance, which gives the
 condition (each log-derivative charged at the gross sum of its Lambert
 terms); a condition whose rounding exceeds the budget goes to 34 digits,
@@ -48,21 +48,24 @@ otherwise every order is summed again at tolerance / (2 condition), so the
 truncation is within tolerance x |value|.
 
 The reference paths sum their j-series as term functions vectorised over
-the window j = -J..J, by one driver (_sum_window) in either number type: the
+the window j = -J..J, by one routine (_sum_window) in either number type: the
 window doubles until the rigorous geometric tail bound (_tail_bound) falls
 below the tolerance, at 34 digits from the binary64 stop on.
 
-Extended precision re-runs the same term code at 34 digits, for every path
-through one policy (_extended).  When eps times the condition (the
-gross-to-net ratio of the summed series) exceeds the caller's rounding
-budget, the pair geometry is rebuilt from the binary64 inputs in mpmath
-numbers and the value is summed again under the same truncation rule (the
-theta path's target capped at binary64's eps, the precision it is returned
-in); a 34-digit sum whose own rounding still exceeds the budget is refused.
-Without a budget a path returns its binary64 value with its condition.  The
-pair's number type selects the elementwise functions: numpy (and
-special.log_gamma) for binary64, mpmath over numpy object arrays, imported
-at the first extended evaluation, at 34 digits.
+Every evaluation, of every path, is one call of one driver (_evaluate):
+it builds the pair geometry, sums the path's series there (the path's
+summed function) and applies the extended-precision policy.  When eps
+times the condition (the gross-to-net ratio of the summed series) exceeds
+the caller's rounding budget, the pair geometry is rebuilt from the
+binary64 inputs in mpmath numbers and the same term code sums the value
+again under the same truncation rule (the theta path's target capped at
+binary64's eps, the precision it is returned in); every field of the
+result is then that 34-digit sum's, and a 34-digit sum whose own rounding
+still exceeds the budget is refused.  Without a budget a path returns its
+binary64 value with its condition.  The pair's number type selects the
+elementwise functions: numpy (and special.log_gamma) for binary64, mpmath
+over numpy object arrays, imported at the first extended evaluation, at 34
+digits.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -127,7 +130,7 @@ _BINARY64 = _Numbers(
 @functools.cache
 def _mpmath_numbers() -> _Numbers:
     """mpmath numbers, held in numpy object arrays, for the 34-digit
-    evaluation (_extended); mpmath is imported on the first call."""
+    evaluation (_evaluate); mpmath is imported on the first call."""
     import mpmath as mp
 
     with mp.workdps(34):
@@ -144,7 +147,7 @@ class PairGeometry:
     """Joint coordinates of a point pair (z, w) entering every kernel series.
 
     t = z conj(w) / R,  X = cot(zeta_z),  Y = cot(zeta_w),
-    V = (1 + iX)(1 + iY)/4,  mu(j) = i (j + B) log(R)/pi,
+    V = (1 + iX)(1 + iY)/4,  radial_scale = log(R)/pi,
 
     in one number type (num), with the points and the parameters in that
     type.  For an ndarray of nodes w (binary64 only) w, t, Y and V are
@@ -164,9 +167,6 @@ class PairGeometry:
     R: float
     log_R: float
 
-    def mu(self, j: int) -> complex:
-        return 1j * (j + self.B) * self.radial_scale
-
 
 @dataclass(frozen=True)
 class KernelEvaluation:
@@ -182,7 +182,9 @@ class KernelEvaluation:
     terms_used counts the summed terms: images for the closed form,
     j-window terms for the j-series paths, and the largest j of the Lambert
     series for the theta path.  precision records whether the value came
-    from binary64 or the 34-digit re-evaluation.
+    from binary64 or the 34-digit re-evaluation; every field of an
+    extended value (tail_bound, condition, terms_used) is that of the
+    34-digit sum that gave it.
     """
 
     value: complex
@@ -226,36 +228,37 @@ def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> 
     return rounding_rtol is not None and num.eps * condition > max(rounding_rtol, floor)
 
 
-def _extended(
-    g: PairGeometry,
-    value,
-    condition: float,
-    rounding_rtol: float | None,
-    evaluate: Callable[[PairGeometry], tuple],
-) -> tuple[complex, str]:
-    """The extended-precision policy of every path: (value, precision).
-
-    value is the binary64 evaluation at the pair g and condition its
-    gross-to-net ratio.  While its rounding is within rounding_rtol
-    (_rounding_exceeds; always, without a budget) the value stands.
-    Otherwise evaluate(pair) -> (value, condition) re-runs on 34-digit
-    numbers, the pair geometry rebuilt from the binary64 inputs, and the
-    result is rounded back to binary64; it is refused (ConvergenceError)
-    when its own rounding exceeds the budget.
+def _evaluate(
+    path: str, z, w, params: AnnulusParams, rounding_rtol: float | None,
+    summed: Callable[[PairGeometry, int], tuple],
+) -> KernelEvaluation:
+    """The one evaluation driver of every path, with its extended-precision
+    policy.  summed(pair, start) -> (value, condition, tail bound, terms)
+    sums the path's series at the pair geometry of (z, w), w a point or an
+    ndarray of nodes; start is 0, or at 34 digits the binary64 sum's terms.
+    When eps x condition exceeds rounding_rtol (_rounding_exceeds; never
+    without a budget), summed re-runs on the pair rebuilt from the binary64
+    inputs in 34-digit numbers and every field is that sum's, its value
+    returned in binary64; a sum whose own rounding still exceeds the budget
+    is refused (ConvergenceError).
     """
-    if not _rounding_exceeds(g.num, condition, rounding_rtol):
-        return complex(value), "binary64"
-    import mpmath as mp
+    g = _pair(z, w, params)
+    _decay_ratios(g)
+    value, condition, tail, terms = summed(g, 0)
+    precision = "binary64"
+    if _rounding_exceeds(g.num, condition, rounding_rtol):
+        import mpmath as mp
 
-    with mp.workdps(34):
-        e = _pair(g.z, g.w, g.params, _mpmath_numbers())
-        value, condition = evaluate(e)
-        if _rounding_exceeds(e.num, condition, rounding_rtol):
-            raise ConvergenceError(
-                f"34-digit sum keeps no digit within the rounding budget "
-                f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
-            )
-        return complex(value), "extended"
+        with mp.workdps(34):
+            e = _pair(g.z, g.w, params, _mpmath_numbers())
+            value, condition, tail, terms = summed(e, terms)
+            if _rounding_exceeds(e.num, condition, rounding_rtol):
+                raise ConvergenceError(
+                    f"34-digit sum keeps no digit within the rounding budget "
+                    f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
+                )
+        precision = "extended"
+    return KernelEvaluation(value, path, terms, float(tail), float(condition), precision)
 
 
 def _integer_B(params: AnnulusParams, what: str) -> int:
@@ -333,10 +336,11 @@ def _sum_window(
 
 def _ladder(g: PairGeometry, J: int, m: int):
     """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, from the log-Gamma
-    ladder loggamma(B - m + i y_j), y_j = (j + B) log(R)/pi; and mu_j."""
+    ladder loggamma(B - m + mu_j), mu_j = i (j + B) log(R)/pi; and mu_j."""
     j = np.arange(-J, J + 1, dtype=g.num.dtype)
-    lg = g.num.loggamma(g.B - m + g.mu(j))
-    return lg + lg.conj() + j * g.num.clog(g.t), g.mu(j)
+    mu = 1j * (j + g.B) * g.radial_scale
+    lg = g.num.loggamma(g.B - m + mu)
+    return lg + lg.conj() + j * g.num.clog(g.t), mu
 
 
 def _contract(m: int, B, V, family: Callable) -> tuple:
@@ -483,36 +487,31 @@ def sigma_kl(
         gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
         return (lambda a, b, modulus=False: gamma * a**k * b**l), 1
 
-    return _closed_form(z, w, params, ctrl, rounding_rtol, sigma, k, l)[0]
+    return _evaluate(
+        "closed_form", z, w, params, rounding_rtol, _closed_form(sigma, k, l, ctrl)
+    ).value
 
 
 def _closed_form(
-    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
     contraction: Callable[[PairGeometry], tuple], k_max: int, l_max: int,
-):
-    """The closed form's one driver: prefactor x the image sums of poly at
-    (z, w), contraction(pair) -> (poly, prefactor) with poly's degrees
-    k_max and l_max (_image_sum); w is a point or an ndarray of nodes.
+    ctrl: SeriesControl,
+) -> Callable[[PairGeometry, int], tuple]:
+    """The closed form's summed (_evaluate): prefactor x the image sums of
+    poly, contraction(pair) -> (poly, prefactor) with poly's degrees k_max
+    and l_max (_image_sum).  At a point its value, condition and tail bound
+    are row 0's; at nodes the values, with the worst node's condition and
+    tail bound."""
 
-    Returns the binary64 values at nodes, and at a point (value, tail
-    bound, condition, images, precision): the value through _extended, the
-    tail bound and images of the sum that gave it.
-    """
-    g = _pair(z, w, params)
-    _decay_ratios(g)
-    last = {}
-
-    def evaluate(e: PairGeometry):
+    def summed(e: PairGeometry, start: int):
         poly, pref = contraction(e)
         total, tail, gross, images = _image_sum(e, poly, k_max, l_max, ctrl)
-        last.update(pref=pref, total=total, tail=float(abs(pref) * tail[0]), images=images)
-        return pref * total[0], gross[0] / max(abs(total[0]), 1e-300)
+        if isinstance(e.t, np.ndarray):
+            condition = np.max(gross / np.maximum(np.abs(total), 1e-300))
+            return pref * total, condition, abs(pref) * np.max(tail), images
+        condition = gross[0] / max(abs(total[0]), 1e-300)
+        return complex(pref * total[0]), condition, abs(pref) * tail[0], images
 
-    value, condition = evaluate(g)
-    if isinstance(g.t, np.ndarray):
-        return last["pref"] * last["total"]
-    value, precision = _extended(g, value, condition, rounding_rtol, evaluate)
-    return value, last["tail"], float(condition), last["images"], precision
+    return summed
 
 
 def kernel_km(
@@ -538,44 +537,33 @@ def kernel_km(
     ConvergenceError.  The value equals kernel_km_grid's at the node w.
     """
     require_admissible(m, params)
-    value, tail, condition, images, precision = _closed_form(
-        z, w, params, ctrl, rounding_rtol,
-        lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m,
+    return _evaluate(
+        "closed_form", z, w, params, rounding_rtol,
+        _closed_form(lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m, ctrl),
     )
-    return KernelEvaluation(value, "closed_form", images, tail, condition, precision)
 
 
 def _series(
-    path: str, terms: Callable[[PairGeometry, int], np.ndarray], const: Callable,
-    p: float, shift: float, z, w, params: AnnulusParams, ctrl: SeriesControl,
-    rounding_rtol: float | None,
-) -> KernelEvaluation:
-    """const(pair) x the bilateral series of terms(pair, J), summed by the
-    window driver under one rule at both precisions: the extended
-    evaluation (_extended) doubles its window from the binary64 stop on.
-    The tail bound and window are those of the sum that gave the value."""
-    g = _pair(z, w, params)
-    last = {"J": 32}
+    terms: Callable[[PairGeometry, int], np.ndarray], const: Callable, p: float,
+    shift: float, ctrl: SeriesControl,
+) -> Callable[[PairGeometry, int], tuple]:
+    """The j-series paths' summed (_evaluate): const(pair) x the bilateral
+    series of terms(pair, J), summed by the window routine under one rule at
+    both precisions, its window from J = 32, at 34 digits from the binary64
+    stop on."""
 
-    def evaluate(e: PairGeometry):
-        total, tail, gross, J = _sum_window(lambda J: terms(e, J), p, shift, e, ctrl, last["J"])
+    def summed(e: PairGeometry, start: int):
+        J0 = max(start // 2, 32)  # at 34 digits, the binary64 stop
+        total, tail, gross, J = _sum_window(lambda J: terms(e, J), p, shift, e, ctrl, J0)
         scale = const(e)
-        last.update(J=J, tail=float(abs(scale) * tail))
-        return scale * total, gross / max(abs(total), 1e-300)
+        condition = gross / max(abs(total), 1e-300)
+        return complex(scale * total), condition, abs(scale) * tail, 2 * J + 1
 
-    value, condition = evaluate(g)
-    value, precision = _extended(g, value, condition, rounding_rtol, evaluate)
-    return KernelEvaluation(
-        value, path, 2 * last["J"] + 1, last["tail"], float(condition), precision
-    )
+    return summed
 
 
 def kernel_basis_sum_oracle(
-    m: int,
-    z,
-    w,
-    params: AnnulusParams,
-    tol: float = 1e-10,
+    m: int, z, w, params: AnnulusParams, tol: float = 1e-10,
     rounding_rtol: float | None = None,
 ) -> KernelEvaluation:
     """Ground-truth kernel oracle: K_m = sum_j Phi_j(z) conj(Phi_j(w)).
@@ -605,11 +593,10 @@ def kernel_basis_sum_oracle(
     # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
     # the extended sum as well
     norm0 = basis_norm_sq(0, m, params)
-    return _series(
-        "basis_sum", terms, lambda g: (-4) ** m * math.factorial(m) ** 2 / norm0,
-        2.0 * params.B - 1.0, params.B,
-        z, w, params, SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol,
-    )
+    return _evaluate("basis_sum", z, w, params, rounding_rtol, _series(
+        terms, lambda g: (-4) ** m * math.factorial(m) ** 2 / norm0,
+        2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
+    ))
 
 
 def kernel_jacobi_product_sum(
@@ -637,11 +624,10 @@ def kernel_jacobi_product_sum(
         pw = jacobi_poly(JacobiParams(-g.B + mu, -g.B - mu, m), -1j * g.Y)
         return g.num.exp(log_terms) * pz * pw
 
-    return _series(
-        "jacobi_product", terms, lambda g: _prefactor(m, g) * math.factorial(m),
-        2.0 * params.B - 1.0, params.B, z, w, params,
-        SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol,
-    ).value
+    return _evaluate("jacobi_product", z, w, params, rounding_rtol, _series(
+        terms, lambda g: _prefactor(m, g) * math.factorial(m),
+        2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
+    )).value
 
 
 def _k0_product(
@@ -672,9 +658,8 @@ def _k0_product(
             / (g.num.pi * g.num.gamma(2 * B - 1) * u**B * g.log_R ** (2 * B - 2))
         )
 
-    return _series(
-        "product_formula", terms, const, 2 * B - 1, 0.0, z, w, params, ctrl,
-        rounding_rtol,
+    return _evaluate(
+        "product_formula", z, w, params, rounding_rtol, _series(terms, const, 2 * B - 1, 0.0, ctrl)
     )
 
 
@@ -765,55 +750,40 @@ def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], tuple]):
 
 
 def _theta(
-    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
+    ctrl: SeriesControl, rounding_rtol: float | None,
     contraction: Callable[[PairGeometry, Callable[[int], tuple]], tuple],
-) -> KernelEvaluation:
-    """The theta path's one driver: contraction(pair, L) -> (value, rounding
-    majorant) at (z, w), L the log-derivatives of the pair's Lambert table.
+) -> Callable[[PairGeometry, int], tuple]:
+    """The theta path's summed (_evaluate): contraction(pair, L) -> (value,
+    rounding majorant), L the log-derivatives of the pair's Lambert table.
 
     Every order is summed at the target, each within target x |L_s|, so the
     truncation is at most target x the majorant = target x condition x
-    |value|.  A condition whose rounding exceeds the budget stops there and
-    goes to _extended; otherwise the orders are summed again at
+    |value|.  A condition whose rounding exceeds the budget stops there, to
+    be escalated; otherwise the orders are summed again at
     target / (2 condition) until that is within target x |value| (the 2
     covers the condition's growth over the pass, a relative target x
     condition).  The target is ctrl.tolerance, at 34 digits capped at
     binary64's eps, the precision the value is returned in.
     """
-    _integer_B(params, "theta path")
-    g = _pair(z, w, params)
-    _decay_ratios(g)
-    last = {}
 
-    def certified(e: PairGeometry):
+    def summed(e: PairGeometry, start: int):
         table = LambertTable(0.5j * e.num.clog(e.t), e.R)  # at z0 = (i/2) log t
         target = tol = ctrl.tolerance if e.num is _BINARY64 else min(ctrl.tolerance, _EPS)
         while True:
             eff = replace(ctrl, tolerance=tol)
             value, gross = contraction(e, functools.cache(lambda s: table.derivative(s, eff)))
             condition = gross / max(abs(value), 1e-300)
-            if tol * gross <= target * abs(value):
-                break
-            if _rounding_exceeds(e.num, condition, rounding_rtol):
+            certified = tol * gross <= target * abs(value)
+            if certified or _rounding_exceeds(e.num, condition, rounding_rtol):
                 break
             tol = target / float(2 * condition)
-        last.update(tail=float(tol * gross), terms=table.terms)
-        return value, condition
+        return complex(value), condition, tol * gross, table.terms
 
-    value, condition = certified(g)
-    value, precision = _extended(g, value, condition, rounding_rtol, certified)
-    return KernelEvaluation(
-        value, "theta", last["terms"], last["tail"], float(condition), precision
-    )
+    return summed
 
 
 def sigma_theta_path(
-    k: int,
-    l: int,
-    z,
-    w,
-    params: AnnulusParams,
-    ctrl: SeriesControl = DEFAULT_SERIES,
+    k: int, l: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> complex:
     """sigma_{k,l} rebuilt from logarithmic derivatives of theta_4 (integer B).
@@ -840,7 +810,9 @@ def sigma_theta_path(
         raise DomainError(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
-    return _theta(z, w, params, ctrl, rounding_rtol, lambda e, L: _sigma_theta(k, l, e, L)).value
+    return _evaluate("theta", z, w, params, rounding_rtol, _theta(
+        ctrl, rounding_rtol, lambda e, L: _sigma_theta(k, l, e, L)
+    )).value
 
 
 def kernel_km_theta(
@@ -857,13 +829,14 @@ def kernel_km_theta(
     redone at 34 digits, and refused when that sum keeps no digit within it.
     """
     require_admissible(m, params)
+    _integer_B(params, "theta path")
 
     def kernel(e: PairGeometry, L):
         total, majorant = _contract(m, e.B, e.V, lambda k, l: _sigma_theta(k, l, e, L))
         pref = _prefactor(m, e)
         return pref * total, abs(pref) * majorant
 
-    return _theta(z, w, params, ctrl, rounding_rtol, kernel)
+    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, rounding_rtol, kernel))
 
 
 def inversion_covariance_residual(
@@ -912,20 +885,14 @@ def kernel_km_grid(
     """
     require_admissible(m, params)
     w = np.asarray(w_nodes, dtype=complex)
-    values = _closed_form(
-        z, w.ravel(), params, ctrl, None,
-        lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m,
-    )
-    return values.reshape(w.shape)
+    return _evaluate(
+        "closed_form", z, w.ravel(), params, None,
+        _closed_form(lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m, ctrl),
+    ).value.reshape(w.shape)
 
 
 def kernel_by_path(
-    path: str,
-    m: int,
-    z,
-    w,
-    params: AnnulusParams,
-    ctrl: SeriesControl = DEFAULT_SERIES,
+    path: str, m: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> KernelEvaluation:
     """Dispatch a kernel evaluation to the named path.

@@ -268,10 +268,12 @@ def jacobi_product_bateman(params: JacobiParams, x, y):
     return result
 
 
+@functools.lru_cache(maxsize=1024)
 def routh_coefficients(m: int, a: float, b: float) -> np.ndarray:
     """Real monomial coefficients (ascending) of RR_m^(a,b): the one form
     in which the package evaluates RR_m, values and exact derivatives
-    alike.  An imaginary residue above 1e-8 relative (a bug in the Jacobi
+    alike, built once per (m, a, b) and read-only, as every caller shares
+    them.  An imaginary residue above 1e-8 relative (a bug in the Jacobi
     coefficients) raises ImaginaryResidueError."""
     cj = jacobi_coefficients(JacobiParams(complex(b - 1.0, a / 2.0), complex(b - 1.0, -a / 2.0), m))
     pref = (-2j) ** m * math.factorial(m)
@@ -282,7 +284,9 @@ def routh_coefficients(m: int, a: float, b: float) -> np.ndarray:
             f"RR_{m}^({a},{b}) coefficients carry imaginary residue "
             f"{np.max(np.abs(coeffs.imag)) / scale:.3e}"
         )
-    return coeffs.real.copy()
+    coeffs = coeffs.real.copy()
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def routh_leading_coefficient(m: int, B: float) -> float:

@@ -645,6 +645,16 @@ def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
     return entries
 
 
+def _worst_gap(name: str, tol: float, cases, reference, other) -> ResidualEntry:
+    """The residual name: the worst |reference - other| / |reference| over
+    cases, each side evaluated once per case (a tuple of its arguments)."""
+    worst = 0.0
+    for case in cases:
+        ref = reference(*case)
+        worst = max(worst, abs(ref - other(*case)) / abs(ref))
+    return ResidualEntry(name, worst, tol)
+
+
 def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     """Cross-path agreement.  Every comparison passes a rounding budget of a
     tenth of its tolerance to both sides, so pairs near the kernel's deep
@@ -652,53 +662,35 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     rounding dominate) escalate to extended precision instead of polluting
     the defect."""
     pairs = sample_pairs(params, opts.n_points, opts.seed + 606)
+    cases = [(m, z, w) for m in admissible_levels(params) for z, w in pairs]
     ctrl = opts.ctrl
-    entries = []
 
-    tol = 1e-8
-    worst = 0.0
-    for m in admissible_levels(params):
-        for z, w in pairs:
-            closed = kernel_km(m, z, w, params, ctrl, rounding_rtol=tol / 10).value
-            oracle = kernel_basis_sum_oracle(
-                m, z, w, params, tol=1e-12, rounding_rtol=tol / 10
-            ).value
-            worst = max(worst, abs(closed - oracle) / abs(oracle))
-    entries.append(ResidualEntry("closed-vs-basis-sum", worst, tol))
+    def closed(rtol):
+        return lambda m, z, w: kernel_km(m, z, w, params, ctrl, rounding_rtol=rtol).value
 
-    tol = 1e-9
-    worst = 0.0
-    for m in admissible_levels(params):
-        for z, w in pairs:
-            closed = kernel_km(m, z, w, params, ctrl, rounding_rtol=tol / 10).value
-            jac = kernel_jacobi_product_sum(
-                m, z, w, params, tol=1e-12, rounding_rtol=tol / 10
-            )
-            worst = max(worst, abs(closed - jac) / abs(closed))
-    entries.append(ResidualEntry("jacobi-product-form", worst, tol))
+    def oracle(m, z, w):
+        return kernel_basis_sum_oracle(m, z, w, params, tol=1e-12, rounding_rtol=1e-9).value
 
+    def jacobi(m, z, w):
+        return kernel_jacobi_product_sum(m, z, w, params, tol=1e-12, rounding_rtol=1e-10)
+
+    def theta(m, z, w):
+        return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value
+
+    def product(m, z, w):
+        return kernel_k0_integer_product(z, w, params, ctrl, rounding_rtol=1e-10)
+
+    entries = [
+        _worst_gap("closed-vs-basis-sum", 1e-8, cases, oracle, closed(1e-9)),
+        _worst_gap("jacobi-product-form", 1e-9, cases, closed(1e-10), jacobi),
+    ]
     if params.is_integer_B():
-        worst = 0.0
-        for m in admissible_levels(params):
-            if params.B - m >= 1.0:
-                for z, w in pairs:
-                    closed = kernel_km(
-                        m, z, w, params, ctrl, rounding_rtol=tol / 10
-                    ).value
-                    theta = kernel_km_theta(
-                        m, z, w, params, ctrl, rounding_rtol=tol / 10
-                    ).value
-                    worst = max(worst, abs(closed - theta) / abs(closed))
-        entries.append(ResidualEntry("closed-vs-theta", worst, tol))
-
-        worst = 0.0
-        for z, w in pairs:
-            closed = kernel_km(0, z, w, params, ctrl, rounding_rtol=tol / 10).value
-            prod = kernel_k0_integer_product(
-                z, w, params, ctrl, rounding_rtol=tol / 10
-            )
-            worst = max(worst, abs(closed - prod) / abs(closed))
-        entries.append(ResidualEntry("closed-vs-product-formula", worst, tol))
+        below_B = [c for c in cases if params.B - c[0] >= 1.0]
+        m0 = [(0, z, w) for z, w in pairs]
+        entries.append(_worst_gap("closed-vs-theta", 1e-9, below_B, closed(1e-10), theta))
+        entries.append(
+            _worst_gap("closed-vs-product-formula", 1e-9, m0, closed(1e-10), product)
+        )
     return entries
 
 
@@ -725,30 +717,22 @@ def _suite_theta(params: AnnulusParams, opts: SuiteOptions):
     B = int(round(params.B))
     pairs = sample_pairs(params, max(4, opts.n_points // 4), opts.seed + 808)
     ctrl = opts.ctrl
-    entries = []
-
-    tol = 1e-9
-    worst = 0.0
     m_top = max(admissible_levels(params))
-    for k in range(min(m_top, B - 1) + 1):
-        for l in range(min(m_top, B - 1) + 1):
-            for z, w in pairs:
-                a = sigma_kl(k, l, z, w, m_top, params, ctrl, rounding_rtol=tol / 10)
-                b = sigma_theta_path(k, l, z, w, params, ctrl, rounding_rtol=tol / 10)
-                worst = max(worst, abs(a - b) / abs(a))
-    entries.append(ResidualEntry("sigma-vs-theta", worst, tol))
-
-    worst = 0.0
-    for m in admissible_levels(params):
-        if params.B - m >= 1.0:
-            for z, w in pairs:
-                closed = kernel_km(m, z, w, params, ctrl, rounding_rtol=tol / 10).value
-                theta = kernel_km_theta(
-                    m, z, w, params, ctrl, rounding_rtol=tol / 10
-                ).value
-                worst = max(worst, abs(closed - theta) / abs(closed))
-    entries.append(ResidualEntry("kernel-theta-vs-closed", worst, tol))
-    return entries
+    orders = range(min(m_top, B - 1) + 1)
+    return [
+        _worst_gap(
+            "sigma-vs-theta", 1e-9,
+            [(k, l, z, w) for k in orders for l in orders for z, w in pairs],
+            lambda k, l, z, w: sigma_kl(k, l, z, w, m_top, params, ctrl, rounding_rtol=1e-10),
+            lambda k, l, z, w: sigma_theta_path(k, l, z, w, params, ctrl, rounding_rtol=1e-10),
+        ),
+        _worst_gap(
+            "kernel-theta-vs-closed", 1e-9,
+            [(m, z, w) for m in admissible_levels(params) if B - m >= 1 for z, w in pairs],
+            lambda m, z, w: kernel_km(m, z, w, params, ctrl, rounding_rtol=1e-10).value,
+            lambda m, z, w: kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value,
+        ),
+    ]
 
 
 _SUITE_FUNCTIONS = {

@@ -22,6 +22,7 @@ from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
 from annulus_kernels.special import SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
 from annulus_kernels.basis import admissible_levels
+from annulus_kernels import kernels
 from annulus_kernels.kernels import (
     KERNEL_PATHS,
     kernel_basis_sum_oracle,
@@ -35,6 +36,8 @@ from annulus_kernels.kernels import (
     inversion_covariance_residual,
     sigma_kl,
     sigma_theta_path,
+    _evaluate,
+    _ladder,
     _pair,
     _sigma_theta,
     _tail_bound,
@@ -96,8 +99,9 @@ def test_pair_geometry_is_its_node_in_a_batch():
 
 def test_pair_geometry_mu_purely_imaginary():
     geo = _pair(Z0, W0, P43)
+    J = 5
     for j in (-3, 0, 5):
-        mu = geo.mu(j)
+        mu = _ladder(geo, J, 0)[1][J + j]  # the window j = -J..J
         assert mu.real == 0.0
         assert mu.imag == pytest.approx((j + P43.B) * math.log(P43.R) / math.pi)
 
@@ -459,7 +463,8 @@ def test_sigma_theta_path_without_a_budget_is_certified():
     z, w = THETA_PAIRS_93[0]
     got = sigma_theta_path(0, 0, z, w, p)
     ref = sigma_kl(0, 0, z, w, 0, p, rounding_rtol=1e-17)
-    sigma = _theta(z, w, p, SeriesControl(), None, lambda e, L: _sigma_theta(0, 0, e, L))
+    summed = _theta(SeriesControl(), None, lambda e, L: _sigma_theta(0, 0, e, L))
+    sigma = _evaluate("theta", z, w, p, None, summed)
     assert sigma.value == got and sigma.precision == "binary64" and sigma.condition > 1e4
     assert sigma.tail_bound <= 1e-12 * abs(got)
     assert abs(got - ref) <= (1e-12 + 4 * EPS * sigma.condition) * abs(ref)
@@ -672,6 +677,42 @@ def test_forced_escalation_matches_binary64(path):
         assert forced.precision == "extended"
         plain, forced = plain.value, forced.value
     assert abs(forced - plain) <= 1e-12 * abs(forced)
+
+
+def _driver_calls(monkeypatch) -> list:
+    """The KernelEvaluation of every kernels._evaluate call from now on."""
+    seen, real = [], kernels._evaluate
+
+    def counted(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_evaluate", counted)
+    return seen
+
+
+@pytest.mark.parametrize("budget, precision", [(None, "binary64"), (0.0, "extended")])
+@pytest.mark.parametrize("path", list(FORCED_PATHS))
+def test_every_evaluation_is_one_driver_call(monkeypatch, path, budget, precision):
+    # each path builds its pair, sums and escalates in exactly one call of
+    # the one driver, at either precision
+    seen = _driver_calls(monkeypatch)
+    FORCED_PATHS[path](budget)
+    assert [ev.precision for ev in seen] == [precision]
+
+
+def test_grid_and_budgeted_escalations_are_one_driver_call_each(monkeypatch):
+    # a node row, and at (4, 3) two pairs whose rounding exceeds the budget
+    # they are given: the closed form near an off-diagonal zero of K_0, and
+    # the theta contraction of the theta suite's first pair (condition 7e7)
+    seen = _driver_calls(monkeypatch)
+    kernel_km_grid(1, Z0, np.array([1.3 + 0.4j, 2.5 - 1.0j, -3.1 + 0.8j]), P43)
+    assert len(seen) == 1 and seen[0].value.shape == (3,)
+    z, w = 2.1839776686491716 + 2.210783326982569j, 1.206368491106347 - 2.29626326631313j
+    assert kernel_km(0, z, w, P43, rounding_rtol=1e-15) is seen[1]
+    z, w = THETA_PAIRS_43[0]
+    assert kernel_km_theta(0, z, w, P43, rounding_rtol=1e-10) is seen[2]
+    assert [ev.precision for ev in seen] == ["binary64", "extended", "extended"]
 
 
 # ---------------------------------------------------------------------------

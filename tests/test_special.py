@@ -336,6 +336,13 @@ def test_routh_coefficients_match_values():
             assert _rr(m, a, b, x) == pytest.approx(want.real, rel=1e-11, abs=1e-11)
 
 
+def test_routh_coefficients_are_cached_and_read_only():
+    coeffs = routh_coefficients(3, 1.25, -2.0)
+    assert routh_coefficients(3, 1.25, -2.0) is coeffs
+    with pytest.raises(ValueError):
+        coeffs[0] = 2.0
+
+
 def test_routh_leading_coefficient():
     # highest coefficient of RR_m^(a, 1-B) equals (-1)^m Gamma(2B-m)/Gamma(2B-2m)
     for m, B in [(0, 2.5), (1, 2.5), (2, 2.5), (1, 1.8), (2, 3.3)]:
