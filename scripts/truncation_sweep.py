@@ -24,21 +24,8 @@ from annulus_kernels import (
     kernel_km,
     sample_pairs,
 )
-from annulus_kernels.cli import parse_complex
+from annulus_kernels.cli import _glue_complex_flags, parse_complex
 from annulus_kernels.errors import KernelError
-
-
-def _glue_point_flags(argv: list[str]) -> list[str]:
-    """Rewrite ``--z VALUE`` as ``--z=VALUE`` so negative reals parse."""
-    out: list[str] = []
-    it = iter(argv)
-    for tok in it:
-        if tok in ("--z", "--w"):
-            val = next(it, None)
-            out.append(tok if val is None else f"{tok}={val}")
-        else:
-            out.append(tok)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +100,7 @@ def sweep(args: argparse.Namespace) -> tuple[list[dict], bool]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _glue_point_flags(sys.argv[1:] if argv is None else argv)
+    argv = _glue_complex_flags(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         rows, honoured = sweep(args)

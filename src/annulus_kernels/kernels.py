@@ -10,7 +10,8 @@ Four independent evaluation paths are implemented and cross-checked:
   theta            integer B only: each sigma-series collapsed to finitely
                    many logarithmic derivatives of theta_4 via the elementary
                    Gamma-pair product,
-  product_formula  integer B, m = 0 only: the elementary-coefficient series.
+  product_formula  integer B, m = 0 only: sigma_00's theta polynomial summed
+                   term by term.
 
 The closed form sums each Gamma-pair series
 
@@ -39,13 +40,14 @@ so a pair's value is its node's in any grid.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
 from one Lambert table per pair (special.LambertTable), in numpy over j in
-binary64 and in real mpf arithmetic at 34 digits.  kernel_km_theta and
-sigma_theta_path are two contractions of one summation (_theta) with one
-truncation rule: every order is summed at ctrl.tolerance, which gives the
-condition (each log-derivative charged at the gross sum of its Lambert
-terms); a condition whose rounding exceeds the budget goes to 34 digits,
-otherwise every order is summed again at tolerance / (2 condition), so the
-truncation is within tolerance x |value|.
+binary64 and in real mpf arithmetic at 34 digits.  One summation (_theta)
+contracts one polynomial per evaluation, each power n^p against one order
+p + 2: sigma_{k,l}'s P_kl for sigma_theta_path, the weighted sum of the
+level's P_kl for kernel_km_theta.  Every order is summed at ctrl.tolerance,
+which gives the condition (each log-derivative charged at the gross sum of
+its Lambert terms); a condition whose rounding exceeds the budget goes to
+34 digits, otherwise every order is summed again at tolerance /
+(2 condition), so the truncation is within tolerance x |value|.
 
 The reference paths sum their j-series as term functions vectorised over
 the window j = -J..J, by one routine (_sum_window) in either number type: the
@@ -303,16 +305,19 @@ def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarra
 
 def _sum_window(
     terms: Callable[[int], np.ndarray], p, shift: float, g: PairGeometry,
-    ctrl: SeriesControl, J: int = 32,
+    ctrl: SeriesControl, J: int,
 ):
     """Sum one or more bilateral series over the window j = -J..J.
 
     terms(J) gives the terms of each series along the last axis, in either
     number type; their growth exponent p and shift are those of _tail_bound.
-    J doubles from its start until every tail is below ctrl.tolerance times
-    the largest sum.  Returns the sums, the tail bounds, the gross
-    magnitudes (sums of |term|, the rounding majorants) and J.
+    J doubles from its start, at most (ctrl.max_terms - 1) // 2, until every
+    tail is below ctrl.tolerance times the largest sum; a window that would
+    pass ctrl.max_terms terms is refused.  Returns the sums, the tail
+    bounds, the gross magnitudes (sums of |term|, the rounding majorants)
+    and J.
     """
+    J = min(J, (ctrl.max_terms - 1) // 2)
     q_plus, q_minus = _decay_ratios(g)
     ratios = np.array([q_minus, q_plus])
     p_edges = np.asarray(p)[..., None]
@@ -343,23 +348,6 @@ def _ladder(g: PairGeometry, J: int, m: int):
     return lg + lg.conj() + j * g.num.clog(g.t), mu
 
 
-def _contract(m: int, B, V, family: Callable) -> tuple:
-    """The closed-form double sum  sum_{k+l<=m} weight_{k,l} sigma_{k,l},
-    weight = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k (arrangement
-    pinned against the basis-sum oracle; see module docstring), and its
-    rounding majorant: family(k, l) returns (sigma_{k,l}, its majorant),
-    summed with the weights' magnitudes."""
-    f = math.factorial
-    total = majorant = 0
-    for l in range(m + 1):
-        for k in range(m + 1 - l):
-            weight = (pochhammer(1 - 2 * B + m, k + l) / (f(m - k - l) * f(k) * f(l))
-                      * V**l * V.conjugate() ** k)
-            value, modulus = family(k, l)
-            total, majorant = total + weight * value, majorant + abs(weight) * modulus
-    return total, majorant
-
-
 def _prefactor(m: int, g: PairGeometry):
     """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
     the (k, l) contraction."""
@@ -376,11 +364,13 @@ def _level_polynomial(m: int, g: PairGeometry) -> Callable:
 
         poly(a, b) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
                    = sum_n c_n u^n,  u = conj(V) a + V b,
+        weight_{k,l} = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k,
         c_n = (1-2B+m)_n Gamma(2B-n) / ((m-n)! n!),
 
-    (weights of _contract, collapsed by the binomial theorem).  With
-    modulus=True it is the same sum with each coefficient's modulus,
-    sum_n |c_n| (|V| (a + b))^n, V = g.V (a column for nodes)."""
+    the weights collapsed by the binomial theorem (their arrangement pinned
+    against the basis-sum oracle; see module docstring).  With modulus=True
+    it is the same sum with each coefficient's modulus, sum_n |c_n|
+    (|V| (a + b))^n, V = g.V (a column for nodes)."""
     f = math.factorial
     B, V = g.B, g.V
     c = [pochhammer(1 - 2 * B + m, n) * g.num.gamma(2 * B - n) / (f(m - n) * f(n))
@@ -544,18 +534,17 @@ def kernel_km(
 
 
 def _series(
-    terms: Callable[[PairGeometry, int], np.ndarray], const: Callable, p: float,
-    shift: float, ctrl: SeriesControl,
+    series: Callable[[PairGeometry], tuple], p: float, shift: float, ctrl: SeriesControl,
 ) -> Callable[[PairGeometry, int], tuple]:
-    """The j-series paths' summed (_evaluate): const(pair) x the bilateral
-    series of terms(pair, J), summed by the window routine under one rule at
-    both precisions, its window from J = 32, at 34 digits from the binary64
-    stop on."""
+    """The j-series paths' summed (_evaluate): series(pair) -> (terms, const),
+    const x the bilateral series of terms(J), summed by the window routine
+    under one rule at both precisions, its window from J = 32, at 34 digits
+    from the binary64 stop on."""
 
     def summed(e: PairGeometry, start: int):
+        terms, scale = series(e)
         J0 = max(start // 2, 32)  # at 34 digits, the binary64 stop
-        total, tail, gross, J = _sum_window(lambda J: terms(e, J), p, shift, e, ctrl, J0)
-        scale = const(e)
+        total, tail, gross, J = _sum_window(terms, p, shift, e, ctrl, J0)
         condition = gross / max(abs(total), 1e-300)
         return complex(scale * total), condition, abs(scale) * tail, 2 * J + 1
 
@@ -592,9 +581,9 @@ def kernel_basis_sum_oracle(
     # ||phi_0||^2 is a common factor: its binary64 rounding (about
     # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
     # the extended sum as well
-    norm0 = basis_norm_sq(0, m, params)
+    const = (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, params)
     return _evaluate("basis_sum", z, w, params, rounding_rtol, _series(
-        terms, lambda g: (-4) ** m * math.factorial(m) ** 2 / norm0,
+        lambda g: (lambda J: terms(g, J), const),
         2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
     ))
 
@@ -625,7 +614,7 @@ def kernel_jacobi_product_sum(
         return g.num.exp(log_terms) * pz * pw
 
     return _evaluate("jacobi_product", z, w, params, rounding_rtol, _series(
-        terms, lambda g: _prefactor(m, g) * math.factorial(m),
+        lambda g: (lambda J: terms(g, J), _prefactor(m, g) * math.factorial(m)),
         2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
     )).value
 
@@ -635,31 +624,23 @@ def _k0_product(
 ) -> KernelEvaluation:
     B = _integer_B(params, "product-formula path")
 
-    # j/(R^(2j)-1): decays like j R^(-2j) for j -> +inf but grows linearly
-    # for j -> -inf (the decay there comes from (z conj(w))^j); evaluated
-    # overflow-free per sign (n = |j|), with the j = 0 limit 1/(2 log R)
-    def terms(g: PairGeometry, J: int):
-        j = np.arange(-J, J + 1, dtype=g.num.dtype)
-        n = np.where(j == 0, 1, abs(j))
-        decay = g.R ** (-2 * n)
-        base = np.where(
-            j > 0, n * decay / (1 - decay), np.where(j < 0, n / (1 - decay), 1 / (2 * g.log_R))
-        )
-        poly = 1
-        for q in range(1, B):
-            poly = poly * (1 + (j * g.log_R) ** 2 / (g.num.pi * q) ** 2)
-        return base * poly * g.num.exp(j * g.num.clog(g.z * g.w.conjugate()))
+    # K_0 = prefactor x sigma_00 (_theta), its bracket n R^-n/(1 - R^-2n) at
+    # n = |j| (1/(2 log R) at n = 0); R^-|j| t^j is u^j for j < 0 and
+    # (u/R^2)^j for j > 0, u = z conj(w): both decay, so no term overflows
+    def series(g: PairGeometry):
+        P, u = _theta_polynomial(0, 0, g), g.z * g.w.conjugate()
+        log_u = g.num.clog(u), g.num.clog(u / g.R**2)
 
-    def const(g: PairGeometry):
-        u = g.z * g.w.conjugate()
-        return (
-            (2 * g.num.pi) ** (2 * B - 2)
-            * math.factorial(B - 1) ** 2
-            / (g.num.pi * g.num.gamma(2 * B - 1) * u**B * g.log_R ** (2 * B - 2))
-        )
+        def terms(J: int):
+            j = np.arange(-J, J + 1, dtype=g.num.dtype)
+            n = np.where(j == 0, 1, abs(j))
+            base = np.where(j == 0, 1 / (2 * g.log_R), n / (1 - g.R ** (-2 * n)))
+            return base * np.polyval(P[::-1], j) * g.num.exp(j * np.where(j < 0, *log_u))
+
+        return terms, _prefactor(0, g) * 2 * g.log_R * g.t ** (-B)
 
     return _evaluate(
-        "product_formula", z, w, params, rounding_rtol, _series(terms, const, 2 * B - 1, 0.0, ctrl)
+        "product_formula", z, w, params, rounding_rtol, _series(series, 2 * B - 1, 0.0, ctrl)
     )
 
 
@@ -669,14 +650,13 @@ def kernel_k0_integer_product(
 ) -> complex:
     """Integer-B product form of the analytic kernel:
 
-        K_0 = (2 pi)^(2B-2) Gamma(B)^2
-              / (pi Gamma(2B-1) (z conj(w))^B log(R)^(2B-2))
-              * sum_j [j/(R^(2j)-1)] prod_{q=1}^{B-1} (1 + (j log R)^2/(pi q)^2)
-                      (z conj(w))^j,
+        K_0 = (2 pi)^(2B-2) / (pi Gamma(2B-1) (z conj(w))^B log(R)^(2B-2))
+              * sum_n [n R^n/(R^(2n)-1)] P_00(n) t^n,
 
-    j = 0 coefficient by its limit 1/(2 log R).  Requires integer B >= 1.
-    With rounding_rtol set, cancellation-limited sums escalate to extended
-    precision.
+    sigma_00's polynomial P_00(n) = Gamma(B)^2 prod_{q<B} (1 + (n log R/
+    (pi q))^2) (_theta_polynomial) summed term by term, the n = 0 bracket
+    by its limit 1/(2 log R).  Requires integer B >= 1.  With rounding_rtol
+    set, cancellation-limited sums escalate to extended precision.
     """
     return _k0_product(z, w, params, ctrl, rounding_rtol).value
 
@@ -715,46 +695,39 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
-def _sigma_theta(k: int, l: int, g: PairGeometry, L: Callable[[int], tuple]):
-    """sigma_{k,l} via the theta contraction, with its rounding majorant.
+def _theta_polynomial(k: int, l: int, g: PairGeometry) -> np.ndarray:
+    """The coefficients, ascending in n and in the pair's number type, of
 
-    L(s) gives L_s and G_s, the gross sum of its Lambert terms.  The
-    majorant, |prefactor| times the summed |c_p| G_(p+2)/2^(p+2) and the
-    p = 0 constant, holds the cancellation inside each Lambert series and
-    the one against 1/(2 log R) that makes sigma small near kernel zeros.
-    """
-    B = int(round(g.params.B))
-    c, log_R = g.radial_scale, g.log_R
-    c0 = B - max(k, l)
+        P_kl(n) = (c0-1)!^2 G(n) W(n),  c0 = B - max(k, l),
+        Gamma(B-k + i n c) Gamma(B-l - i n c) = 2 log R [n R^n/(R^(2n)-1)] P_kl(n),
 
-    # gap polynomial G(n): prod_(p=0)^(|k-l|-1) (c0 + p +- i n c), sign +i for
-    # k < l (gap sits in the first Gamma factor), -i for k > l
-    P = np.array([1.0 + 0.0j])
-    sign = 1.0 if k < l else -1.0
+    with the gap polynomial G(n) = prod_(p<|k-l|) (c0 + p +- i n c) (+i for
+    k < l, the gap sitting in the first Gamma factor; -i for k > l) and
+    W(n) = prod_(q<c0) (1 + (n log R/(pi q))^2), the elementary product."""
+    c0 = int(round(g.params.B)) - max(k, l)
+    P = np.array([math.factorial(c0 - 1) ** 2 + 0.0j])
     for p in range(abs(k - l)):
-        P = np.convolve(P, np.array([c0 + p, sign * 1j * c]))
+        P = np.convolve(P, np.array([c0 + p, (1j if k < l else -1j) * g.radial_scale]))
     for q in range(1, c0):
-        P = np.convolve(P, np.array([1.0, 0.0, (log_R / (g.num.pi * q)) ** 2]))
-
-    total = 1.0 / (2.0 * log_R) * P[0]
-    gross = abs(total)
-    for p, cp in enumerate(P):
-        if cp == 0.0:
-            continue
-        value, G = L(p + 2)
-        total += cp * (0.5j) ** p * value / 4.0  # i^p L_(p+2) / 2^(p+2)
-        gross += abs(cp) * 0.5**p * G / 4.0
-
-    pref = g.t ** (-B) * 2.0 * log_R * math.factorial(c0 - 1) ** 2
-    return pref * total, abs(pref) * gross
+        P = np.convolve(P, np.array([1.0, 0.0, (g.log_R / (g.num.pi * q)) ** 2]))
+    return P
 
 
 def _theta(
     ctrl: SeriesControl, rounding_rtol: float | None,
-    contraction: Callable[[PairGeometry, Callable[[int], tuple]], tuple],
+    polynomial: Callable[[PairGeometry], tuple],
 ) -> Callable[[PairGeometry, int], tuple]:
-    """The theta path's summed (_evaluate): contraction(pair, L) -> (value,
-    rounding majorant), L the log-derivatives of the pair's Lambert table.
+    """The theta path's summed (_evaluate): polynomial(pair) -> (P, M), the
+    coefficients P_p (ascending in n) of a polynomial P(n) and majorants M_p
+    of their moduli, built once per evaluation.  The value is
+
+        t^(-B) 2 log R sum_n [n R^n/(R^(2n)-1)] P(n) t^n
+            = t^(-B) 2 log R [P_0/(2 log R) + sum_p P_p i^p L_(p+2)/2^(p+2)],
+
+    L_s = (log theta_4)^(s) at z0 = (i/2) log t (the pair's Lambert table);
+    its rounding majorant, the same sum over M_p with each L_s charged at
+    G_s, the gross sum of its Lambert terms, holds the cancellation inside
+    each Lambert series and the one against 1/(2 log R).
 
     Every order is summed at the target, each within target x |L_s|, so the
     truncation is at most target x the majorant = target x condition x
@@ -767,11 +740,19 @@ def _theta(
     """
 
     def summed(e: PairGeometry, start: int):
-        table = LambertTable(0.5j * e.num.clog(e.t), e.R)  # at z0 = (i/2) log t
+        P, M = polynomial(e)
+        pref = e.t ** -int(round(e.params.B)) * 2.0 * e.log_R
+        table = LambertTable(0.5j * e.num.clog(e.t), e.R)
         target = tol = ctrl.tolerance if e.num is _BINARY64 else min(ctrl.tolerance, _EPS)
         while True:
             eff = replace(ctrl, tolerance=tol)
-            value, gross = contraction(e, functools.cache(lambda s: table.derivative(s, eff)))
+            total, gross = (1.0 / (2.0 * e.log_R) * x[0] for x in (P, M))
+            for p, (cp, bound) in enumerate(zip(P, M)):
+                if bound:
+                    L, G = table.derivative(p + 2, eff)
+                    total += cp * (0.5j) ** p * L / 4.0  # i^p L_(p+2) / 2^(p+2)
+                    gross += bound * 0.5**p * G / 4.0
+            value, gross = pref * total, abs(pref) * gross
             condition = gross / max(abs(value), 1e-300)
             certified = tol * gross <= target * abs(value)
             if certified or _rounding_exceeds(e.num, condition, rounding_rtol):
@@ -786,57 +767,58 @@ def sigma_theta_path(
     k: int, l: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> complex:
-    """sigma_{k,l} rebuilt from logarithmic derivatives of theta_4 (integer B).
-
-    After the index shift j -> n - B, the Gamma pair at integer offset
-    c0 = B - max(k,l) factors through the elementary product
-
-        Gamma(c0 + i n c) Gamma(c0 - i n c)
-            = 2 log R Gamma(c0)^2 [n R^n/(R^(2n)-1)] W(n),
-
-    times a gap polynomial G(n) for k != l.  Writing G(n) W(n) = sum_p c_p n^p,
-    each power contracts against a theta_4 log-derivative at
-    z0 = (i/2) log(z conj(w)/R):
-
-        sum_n n^p [n R^n/(R^(2n)-1)] t^n = delta_(p,0)/(2 log R) + i^p L_(p+2)/2^(p+2),
-
-    L_s = (log theta_4)^(s)(z0).  The result carries the t^(-B) prefactor
-    from the shift.  Truncation and escalation are kernel_km_theta's
-    (_theta): within ctrl.tolerance x |sigma|, and at 34 digits when
-    eps x the condition exceeds rounding_rtol.
+    """sigma_{k,l} rebuilt from logarithmic derivatives of theta_4 (integer
+    B): after the index shift j -> n - B its Gamma pair is 2 log R
+    [n R^n/(R^(2n)-1)] P_kl(n) (_theta_polynomial), and _theta contracts
+    each power n^p of P_kl against one L_(p+2) = (log theta_4)^(p+2) at
+    z0 = (i/2) log(z conj(w)/R).  Truncation and escalation are
+    kernel_km_theta's: within ctrl.tolerance x |sigma|, and at 34 digits
+    when eps x the condition exceeds rounding_rtol.
     """
     B = _integer_B(params, "theta path")
     if k < 0 or l < 0 or B - max(k, l) < 1:
         raise DomainError(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
-    return _evaluate("theta", z, w, params, rounding_rtol, _theta(
-        ctrl, rounding_rtol, lambda e, L: _sigma_theta(k, l, e, L)
-    )).value
+
+    def polynomial(e: PairGeometry):
+        P = _theta_polynomial(k, l, e)
+        return P, np.abs(P)
+
+    summed = _theta(ctrl, rounding_rtol, polynomial)
+    return _evaluate("theta", z, w, params, rounding_rtol, summed).value
 
 
 def kernel_km_theta(
     m: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
 ) -> KernelEvaluation:
-    """K_m assembled with every sigma_{k,l} taken through the theta path.
-
-    Integer B only; admissible m automatically satisfies B - m >= 1 there.
-    terms_used is the largest j of the pair's Lambert table.  The tail bound
-    is within ctrl.tolerance x |value|; the condition includes the
-    cancellation inside each theta contraction and Lambert series (_theta).
-    With rounding_rtol set, an evaluation whose rounding exceeds it is
-    redone at 34 digits, and refused when that sum keeps no digit within it.
+    """K_m through the theta path (integer B; admissible m has B - m >= 1):
+    _theta contracts one polynomial, prefactor x sum_{k+l<=m} weight_{k,l}
+    P_kl (weights of _level_polynomial; P_00's degree 2B - 2 is the largest),
+    with its majorant summed term by term.  terms_used is the largest j of
+    the pair's Lambert table.  The tail bound is within ctrl.tolerance x
+    |value|; the condition includes the cancellation inside the contraction
+    and each Lambert series.  With rounding_rtol set, an evaluation whose
+    rounding exceeds it is redone at 34 digits, and refused when that sum
+    keeps no digit within it.
     """
     require_admissible(m, params)
     _integer_B(params, "theta path")
 
-    def kernel(e: PairGeometry, L):
-        total, majorant = _contract(m, e.B, e.V, lambda k, l: _sigma_theta(k, l, e, L))
-        pref = _prefactor(m, e)
-        return pref * total, abs(pref) * majorant
+    def polynomial(e: PairGeometry):
+        f, pref = math.factorial, _prefactor(m, e)
+        terms = [(pochhammer(1 - 2 * e.B + m, k + l) / (f(m - k - l) * f(k) * f(l))
+                  * e.V**l * e.V.conjugate() ** k, _theta_polynomial(k, l, e))
+                 for l in range(m + 1) for k in range(m + 1 - l)]
+        (weight, p), *rest = terms  # (0, 0): P_00 has the largest degree
+        P, M = weight * p, abs(weight) * np.abs(p)
+        for weight, p in rest:
+            P[: p.size] += weight * p
+            M[: p.size] += abs(weight) * np.abs(p)
+        return pref * P, abs(pref) * M
 
-    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, rounding_rtol, kernel))
+    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, rounding_rtol, polynomial))
 
 
 def inversion_covariance_residual(

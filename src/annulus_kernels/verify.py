@@ -167,10 +167,6 @@ class SuiteReport:
         del out["runtime_s"]
         return out
 
-    @property
-    def max_residual(self) -> float:
-        return max((r.value for r in self.residuals), default=0.0)
-
 
 def sample_points(
     params: AnnulusParams, n: int, seed: int

@@ -123,14 +123,16 @@ def test_eval_unknown_path_exits_2():
 
 
 def test_eval_exhausted_budget_exits_3():
-    # the image count grows like log R: R = 1e6 at B - m = 0.75 needs more
-    # than 57 images
-    code, _, err = run_cli(
-        ["eval", "--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i",
-         "--max-terms", "16"]
-    )
-    assert code == 3
-    assert "16 terms" in err
+    for argv in [
+        # the image count grows like log R: R = 1e6 at B - m = 0.75 needs
+        # more than 57 images
+        ["--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i"],
+        # the cap binds the product formula's j-window below its 65-term start
+        ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "product"],
+    ]:
+        code, _, err = run_cli(["eval", *argv, "--max-terms", "16"])
+        assert code == 3
+        assert "16 terms" in err
 
 
 def test_grid_exhausted_budget_exits_3():
