@@ -36,7 +36,13 @@ for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
 kernel_km_grid sum through one closed-form summation (_closed_form over
 _image_sum), on one pair geometry (_pair) for a point or a node array w,
-so a pair's value is its node's in any grid.
+over one window of images per annulus and image count (_window), with one
+stop test for every node.  The elementwise stage runs in row blocks of
+about _BLOCK node-images, so the temporaries of a quadrature row stay
+cache-sized and are reused from call to call rather than mapped afresh; a
+pair, or an array of at most 2 _BLOCK node-images, is one block.  A
+pair's value is its node's in any grid to the last bits only: numpy's
+vector loops round an element by its position.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
 from one Lambert table per pair (special.LambertTable), in numpy over j in
@@ -106,11 +112,12 @@ KERNEL_PATHS = ("closed_form", "basis_sum", "theta", "product_formula")
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Numbers:
     """The functions a number type is evaluated with, and its unit
     roundoff eps.  exp, clogs (the complex log) and loggamma act elementwise
-    on arrays; index arrays j have dtype."""
+    on arrays; index arrays j have dtype.  Each type has one instance,
+    compared and hashed by identity."""
 
     eps: float
     dtype: type
@@ -362,7 +369,7 @@ def _prefactor(m: int, g: PairGeometry):
 def _level_polynomial(m: int, g: PairGeometry) -> Callable:
     """The (k, l) contraction of kernel_km's image terms,
 
-        poly(a, b) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
+        poly(a, b, V) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
                    = sum_n c_n u^n,  u = conj(V) a + V b,
         weight_{k,l} = (1-2B+m)_(k+l) / ((m-k-l)! k! l!) V^l conj(V)^k,
         c_n = (1-2B+m)_n Gamma(2B-n) / ((m-n)! n!),
@@ -370,13 +377,14 @@ def _level_polynomial(m: int, g: PairGeometry) -> Callable:
     the weights collapsed by the binomial theorem (their arrangement pinned
     against the basis-sum oracle; see module docstring).  With modulus=True
     it is the same sum with each coefficient's modulus, sum_n |c_n|
-    (|V| (a + b))^n, V = g.V (a column for nodes)."""
+    (|V| (a + b))^n; V is the pair's (a column for nodes, or a block of
+    its rows)."""
     f = math.factorial
-    B, V = g.B, g.V
+    B = g.B
     c = [pochhammer(1 - 2 * B + m, n) * g.num.gamma(2 * B - n) / (f(m - n) * f(n))
          for n in range(m + 1)]
 
-    def poly(a, b, modulus: bool = False):
+    def poly(a, b, V, modulus: bool = False):
         coef = [abs(x) for x in c] if modulus else c
         total = coef[m]
         if m:  # Horner in u
@@ -390,8 +398,9 @@ def _level_polynomial(m: int, g: PairGeometry) -> Callable:
 
 def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
     """The image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l)
-    at the pair's t (one row per node), given poly(a, b) = sum coef_{k,l} a^k b^l over
-    k <= k_max, l <= l_max (with modulus=True: the coefficients' moduli).
+    at the pair's t (one row per node), given poly(a, b, V) = sum coef_{k,l}
+    a^k b^l over k <= k_max, l <= l_max at the pair coordinate V (with
+    modulus=True: the coefficients' moduli).
 
     Over a family the term bound of the module docstring sums to
     (2 pi/c) |t|^(-B) e^(-BX) (1 - e^-X)^(-2B) poly(1 - e^-X, e^X - 1) at
@@ -406,6 +415,13 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
     ctrl.max_terms images the sum is refused.  The majorant charges each
     term its modulus times 1 + |log h|, as exp amplifies the rounding of
     its argument.  Returns the sums, tail bounds, majorants and images.
+
+    Every node sums one window of images (_window, shared by all pairs of
+    the annulus) under one stop test; its elementwise stage runs over row
+    blocks of about _BLOCK node-images (_row_blocks), so that its
+    temporaries stay small, each block contracted at its own rows of V.  A
+    pair's sum is its node's in any batch only to the last bits: numpy's
+    vector loops (exp, log) round an element by its position.
     """
     num, B = g.num, g.B
     log_t = num.clogs(np.reshape(g.t, (-1, 1)))  # one row per t
@@ -413,6 +429,17 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
     q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
     unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
     scale = np.abs(np.asarray(unit, dtype=complex))
+
+    def stage(q0, V, step, phase):  # net and gross image sums of a block of rows
+        q = q0 * step  # e^(xi_nu/2)
+        q_inv = 1 / q
+        s = q + q_inv  # 2 cosh(xi_nu/2)
+        log_h = phase - 2 * B * num.clogs(s)
+        h = num.exp(log_h)
+        a_nu, b_nu = s * q_inv, s * q  # 1 + e^(-xi_nu), 1 + e^(xi_nu)
+        return (h * poly(a_nu, b_nu, V)).sum(axis=-1), (
+            abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), V, modulus=True)
+        ).sum(axis=-1)
 
     # counts and bounds in binary64, with the slowest decay of each side
     eps, d, b = num.eps, float(spacing), float(B)
@@ -423,17 +450,14 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
         for rate in rates
     )
     while n_plus + n_minus + 1 <= ctrl.max_terms:
-        nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
-        q = q0 * num.exp(spacing / 2 * nu)  # e^(xi_nu/2)
-        q_inv = 1 / q
-        s = q + q_inv  # 2 cosh(xi_nu/2)
-        log_h = 2j * num.pi * B * nu - 2 * B * num.clogs(s)
-        h = num.exp(log_h)
-        a_nu, b_nu = s * q_inv, s * q  # 1 + e^(-xi_nu), 1 + e^(xi_nu)
-        total = unit[:, 0] * (h * poly(a_nu, b_nu)).sum(axis=-1)
-        gross = scale[:, 0] * (
-            abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), modulus=True)
-        ).sum(axis=-1)
+        window = _window(num, spacing, B, n_minus, n_plus)
+        blocks = _row_blocks(len(q0), n_plus + n_minus + 1)
+        if blocks is None:
+            net, gross = stage(q0, g.V, *window)
+        else:
+            net, gross = (np.concatenate(x) for x in zip(
+                *(stage(q0[rows], g.V[rows], *window) for rows in blocks)))
+        total, gross = unit[:, 0] * net, scale[:, 0] * gross
         bound = 0.0
         for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
             # no further out than binary64 holds e^(X max(k, l)): a smaller X
@@ -441,7 +465,8 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
             X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
             near, far = -math.expm1(-X), math.expm1(X)
             factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
-            bound = bound + factor * poly(*((far, near) if minus else (near, far)), modulus=True)
+            ends = (far, near) if minus else (near, far)
+            bound = bound + factor * poly(*ends, g.V, modulus=True)
         bound = (scale * np.asarray(bound, dtype=float))[:, 0]
         limit = ctrl.tolerance * np.abs(np.asarray(total, dtype=complex))
         excess = (bound / (limit + eps * np.asarray(gross, dtype=float))).max()
@@ -455,6 +480,35 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
         f"image sum did not reach tolerance {ctrl.tolerance} within "
         f"{ctrl.max_terms} terms ({n_plus + n_minus + 1} images needed)"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _window(num: _Numbers, spacing, B, n_minus: int, n_plus: int) -> tuple:
+    """e^(d nu/2) and 2 pi i B nu over the images nu = -n_minus..n_plus,
+    d = spacing, in the number type num: independent of the pair, so built
+    once per annulus and window (read-only; at 34 digits their mpf inputs
+    fix the precision)."""
+    nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
+    window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu
+    for x in window:
+        x.flags.writeable = False
+    return window
+
+
+# node-images per block of _image_sum's stage: 64 KiB per complex temporary.
+# Blocks of 16384 (256 KiB temporaries) still page-faulted on every call
+# of a fresh process, as one whole 12288-node row does
+_BLOCK = 4096
+
+
+def _row_blocks(rows: int, images: int) -> list[slice] | None:
+    """Equal row blocks of about _BLOCK node-images each, or None when all
+    rows x images, at most 2 _BLOCK, make one block."""
+    if rows * images <= 2 * _BLOCK:
+        return None
+    count = -(-rows * images // _BLOCK)  # ceil(node-images / _BLOCK)
+    size = -(-rows // count)
+    return [slice(start, start + size) for start in range(0, rows, size)]
 
 
 def sigma_kl(
@@ -475,7 +529,7 @@ def sigma_kl(
 
     def sigma(e: PairGeometry):
         gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
-        return (lambda a, b, modulus=False: gamma * a**k * b**l), 1
+        return (lambda a, b, V, modulus=False: gamma * a**k * b**l), 1
 
     return _evaluate(
         "closed_form", z, w, params, rounding_rtol, _closed_form(sigma, k, l, ctrl)
@@ -524,7 +578,8 @@ def kernel_km(
     rounding_rtol is given and that bound exceeds it, the value is
     recomputed at 34 digits and reported with precision="extended", and a
     34-digit value whose own rounding exceeds the budget raises
-    ConvergenceError.  The value equals kernel_km_grid's at the node w.
+    ConvergenceError.  The value is kernel_km_grid's at the node w, to the
+    last bits (_image_sum).
     """
     require_admissible(m, params)
     return _evaluate(
@@ -568,8 +623,16 @@ def kernel_basis_sum_oracle(
     factors absorbed into the effective ratio) drops below
     tol * |partial sum|.  When rounding_rtol is given and machine epsilon
     times the gross-to-net condition exceeds it, the same per-term formula
-    is summed again at 34 digits under the same rule.
+    is summed again at 34 digits under the same rule.  At most 8192 terms
+    are summed.
     """
+    return _basis_sum(m, z, w, params, SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol)
+
+
+def _basis_sum(
+    m: int, z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
+) -> KernelEvaluation:
+    """The basis-sum oracle summed under ctrl (kernel_basis_sum_oracle)."""
     require_admissible(m, params)
 
     def terms(g: PairGeometry, J: int):
@@ -583,8 +646,7 @@ def kernel_basis_sum_oracle(
     # the extended sum as well
     const = (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, params)
     return _evaluate("basis_sum", z, w, params, rounding_rtol, _series(
-        lambda g: (lambda J: terms(g, J), const),
-        2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
+        lambda g: (lambda J: terms(g, J), const), 2.0 * params.B - 1.0, params.B, ctrl,
     ))
 
 
@@ -860,10 +922,14 @@ def kernel_km_grid(
     One set of images, as many as the most demanding node needs, serves
     every node, so each node's truncation is certified as kernel_km's, and
     each node is kernel_km(m, z, w) within that value's certificate (tail
-    bound plus eps x condition x |K|); neither is reported.  Nodes are
-    refused as pointwise pairs are: off the interior (DomainError), a decay
-    ratio within BOUNDARY_MARGIN of 1, or more than ctrl.max_terms images
-    (ConvergenceError).  Intended for quadrature node sets and plot grids.
+    bound plus eps x condition x |K|); neither is reported.  The terms are
+    formed in row blocks of about _BLOCK node-images (_image_sum), which
+    changes neither the images nor the stop test; a node's value matches
+    kernel_km's to the last bits, as numpy's vector loops round an element
+    by its position.  Nodes are refused as pointwise pairs are: off the
+    interior (DomainError), a decay ratio within BOUNDARY_MARGIN of 1, or
+    more than ctrl.max_terms images (ConvergenceError).  Intended for
+    quadrature node sets and plot grids.
     """
     require_admissible(m, params)
     w = np.asarray(w_nodes, dtype=complex)
@@ -888,10 +954,8 @@ def kernel_by_path(
     if path == "closed_form":
         return kernel_km(m, z, w, params, ctrl, rounding_rtol=rounding_rtol)
     if path == "basis_sum":
-        return kernel_basis_sum_oracle(
-            m, z, w, params, tol=max(ctrl.tolerance, 1e-12),
-            rounding_rtol=rounding_rtol,
-        )
+        eff = replace(ctrl, tolerance=max(ctrl.tolerance, 1e-12))
+        return _basis_sum(m, z, w, params, eff, rounding_rtol)
     if path == "theta":
         return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=rounding_rtol)
     if m != 0:

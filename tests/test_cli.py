@@ -129,6 +129,8 @@ def test_eval_exhausted_budget_exits_3():
         ["--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i"],
         # the cap binds the product formula's j-window below its 65-term start
         ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "product"],
+        # and the basis-sum oracle's alike
+        ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "basis_sum"],
     ]:
         code, _, err = run_cli(["eval", *argv, "--max-terms", "16"])
         assert code == 3

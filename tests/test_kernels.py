@@ -871,9 +871,36 @@ def test_grid_truncation_within_tolerance_of_max(R, B):
             assert np.abs(got - ref).max() <= (1e-12 + GRID_ROUNDING) * scale
 
 
+@pytest.mark.parametrize("R,B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_grid_blocks_match_one_block(R, B, monkeypatch):
+    # the image sum's row blocks change no window and no stop test: rows cut
+    # into blocks of 64 node-images (1021 nodes, no multiple of any block
+    # size) agree with the whole row summed as one block to the rounding
+    # numpy's vector loops make by position, and sum as many images
+    p = AnnulusParams(R=R, B=B)
+    row = annulus_nodes(p, QuadratureSpec(n_angular=32, n_radial=32))[0].ravel()
+    z = polar_point(0.325 * math.pi, 0.7, p)
+    for nodes in (row, row[:-3]):
+        for m in admissible_levels(p):
+            whole = kernel_km(m, z, nodes, p)
+            pointwise = [kernel_km(m, z, w, p).terms_used for w in nodes[::97]]
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_BLOCK", 64)
+                blocks = kernels._row_blocks(nodes.size, whole.terms_used)
+                assert len(blocks) > 1 and blocks[-1].stop >= nodes.size
+                cut = kernel_km(m, z, nodes, p)
+                grid = kernel_km_grid(m, z, nodes, p)
+                assert [kernel_km(m, z, w, p).terms_used for w in nodes[::97]] == pointwise
+            assert cut.terms_used == whole.terms_used
+            scale = np.abs(whole.value).max()
+            assert np.abs(cut.value - whole.value).max() <= 4 * np.finfo(float).eps * scale
+            assert np.array_equal(grid, cut.value)
+
+
 def test_grid_chunks_match_separate_halves():
-    # each half of 1280 nodes is evaluated alone, with its own image count,
-    # so the two agree to both certificates
+    # each half of 1280 nodes is evaluated alone, with its own image count
+    # (one set of images serves a whole node array, cut into row blocks or
+    # not), so the two agree to both certificates
     nodes = annulus_nodes(P43, QuadratureSpec(n_angular=32, n_radial=40))[0].ravel()
     assert nodes.size > 1024
     for m in admissible_levels(P43):

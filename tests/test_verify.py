@@ -280,11 +280,23 @@ def _fresh_python(code: str, *args: str) -> str:
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", "mpmath"])
 def test_cold_start_leaves_module_unloaded(module, tmp_path):
     # the closed form and the grid need numpy alone: scipy.special serves
-    # the reference paths and the suites, scipy.integrate one quad call of
-    # the special-functions suite, mpmath the 34-digit evaluation
+    # the reference paths and the suites, mpmath the 34-digit evaluation;
+    # scipy.integrate loads nowhere (test_special_functions_suite_needs_no_scipy_integrate)
     out = _fresh_python(_COLD_START, module, str(tmp_path / "grid.csv"))
     assert out.splitlines() == ["import False", "eval 0 False", "grid 0 False"]
     assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 3 * 4
+
+
+def test_special_functions_suite_needs_no_scipy_integrate():
+    # its cauchy-beta-integral reference is the cached Gauss-Legendre rule
+    code = """
+import sys
+from annulus_kernels import AnnulusParams
+from annulus_kernels.verify import run_suite
+report = run_suite("special-functions", AnnulusParams(R=4.0, B=3.0))
+print(all(r.value <= r.tolerance for r in report.residuals), "scipy.integrate" in sys.modules)
+"""
+    assert _fresh_python(code).splitlines() == ["True False"]
 
 
 def test_deferred_imports_load_on_first_use():
