@@ -6,10 +6,11 @@ Four independent evaluation paths are implemented and cross-checked:
                    series contracted against powers of V and conj(V)),
                    each summed as its Poisson dual (below),
   basis_sum        the ground-truth oracle  K_m = sum_j Phi_j(z) conj(Phi_j(w))
-                   built from the orthonormal basis and the closed-form norms,
+                   built from the orthonormal basis and the closed-form norms
+                   (the Jacobi product, kernel_jacobi_product_sum, is its sum),
   theta            integer B only: each sigma-series collapsed to finitely
                    many logarithmic derivatives of theta_4 via the elementary
-                   Gamma-pair product,
+                   Gamma-pair products P_kl (_theta_polynomial),
   product_formula  integer B, m = 0 only: sigma_00's theta polynomial summed
                    term by term.
 
@@ -346,15 +347,6 @@ def _sum_window(
         J *= 2
 
 
-def _ladder(g: PairGeometry, J: int, m: int):
-    """log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, from the log-Gamma
-    ladder loggamma(B - m + mu_j), mu_j = i (j + B) log(R)/pi; and mu_j."""
-    j = np.arange(-J, J + 1, dtype=g.num.dtype)
-    mu = 1j * (j + g.B) * g.radial_scale
-    lg = g.num.loggamma(g.B - m + mu)
-    return lg + lg.conj() + j * g.num.clog(g.t), mu
-
-
 def _prefactor(m: int, g: PairGeometry):
     """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
     the (k, l) contraction."""
@@ -636,7 +628,11 @@ def _basis_sum(
     require_admissible(m, params)
 
     def terms(g: PairGeometry, J: int):
-        log_terms, mu = _ladder(g, J, m)
+        # log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, mu_j = i (j + B) log(R)/pi
+        j = np.arange(-J, J + 1, dtype=g.num.dtype)
+        mu = 1j * (j + g.B) * g.radial_scale
+        lg = g.num.loggamma(g.B - m + mu)
+        log_terms = lg + lg.conj() + j * g.num.clog(g.t)
         jac = JacobiParams(-g.B - mu, -g.B + mu, m)
         radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
         return g.num.exp(log_terms - log_terms[J]) * radial  # j = 0 sits at J
@@ -661,24 +657,13 @@ def kernel_jacobi_product_sum(
 
     gamma_m = (2 pi)^(2B-3) m! (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)).
 
-    Term-by-term this is the basis sum with the radial polynomials written
-    as complex-parameter Jacobi values; it exercises the Jacobi plumbing and
-    the norm closed form jointly, independently of the sigma machinery.
-    With rounding_rtol set, cancellation-limited sums escalate to extended
-    precision (same formula, same rule).
+    By P_m^(a,b)(-x) = (-1)^m P_m^(b,a)(x) (the special-functions suite's
+    jacobi-symmetry check) each term is the basis-sum oracle's, so this is
+    kernel_basis_sum_oracle's value: the same sum under the same tolerance,
+    8192-term cap and escalation.
     """
-    require_admissible(m, params)
-
-    def terms(g: PairGeometry, J: int):
-        log_terms, mu = _ladder(g, J, m)
-        pz = jacobi_poly(JacobiParams(-g.B - mu, -g.B + mu, m), 1j * g.X)
-        pw = jacobi_poly(JacobiParams(-g.B + mu, -g.B - mu, m), -1j * g.Y)
-        return g.num.exp(log_terms) * pz * pw
-
-    return _evaluate("jacobi_product", z, w, params, rounding_rtol, _series(
-        lambda g: (lambda J: terms(g, J), _prefactor(m, g) * math.factorial(m)),
-        2.0 * params.B - 1.0, params.B, SeriesControl(tolerance=tol, max_terms=8192),
-    )).value
+    ctrl = SeriesControl(tolerance=tol, max_terms=8192)
+    return _basis_sum(m, z, w, params, ctrl, rounding_rtol).value
 
 
 def _k0_product(
@@ -690,7 +675,7 @@ def _k0_product(
     # n = |j| (1/(2 log R) at n = 0); R^-|j| t^j is u^j for j < 0 and
     # (u/R^2)^j for j > 0, u = z conj(w): both decay, so no term overflows
     def series(g: PairGeometry):
-        P, u = _theta_polynomial(0, 0, g), g.z * g.w.conjugate()
+        P, u = _theta_polynomial(0, 0, B, g.log_R, g.num.pi), g.z * g.w.conjugate()
         log_u = g.num.clog(u), g.num.clog(u / g.R**2)
 
         def terms(J: int):
@@ -757,21 +742,23 @@ def kernel_limit_R_inf(
     raise ConvergenceError("limit kernel series did not converge")
 
 
-def _theta_polynomial(k: int, l: int, g: PairGeometry) -> np.ndarray:
-    """The coefficients, ascending in n and in the pair's number type, of
+def _theta_polynomial(k: int, l: int, B: int, log_R, pi=math.pi) -> np.ndarray:
+    """The coefficients, ascending in n, in the number type of log_R and pi:
 
         P_kl(n) = (c0-1)!^2 G(n) W(n),  c0 = B - max(k, l),
         Gamma(B-k + i n c) Gamma(B-l - i n c) = 2 log R [n R^n/(R^(2n)-1)] P_kl(n),
 
-    with the gap polynomial G(n) = prod_(p<|k-l|) (c0 + p +- i n c) (+i for
-    k < l, the gap sitting in the first Gamma factor; -i for k > l) and
-    W(n) = prod_(q<c0) (1 + (n log R/(pi q))^2), the elementary product."""
-    c0 = int(round(g.params.B)) - max(k, l)
+    c = log(R)/pi, for integer B, with the gap polynomial G(n) =
+    prod_(p<|k-l|) (c0 + p +- i n c) (+i for k < l, the gap sitting in the
+    first Gamma factor; -i for k > l) and W(n) = prod_(q<c0) (1 + (n log R/
+    (pi q))^2), the elementary product.  The special-functions suite checks
+    it against log_gamma (gamma-pair-product-path)."""
+    c0 = B - max(k, l)
     P = np.array([math.factorial(c0 - 1) ** 2 + 0.0j])
     for p in range(abs(k - l)):
-        P = np.convolve(P, np.array([c0 + p, (1j if k < l else -1j) * g.radial_scale]))
+        P = np.convolve(P, np.array([c0 + p, (1j if k < l else -1j) * (log_R / pi)]))
     for q in range(1, c0):
-        P = np.convolve(P, np.array([1.0, 0.0, (g.log_R / (g.num.pi * q)) ** 2]))
+        P = np.convolve(P, np.array([1.0, 0.0, (log_R / (pi * q)) ** 2]))
     return P
 
 
@@ -844,7 +831,7 @@ def sigma_theta_path(
         )
 
     def polynomial(e: PairGeometry):
-        P = _theta_polynomial(k, l, e)
+        P = _theta_polynomial(k, l, B, e.log_R, e.num.pi)
         return P, np.abs(P)
 
     summed = _theta(ctrl, rounding_rtol, polynomial)
@@ -866,12 +853,13 @@ def kernel_km_theta(
     keeps no digit within it.
     """
     require_admissible(m, params)
-    _integer_B(params, "theta path")
+    B = _integer_B(params, "theta path")
 
     def polynomial(e: PairGeometry):
         f, pref = math.factorial, _prefactor(m, e)
         terms = [(pochhammer(1 - 2 * e.B + m, k + l) / (f(m - k - l) * f(k) * f(l))
-                  * e.V**l * e.V.conjugate() ** k, _theta_polynomial(k, l, e))
+                  * e.V**l * e.V.conjugate() ** k,
+                  _theta_polynomial(k, l, B, e.log_R, e.num.pi))
                  for l in range(m + 1) for k in range(m + 1 - l)]
         (weight, p), *rest = terms  # (0, 0): P_00 has the largest degree
         P, M = weight * p, abs(weight) * np.abs(p)

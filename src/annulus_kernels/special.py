@@ -116,35 +116,6 @@ def gamma_abs_sq(x: float, y: float) -> float:
     return math.exp(2.0 * log_gamma(complex(x, y)).real)
 
 
-def gamma_pair_product_integer(B: int, l: int, j: int, R: float) -> float:
-    """Gamma(c + ij log(R)/pi) * Gamma(c - ij log(R)/pi) for integer c = B - l,
-
-        = 2 log(R) * Gamma(c)^2 * j R^j / (R^(2j) - 1)
-          * prod_{q=1}^{c-1} (1 + (j log R)^2 / (pi^2 q^2)),
-
-    with the removable j = 0 singularity replaced by its limit
-    j R^j / (R^(2j) - 1) -> 1 / (2 log R).  The factor j R^j / (R^(2j) - 1)
-    is even in j, so only |j| enters.
-    """
-    c = B - l
-    if c != int(c) or c < 1:
-        raise DomainError(f"gamma pair product requires integer B - l >= 1, got {c}")
-    if not (R > 1.0):
-        raise DomainError(f"requires R > 1, got R={R}")
-    c = int(c)
-    log_R = math.log(R)
-    n = abs(int(j))
-    if n == 0:
-        base = 1.0 / (2.0 * log_R)
-    else:
-        # n R^n / (R^(2n) - 1) = n R^(-n) / (1 - R^(-2n)), overflow-free
-        base = n * R ** (-n) / (1.0 - R ** (-2 * n))
-    poly = 1.0
-    for q in range(1, c):
-        poly *= 1.0 + (n * log_R) ** 2 / (math.pi * q) ** 2
-    return 2.0 * log_R * math.factorial(c - 1) ** 2 * base * poly
-
-
 def pochhammer(a: complex, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1) as an exact product.
 

@@ -50,9 +50,9 @@ from .geometry import (
 )
 from .kernels import (
     _tail_bound,
+    _theta_polynomial,
     inversion_covariance_residual,
     kernel_basis_sum_oracle,
-    kernel_jacobi_product_sum,
     kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
@@ -68,7 +68,6 @@ from .special import (
     SeriesControl,
     cauchy_beta_integral,
     gamma_abs_sq,
-    gamma_pair_product_integer,
     jacobi_poly,
     jacobi_product_bateman,
     log_gamma,
@@ -357,13 +356,24 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
     )
     entries.append(ResidualEntry("gamma-reflection", refl, 1e-10))
 
-    worst = 0.0
-    for c in (1, 2, 3, 4):
-        for R in (2.0, 4.0, 10.0):
-            for j in range(-30, 31):
-                ref = gamma_abs_sq(float(c), j * math.log(R) / math.pi)
-                got = gamma_pair_product_integer(c, 0, j, R)
-                worst = max(worst, abs(got - ref) / ref)
+    # the theta path's Gamma pairs Gamma(B-k + i n c) Gamma(B-l - i n c) =
+    # 2 log R [n R^n/(R^(2n)-1)] P_kl(n) (degree <= 2B - 2), every k, l < B,
+    # against log_gamma, the second factor's the conjugate of a first's;
+    # 2 log R x the bracket is x/sinh(x), x = |n| log R
+    n, worst = np.arange(-30, 31), 0.0
+    for log_R in map(math.log, (2.0, 4.0, 10.0)):
+        x = abs(n) * log_R
+        ratio = np.divide(x, np.sinh(x), out=np.ones_like(x), where=x > 0)
+        lg = log_gamma(np.arange(4.0, 0.0, -1.0)[:, None] + 1j * n * (log_R / math.pi))
+        for B in (1, 2, 3, 4):
+            side = lg[4 - B:]  # loggamma(B - k + i n c), k = 0..B-1
+            P = np.zeros((B, B, 2 * B - 1), dtype=complex)
+            for k, l in np.ndindex(B, B):
+                p = _theta_polynomial(k, l, B, log_R)
+                P[k, l, : p.size] = p
+            got = ratio * (P @ np.vander(n, 2 * B - 1, increasing=True).T)
+            ref = np.exp(side[:, None] + side.conj()[None])
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
     entries.append(ResidualEntry("gamma-pair-product-path", worst, 1e-10))
 
     worst = 0.0
@@ -651,11 +661,13 @@ def _worst_gap(name: str, tol: float, cases, reference, other) -> ResidualEntry:
 
 
 def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
-    """Cross-path agreement.  Every comparison passes a rounding budget of a
-    tenth of its tolerance to both sides, so pairs near the kernel's deep
-    off-diagonal valleys (where gross-to-net cancellation makes binary64
-    rounding dominate) escalate to extended precision instead of polluting
-    the defect."""
+    """Cross-path agreement of the closed form with the basis-sum oracle
+    and, at integer B, the theta path and the product formula (the Jacobi
+    product is the oracle's sum, no second reference).  Every comparison
+    passes a rounding budget of a tenth of its tolerance to both sides, so
+    pairs near the kernel's deep off-diagonal valleys (where gross-to-net
+    cancellation makes binary64 rounding dominate) escalate to extended
+    precision instead of polluting the defect."""
     pairs = sample_pairs(params, opts.n_points, opts.seed + 606)
     cases = [(m, z, w) for m in admissible_levels(params) for z, w in pairs]
     ctrl = opts.ctrl
@@ -666,19 +678,13 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     def oracle(m, z, w):
         return kernel_basis_sum_oracle(m, z, w, params, tol=1e-12, rounding_rtol=1e-9).value
 
-    def jacobi(m, z, w):
-        return kernel_jacobi_product_sum(m, z, w, params, tol=1e-12, rounding_rtol=1e-10)
-
     def theta(m, z, w):
         return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value
 
     def product(m, z, w):
         return kernel_k0_integer_product(z, w, params, ctrl, rounding_rtol=1e-10)
 
-    entries = [
-        _worst_gap("closed-vs-basis-sum", 1e-8, cases, oracle, closed(1e-9)),
-        _worst_gap("jacobi-product-form", 1e-9, cases, closed(1e-10), jacobi),
-    ]
+    entries = [_worst_gap("closed-vs-basis-sum", 1e-8, cases, oracle, closed(1e-9))]
     if params.is_integer_B():
         below_B = [c for c in cases if params.B - c[0] >= 1.0]
         m0 = [(0, z, w) for z, w in pairs]

@@ -20,7 +20,7 @@ from annulus_kernels.errors import (
 )
 from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
-from annulus_kernels.special import SeriesControl, gamma_pair_product_integer, pochhammer, theta4_log_derivative
+from annulus_kernels.special import SeriesControl, pochhammer, theta4_log_derivative
 from annulus_kernels.basis import admissible_levels
 from annulus_kernels import kernels
 from annulus_kernels.kernels import (
@@ -37,7 +37,6 @@ from annulus_kernels.kernels import (
     sigma_kl,
     sigma_theta_path,
     _evaluate,
-    _ladder,
     _pair,
     _tail_bound,
     _theta,
@@ -97,13 +96,16 @@ def test_pair_geometry_is_its_node_in_a_batch():
     assert (batch.X, batch.Y[1, 0], batch.t[1, 0], batch.V[1, 0]) == (pair.X, pair.Y, pair.t, pair.V)
 
 
-def test_pair_geometry_mu_purely_imaginary():
-    geo = _pair(Z0, W0, P43)
-    J = 5
-    for j in (-3, 0, 5):
-        mu = _ladder(geo, J, 0)[1][J + j]  # the window j = -J..J
-        assert mu.real == 0.0
-        assert mu.imag == pytest.approx((j + P43.B) * math.log(P43.R) / math.pi)
+def test_pair_geometry_mu_purely_imaginary(monkeypatch):
+    # the oracle's Jacobi parameters are -B - mu_j and -B + mu_j, with
+    # mu_j = i (j + B) log(R)/pi purely imaginary over its window j = -J..J
+    seen = _calls(monkeypatch, kernels, "jacobi_poly")
+    kernel_basis_sum_oracle(0, Z0, W0, P43)
+    jac = seen[0][0][0]
+    J = (jac.alpha.size - 1) // 2
+    mu = -P43.B - jac.alpha
+    assert np.all(mu.real == 0.0) and np.all(jac.beta == jac.alpha.conjugate())
+    assert mu.imag == pytest.approx((np.arange(-J, J + 1) + P43.B) * math.log(P43.R) / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +120,21 @@ def test_sigma_conjugation_symmetry():
 
 
 def test_sigma_integer_b_matches_elementary_product():
-    # after the shift j -> n - B, each Gamma pair is the elementary product
-    # 2 log R Gamma(B)^2 [n R^n/(R^(2n)-1)] W(n); summing that series directly
-    # must reproduce sigma_{0,0}
+    # after the shift j -> n - B, each Gamma pair is 2 log R [n R^n/(R^(2n)-1)]
+    # P_kl(n), the theta path's polynomial; summing that series directly
+    # must reproduce sigma_{k,l}, gap polynomials (k != l) included
     p = P42
     B = 2
     geo = _pair(Z0, W0, p)
-    direct = sigma_kl(0, 0, Z0, W0, 0, p)
-    total = 0.0 + 0.0j
-    for n in range(-80, 81):
-        total += gamma_pair_product_integer(B, 0, n, p.R) * geo.t**n
-    total *= geo.t ** (-B)
-    assert abs(direct - total) < 1e-11 * abs(direct)
+    for k, l in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        direct = sigma_kl(k, l, Z0, W0, 1, p)
+        P = _theta_polynomial(k, l, B, p.log_R)
+        total = 0.0 + 0.0j
+        for n in range(-80, 81):
+            x = abs(n) * p.log_R  # 2 log R [n R^n/(R^(2n)-1)] = x/sinh(x)
+            total += (x / math.sinh(x) if n else 1.0) * np.polyval(P[::-1], n) * geo.t**n
+        total *= geo.t ** (-B)
+        assert abs(direct - total) < 1e-11 * abs(direct), (k, l)
 
 
 def test_sigma_self_convergence_in_max_terms():
@@ -361,6 +366,18 @@ def test_jacobi_product_form_off_diagonal(m):
     assert abs(a - b) < 1e-9 * abs(b)
 
 
+@pytest.mark.parametrize("case", ["binary64", "extended"])
+def test_jacobi_product_is_the_oracle_sum(case):
+    # P_m^(a,b)(-x) = (-1)^m P_m^(b,a)(x) makes each Jacobi-product term the
+    # oracle's: one sum, bit for bit, in binary64 and at 34 digits
+    m, z, w, tol, budget = {
+        "binary64": (2, Z0, W0, 1e-12, None), "extended": (1, Z_ESC, W_ESC, 1e-13, 0.0),
+    }[case]
+    oracle = kernel_basis_sum_oracle(m, z, w, P43, tol, budget)
+    assert oracle.precision == case
+    assert kernel_jacobi_product_sum(m, z, w, P43, tol, budget) == oracle.value
+
+
 # ---------------------------------------------------------------------------
 # theta path
 
@@ -476,7 +493,7 @@ def test_sigma_theta_path_without_a_budget_is_certified():
     ref = sigma_kl(0, 0, z, w, 0, p, rounding_rtol=1e-17)
 
     def sigma_00(e):
-        P = _theta_polynomial(0, 0, e)
+        P = _theta_polynomial(0, 0, 3, e.log_R, e.num.pi)
         return P, np.abs(P)
 
     summed = _theta(SeriesControl(), None, sigma_00)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from annulus_kernels.errors import ConvergenceError, DomainError, PoleError
 from annulus_kernels.geometry import AnnulusParams, alpha_index
+from annulus_kernels.kernels import _theta_polynomial
 from annulus_kernels.special import (
     DEFAULT_SERIES,
     JacobiParams,
@@ -24,7 +25,6 @@ from annulus_kernels.special import (
     arccot,
     cauchy_beta_integral,
     gamma_abs_sq,
-    gamma_pair_product_integer,
     jacobi_coefficients,
     jacobi_poly,
     jacobi_product_bateman,
@@ -111,32 +111,39 @@ def test_gamma_abs_sq_stays_accurate_at_large_height():
 
 
 # ---------------------------------------------------------------------------
-# gamma_pair_product_integer (elementary product route vs log-Gamma route)
+# the theta path's Gamma-pair polynomials P_kl (kernels._theta_polynomial):
+# elementary product route vs log-Gamma route
 
 
 @pytest.mark.parametrize("R", [2.0, 4.0, 10.0])
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
 def test_gamma_pair_product_matches_loggamma(R, c):
+    # Gamma(c-k + i j y) Gamma(c-l - i j y) = 2 log R [j R^j/(R^(2j)-1)] P_kl(j),
+    # y = log(R)/pi, for every k, l < c (complex pairs when k != l)
     log_R = math.log(R)
-    for j in range(-30, 31):
-        direct = gamma_abs_sq(float(c), j * log_R / math.pi)
-        elementary = gamma_pair_product_integer(B=c, l=0, j=j, R=R)
-        assert direct > 0.0
-        assert abs(elementary - direct) < 1e-11 * direct, (
-            f"c={c}, j={j}, R={R}: {elementary} vs {direct}"
-        )
+    for k in range(c):
+        for l in range(c):
+            P = _theta_polynomial(k, l, c, log_R)
+            for j in range(-30, 31):
+                y = j * log_R / math.pi
+                direct = cmath.exp(log_gamma(complex(c - k, y)) + log_gamma(complex(c - l, -y)))
+                n = abs(j)
+                bracket = n / (R**n - R**-n) if n else 1.0 / (2.0 * log_R)
+                elementary = 2.0 * log_R * bracket * np.polyval(P[::-1], j)
+                assert abs(elementary - direct) < 1e-11 * abs(direct), (
+                    f"c={c}, k={k}, l={l}, j={j}, R={R}: {elementary} vs {direct}"
+                )
 
 
 def test_gamma_pair_product_j_zero_limit():
-    # at j = 0 the formula must reproduce Gamma(c)^2 exactly
+    # at j = 0 the formula must reproduce Gamma(c-k) Gamma(c-l) exactly:
+    # P_kl(0) times 2 log R x the bracket's limit 1/(2 log R)
     for c in (1, 2, 5):
-        got = gamma_pair_product_integer(B=c, l=0, j=0, R=3.0)
-        assert abs(got - math.factorial(c - 1) ** 2) < 1e-13 * math.factorial(c - 1) ** 2
-
-
-def test_gamma_pair_product_rejects_nonpositive_c():
-    with pytest.raises(DomainError):
-        gamma_pair_product_integer(B=2, l=2, j=1, R=4.0)
+        for k in range(c):
+            for l in range(c):
+                got = _theta_polynomial(k, l, c, math.log(3.0))[0]
+                want = math.factorial(c - k - 1) * math.factorial(c - l - 1)
+                assert abs(got - want) < 1e-13 * want
 
 
 # ---------------------------------------------------------------------------

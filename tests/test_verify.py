@@ -246,6 +246,25 @@ def test_suites_pass_over_the_envelope(R, B):
             assert names == want
 
 
+# cells where a reference path's 34-digit sum keeps no digit within the
+# multipath suite's budget (conditions 9e26 to 3e34): the suite refuses them
+MULTIPATH_REFUSALS = {(1.2, 2.75), (1.2, 3.0), (1.5, 2.75), (1.5, 3.0)}
+
+
+@pytest.mark.parametrize("B", [0.75, 1.0, 2.75, 3.0])
+@pytest.mark.parametrize("R", [1.2, 1.5, 4.0, 50.0])
+def test_multipath_over_the_envelope(R, B):
+    # the cross-path suite over the same cells: it passes, or on the thin
+    # annuli at the larger B refuses with a typed error instead of a defect
+    p = AnnulusParams(R=R, B=B)
+    if (R, B) in MULTIPATH_REFUSALS:
+        with pytest.raises(ConvergenceError, match="34-digit"):
+            run_suite("multipath", p, SuiteOptions(seed=7))
+        return
+    rep = run_suite("multipath", p, SuiteOptions(seed=7))
+    assert rep.passed, [(e.name, e.value, e.tolerance) for e in rep.residuals if not e.passed]
+
+
 def test_all_report_prefixes_subsuite_names():
     rep = run_suite("all", AnnulusParams(R=4.0, B=1.0))
     assert rep.passed
