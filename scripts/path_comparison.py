@@ -2,9 +2,11 @@
 
 For each admissible level m the kernel is evaluated by the closed bilateral
 series, the basis-sum oracle, and — at integer B — the theta-function
-representation and (for m = 0) the pair-product form.  The script reports
-the worst relative deviation of each path from the basis-sum oracle, the
-term counts, and the worst conditioning seen, as a table or as JSON.
+representation and (for m = 0) the pair-product form, whose value is the
+theta path's at m = 0 (the same series before it is resummed).  The script
+reports the worst relative deviation of each path from the basis-sum
+oracle, the term counts, and the worst conditioning seen, as a table or as
+JSON.
 
 Examples
 --------

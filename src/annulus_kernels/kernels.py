@@ -1,6 +1,7 @@
 """Reproducing kernels of the Landau-level eigenspaces on the annulus.
 
-Four independent evaluation paths are implemented and cross-checked:
+Four evaluation paths are implemented; the first three are independent and
+cross-checked:
 
   closed_form      the double sum over sigma-series (Gamma-pair bilateral
                    series contracted against powers of V and conj(V)),
@@ -11,8 +12,8 @@ Four independent evaluation paths are implemented and cross-checked:
   theta            integer B only: each sigma-series collapsed to finitely
                    many logarithmic derivatives of theta_4 via the elementary
                    Gamma-pair products P_kl (_theta_polynomial),
-  product_formula  integer B, m = 0 only: sigma_00's theta polynomial summed
-                   term by term.
+  product_formula  integer B, m = 0 only: the theta series before it is
+                   resummed, evaluated as kernel_km_theta at m = 0.
 
 The closed form sums each Gamma-pair series
 
@@ -50,13 +51,15 @@ from one Lambert table per pair (special.LambertTable), in numpy over j in
 binary64 and in real mpf arithmetic at 34 digits.  One summation (_theta)
 contracts one polynomial per evaluation, each power n^p against one order
 p + 2: sigma_{k,l}'s P_kl for sigma_theta_path, the weighted sum of the
-level's P_kl for kernel_km_theta.  Every order is summed at ctrl.tolerance,
-which gives the condition (each log-derivative charged at the gross sum of
-its Lambert terms); a condition whose rounding exceeds the budget goes to
-34 digits, otherwise every order is summed again at tolerance /
-(2 condition), so the truncation is within tolerance x |value|.
+level's P_kl for kernel_km_theta.  The product formula is that series
+before it is resummed, sum_n n^p [n R^n/(R^(2n)-1)] t^n = i^p L_(p+2)/
+2^(p+2), so its value is kernel_km_theta's at m = 0.  Every order is
+summed once, to the smaller of ctrl.tolerance and eps, as the image sums
+are: the truncation is at most that target x the rounding majorant (each
+log-derivative charged at the gross sum of its Lambert terms), within
+eps x condition x |value|.
 
-The reference paths sum their j-series as term functions vectorised over
+The basis-sum oracle sums its j-series as a term function vectorised over
 the window j = -J..J, by one routine (_sum_window) in either number type: the
 window doubles until the rigorous geometric tail bound (_tail_bound) falls
 below the tolerance, at 34 digits from the binary64 stop on.
@@ -67,14 +70,12 @@ summed function) and applies the extended-precision policy.  When eps
 times the condition (the gross-to-net ratio of the summed series) exceeds
 the caller's rounding budget, the pair geometry is rebuilt from the
 binary64 inputs in mpmath numbers and the same term code sums the value
-again under the same truncation rule (the theta path's target capped at
-binary64's eps, the precision it is returned in); every field of the
-result is then that 34-digit sum's, and a 34-digit sum whose own rounding
-still exceeds the budget is refused.  Without a budget a path returns its
-binary64 value with its condition.  The pair's number type selects the
-elementwise functions: numpy (and special.log_gamma) for binary64, mpmath
-over numpy object arrays, imported at the first extended evaluation, at 34
-digits.
+again under the same truncation rule; every field of the result is then
+that 34-digit sum's, and a 34-digit sum whose own rounding still exceeds
+the budget is refused.  Without a budget a path returns its binary64 value
+with its condition.  The pair's number type selects the elementwise
+functions: numpy (and special.log_gamma) for binary64, mpmath over numpy
+object arrays, imported at the first extended evaluation, at 34 digits.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -190,11 +191,11 @@ class KernelEvaluation:
     amplifies the rounding of zeta, a binary64 value can miss its 34-digit
     value by more than tail_bound + eps x condition x |value|.
     terms_used counts the summed terms: images for the closed form,
-    j-window terms for the j-series paths, and the largest j of the Lambert
-    series for the theta path.  precision records whether the value came
-    from binary64 or the 34-digit re-evaluation; every field of an
-    extended value (tail_bound, condition, terms_used) is that of the
-    34-digit sum that gave it.
+    j-window terms for the basis-sum oracle, and the largest j of the
+    Lambert series for the theta path and the product formula.  precision
+    records whether the value came from binary64 or the 34-digit
+    re-evaluation; every field of an extended value (tail_bound, condition,
+    terms_used) is that of the 34-digit sum that gave it.
     """
 
     value: complex
@@ -580,24 +581,6 @@ def kernel_km(
     )
 
 
-def _series(
-    series: Callable[[PairGeometry], tuple], p: float, shift: float, ctrl: SeriesControl,
-) -> Callable[[PairGeometry, int], tuple]:
-    """The j-series paths' summed (_evaluate): series(pair) -> (terms, const),
-    const x the bilateral series of terms(J), summed by the window routine
-    under one rule at both precisions, its window from J = 32, at 34 digits
-    from the binary64 stop on."""
-
-    def summed(e: PairGeometry, start: int):
-        terms, scale = series(e)
-        J0 = max(start // 2, 32)  # at 34 digits, the binary64 stop
-        total, tail, gross, J = _sum_window(terms, p, shift, e, ctrl, J0)
-        condition = gross / max(abs(total), 1e-300)
-        return complex(scale * total), condition, abs(scale) * tail, 2 * J + 1
-
-    return summed
-
-
 def kernel_basis_sum_oracle(
     m: int, z, w, params: AnnulusParams, tol: float = 1e-10,
     rounding_rtol: float | None = None,
@@ -641,9 +624,15 @@ def _basis_sum(
     # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
     # the extended sum as well
     const = (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, params)
-    return _evaluate("basis_sum", z, w, params, rounding_rtol, _series(
-        lambda g: (lambda J: terms(g, J), const), 2.0 * params.B - 1.0, params.B, ctrl,
-    ))
+
+    def summed(g: PairGeometry, start: int):  # one rule at both precisions
+        J0 = max(start // 2, 32)  # at 34 digits, the binary64 stop
+        total, tail, gross, J = _sum_window(
+            lambda J: terms(g, J), 2.0 * params.B - 1.0, params.B, g, ctrl, J0)
+        condition = gross / max(abs(total), 1e-300)
+        return complex(const * total), condition, abs(const) * tail, 2 * J + 1
+
+    return _evaluate("basis_sum", z, w, params, rounding_rtol, summed)
 
 
 def kernel_jacobi_product_sum(
@@ -666,31 +655,6 @@ def kernel_jacobi_product_sum(
     return _basis_sum(m, z, w, params, ctrl, rounding_rtol).value
 
 
-def _k0_product(
-    z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None
-) -> KernelEvaluation:
-    B = _integer_B(params, "product-formula path")
-
-    # K_0 = prefactor x sigma_00 (_theta), its bracket n R^-n/(1 - R^-2n) at
-    # n = |j| (1/(2 log R) at n = 0); R^-|j| t^j is u^j for j < 0 and
-    # (u/R^2)^j for j > 0, u = z conj(w): both decay, so no term overflows
-    def series(g: PairGeometry):
-        P, u = _theta_polynomial(0, 0, B, g.log_R, g.num.pi), g.z * g.w.conjugate()
-        log_u = g.num.clog(u), g.num.clog(u / g.R**2)
-
-        def terms(J: int):
-            j = np.arange(-J, J + 1, dtype=g.num.dtype)
-            n = np.where(j == 0, 1, abs(j))
-            base = np.where(j == 0, 1 / (2 * g.log_R), n / (1 - g.R ** (-2 * n)))
-            return base * np.polyval(P[::-1], j) * g.num.exp(j * np.where(j < 0, *log_u))
-
-        return terms, _prefactor(0, g) * 2 * g.log_R * g.t ** (-B)
-
-    return _evaluate(
-        "product_formula", z, w, params, rounding_rtol, _series(series, 2 * B - 1, 0.0, ctrl)
-    )
-
-
 def kernel_k0_integer_product(
     z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES,
     rounding_rtol: float | None = None,
@@ -701,11 +665,13 @@ def kernel_k0_integer_product(
               * sum_n [n R^n/(R^(2n)-1)] P_00(n) t^n,
 
     sigma_00's polynomial P_00(n) = Gamma(B)^2 prod_{q<B} (1 + (n log R/
-    (pi q))^2) (_theta_polynomial) summed term by term, the n = 0 bracket
-    by its limit 1/(2 log R).  Requires integer B >= 1.  With rounding_rtol
-    set, cancellation-limited sums escalate to extended precision.
+    (pi q))^2) (_theta_polynomial), the n = 0 bracket by its limit
+    1/(2 log R).  Summed over n, each power n^p gives i^p L_(p+2)/2^(p+2),
+    L_s = (log theta_4)^(s) at (i/2) log t: the series is the theta path's
+    at m = 0, and its value is kernel_km_theta(0, ...)'s, with the same
+    truncation and escalation.  Requires integer B >= 1.
     """
-    return _k0_product(z, w, params, ctrl, rounding_rtol).value
+    return kernel_km_theta(0, z, w, params, ctrl, rounding_rtol).value
 
 
 def kernel_limit_R_inf(
@@ -763,8 +729,7 @@ def _theta_polynomial(k: int, l: int, B: int, log_R, pi=math.pi) -> np.ndarray:
 
 
 def _theta(
-    ctrl: SeriesControl, rounding_rtol: float | None,
-    polynomial: Callable[[PairGeometry], tuple],
+    ctrl: SeriesControl, polynomial: Callable[[PairGeometry], tuple],
 ) -> Callable[[PairGeometry, int], tuple]:
     """The theta path's summed (_evaluate): polynomial(pair) -> (P, M), the
     coefficients P_p (ascending in n) of a polynomial P(n) and majorants M_p
@@ -778,36 +743,26 @@ def _theta(
     G_s, the gross sum of its Lambert terms, holds the cancellation inside
     each Lambert series and the one against 1/(2 log R).
 
-    Every order is summed at the target, each within target x |L_s|, so the
-    truncation is at most target x the majorant = target x condition x
-    |value|.  A condition whose rounding exceeds the budget stops there, to
-    be escalated; otherwise the orders are summed again at
-    target / (2 condition) until that is within target x |value| (the 2
-    covers the condition's growth over the pass, a relative target x
-    condition).  The target is ctrl.tolerance, at 34 digits capped at
-    binary64's eps, the precision the value is returned in.
+    Every order is summed once, within target x |L_s| <= target x G_s, the
+    target the smaller of ctrl.tolerance and the pair's eps (as _image_sum
+    sizes its images): the tail bound, target x the majorant, is at most
+    eps x condition x |value| at either precision.
     """
 
     def summed(e: PairGeometry, start: int):
         P, M = polynomial(e)
         pref = e.t ** -int(round(e.params.B)) * 2.0 * e.log_R
         table = LambertTable(0.5j * e.num.clog(e.t), e.R)
-        target = tol = ctrl.tolerance if e.num is _BINARY64 else min(ctrl.tolerance, _EPS)
-        while True:
-            eff = replace(ctrl, tolerance=tol)
-            total, gross = (1.0 / (2.0 * e.log_R) * x[0] for x in (P, M))
-            for p, (cp, bound) in enumerate(zip(P, M)):
-                if bound:
-                    L, G = table.derivative(p + 2, eff)
-                    total += cp * (0.5j) ** p * L / 4.0  # i^p L_(p+2) / 2^(p+2)
-                    gross += bound * 0.5**p * G / 4.0
-            value, gross = pref * total, abs(pref) * gross
-            condition = gross / max(abs(value), 1e-300)
-            certified = tol * gross <= target * abs(value)
-            if certified or _rounding_exceeds(e.num, condition, rounding_rtol):
-                break
-            tol = target / float(2 * condition)
-        return complex(value), condition, tol * gross, table.terms
+        target = min(ctrl.tolerance, e.num.eps)
+        eff = replace(ctrl, tolerance=target)
+        total, gross = (1.0 / (2.0 * e.log_R) * x[0] for x in (P, M))
+        for p, (cp, bound) in enumerate(zip(P, M)):
+            if bound:
+                L, G = table.derivative(p + 2, eff)
+                total += cp * (0.5j) ** p * L / 4.0  # i^p L_(p+2) / 2^(p+2)
+                gross += bound * 0.5**p * G / 4.0
+        value, gross = pref * total, abs(pref) * gross
+        return complex(value), gross / max(abs(value), 1e-300), target * gross, table.terms
 
     return summed
 
@@ -821,8 +776,8 @@ def sigma_theta_path(
     [n R^n/(R^(2n)-1)] P_kl(n) (_theta_polynomial), and _theta contracts
     each power n^p of P_kl against one L_(p+2) = (log theta_4)^(p+2) at
     z0 = (i/2) log(z conj(w)/R).  Truncation and escalation are
-    kernel_km_theta's: within ctrl.tolerance x |sigma|, and at 34 digits
-    when eps x the condition exceeds rounding_rtol.
+    kernel_km_theta's: within (ctrl.tolerance + eps x condition) x |sigma|,
+    and at 34 digits when eps x the condition exceeds rounding_rtol.
     """
     B = _integer_B(params, "theta path")
     if k < 0 or l < 0 or B - max(k, l) < 1:
@@ -834,8 +789,7 @@ def sigma_theta_path(
         P = _theta_polynomial(k, l, B, e.log_R, e.num.pi)
         return P, np.abs(P)
 
-    summed = _theta(ctrl, rounding_rtol, polynomial)
-    return _evaluate("theta", z, w, params, rounding_rtol, summed).value
+    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, polynomial)).value
 
 
 def kernel_km_theta(
@@ -846,11 +800,12 @@ def kernel_km_theta(
     _theta contracts one polynomial, prefactor x sum_{k+l<=m} weight_{k,l}
     P_kl (weights of _level_polynomial; P_00's degree 2B - 2 is the largest),
     with its majorant summed term by term.  terms_used is the largest j of
-    the pair's Lambert table.  The tail bound is within ctrl.tolerance x
-    |value|; the condition includes the cancellation inside the contraction
-    and each Lambert series.  With rounding_rtol set, an evaluation whose
-    rounding exceeds it is redone at 34 digits, and refused when that sum
-    keeps no digit within it.
+    the pair's Lambert table.  Each order is summed once (_theta), so the
+    tail bound satisfies kernel_km's tail_bound <= tolerance x |value| +
+    eps x condition x |value| at either precision; the condition includes
+    the cancellation inside the contraction and each Lambert series.  With
+    rounding_rtol set, an evaluation whose rounding exceeds it is redone at
+    34 digits, and refused when that sum keeps no digit within it.
     """
     require_admissible(m, params)
     B = _integer_B(params, "theta path")
@@ -868,7 +823,7 @@ def kernel_km_theta(
             M[: p.size] += abs(weight) * np.abs(p)
         return pref * P, abs(pref) * M
 
-    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, rounding_rtol, polynomial))
+    return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, polynomial))
 
 
 def inversion_covariance_residual(
@@ -934,20 +889,20 @@ def kernel_by_path(
     """Dispatch a kernel evaluation to the named path.
 
     closed_form and basis_sum work for every admissible level; theta needs
-    integer B; product_formula needs integer B and m = 0.  rounding_rtol is
-    forwarded to each path's condition-aware escalation.
+    integer B; product_formula needs integer B and m = 0, and is the theta
+    path's evaluation there (kernel_k0_integer_product).  ctrl and
+    rounding_rtol are forwarded to each path unchanged.
     """
     if path not in KERNEL_PATHS:
         raise DomainError(f"unknown path {path!r}; choose from {KERNEL_PATHS}")
     if path == "closed_form":
         return kernel_km(m, z, w, params, ctrl, rounding_rtol=rounding_rtol)
     if path == "basis_sum":
-        eff = replace(ctrl, tolerance=max(ctrl.tolerance, 1e-12))
-        return _basis_sum(m, z, w, params, eff, rounding_rtol)
+        return _basis_sum(m, z, w, params, ctrl, rounding_rtol)
     if path == "theta":
         return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=rounding_rtol)
     if m != 0:
         raise UnsupportedPathError(
             f"product-formula path exists only for m = 0, got m={m}"
         )
-    return _k0_product(z, w, params, ctrl, rounding_rtol)
+    return replace(kernel_km_theta(0, z, w, params, ctrl, rounding_rtol), path="product_formula")

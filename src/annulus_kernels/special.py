@@ -408,8 +408,7 @@ class LambertTable:
 
     falls below ctrl.tolerance x |partial sum|.  The binary64 table, over
     j = 1..n vectorised with numpy, sets that j for every order and doubles
-    on demand; an order's partial sums are kept until it does, so a tighter
-    tolerance moves the stop without summing again.  An mpmath z (R in mpmath or float) adds a table in real mpf
+    on demand.  An mpmath z (R in mpmath or float) adds a table in real mpf
     arithmetic at the working precision, one cos_sin and two exp per j,
     extended only as far as an order needs; its orders are summed from it.
     terms is the largest j any order has summed.
@@ -432,7 +431,6 @@ class LambertTable:
             )
         self._x, self._rates = x, (2.0 * y - log_R, -2.0 * y - log_R)
         self._n = 0
-        self._sums: dict = {}  # order -> partial sums, tail bounds, gross sums
         self._exact: list[list] = [[], [], [], []]  # the mpf rows of _extend_exact
         self.terms = 0
 
@@ -479,12 +477,9 @@ class LambertTable:
         while True:
             if n > self._n:
                 self._extend(n)
-            sums = self._sums.get(order)
-            if sums is None or sums[0].size != self._n:  # kept while the table stands
-                weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
-                terms = weight[:-1] * (self._sin if order % 2 else self._cos)
-                sums = np.cumsum(terms), weight[1:] * self._tail, np.cumsum(np.abs(terms))
-                self._sums[order] = sums
+            weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
+            terms = weight[:-1] * (self._sin if order % 2 else self._cos)
+            sums = np.cumsum(terms), weight[1:] * self._tail, np.cumsum(np.abs(terms))
             partial, tail, gross = (x[: ctrl.max_terms] for x in sums)
             done = tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
             if done.any():

@@ -53,7 +53,6 @@ from .kernels import (
     _theta_polynomial,
     inversion_covariance_residual,
     kernel_basis_sum_oracle,
-    kernel_k0_integer_product,
     kernel_km,
     kernel_km_grid,
     kernel_km_theta,
@@ -662,12 +661,13 @@ def _worst_gap(name: str, tol: float, cases, reference, other) -> ResidualEntry:
 
 def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     """Cross-path agreement of the closed form with the basis-sum oracle
-    and, at integer B, the theta path and the product formula (the Jacobi
-    product is the oracle's sum, no second reference).  Every comparison
-    passes a rounding budget of a tenth of its tolerance to both sides, so
-    pairs near the kernel's deep off-diagonal valleys (where gross-to-net
-    cancellation makes binary64 rounding dominate) escalate to extended
-    precision instead of polluting the defect."""
+    and, at integer B, the theta path (the Jacobi product is the oracle's
+    sum and the product formula the theta path's at m = 0, no second
+    reference).  Every comparison passes a rounding budget of a tenth of
+    its tolerance to both sides, so pairs near the kernel's deep
+    off-diagonal valleys (where gross-to-net cancellation makes binary64
+    rounding dominate) escalate to extended precision instead of polluting
+    the defect."""
     pairs = sample_pairs(params, opts.n_points, opts.seed + 606)
     cases = [(m, z, w) for m in admissible_levels(params) for z, w in pairs]
     ctrl = opts.ctrl
@@ -681,17 +681,10 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     def theta(m, z, w):
         return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value
 
-    def product(m, z, w):
-        return kernel_k0_integer_product(z, w, params, ctrl, rounding_rtol=1e-10)
-
     entries = [_worst_gap("closed-vs-basis-sum", 1e-8, cases, oracle, closed(1e-9))]
     if params.is_integer_B():
         below_B = [c for c in cases if params.B - c[0] >= 1.0]
-        m0 = [(0, z, w) for z, w in pairs]
         entries.append(_worst_gap("closed-vs-theta", 1e-9, below_B, closed(1e-10), theta))
-        entries.append(
-            _worst_gap("closed-vs-product-formula", 1e-9, m0, closed(1e-10), product)
-        )
     return entries
 
 

@@ -127,9 +127,7 @@ def test_eval_exhausted_budget_exits_3():
         # the image count grows like log R: R = 1e6 at B - m = 0.75 needs
         # more than 57 images
         ["--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i"],
-        # the cap binds the product formula's j-window below its 65-term start
-        ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "product"],
-        # and the basis-sum oracle's alike
+        # the cap binds the basis-sum oracle's j-window below its 65-term start
         ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "basis_sum"],
     ]:
         code, _, err = run_cli(["eval", *argv, "--max-terms", "16"])
@@ -236,14 +234,17 @@ def test_verify_unknown_suite_exits_2():
 
 
 def test_verify_failure_exits_1():
-    # a deliberately loose series tolerance leaves every cross-path residual
-    # far above its declared bound; the report must say fail and exit 1
+    # eight angular nodes cannot resolve the Gram matrix of the basis: the
+    # identity deviation is far above its declared bound, and the report
+    # must say fail and exit 1
     code, out, _ = run_cli(
-        ["verify", "multipath", "--R", "4", "--B", "1", "--tol", "1e-3"]
+        ["verify", "gram", "--R", "4", "--B", "1", "--n-ang", "8"]
     )
     assert code == 1
     d = json.loads(out)
     assert d["pass"] is False
+    worst = {r["name"]: r for r in d["residuals"]}["gram-identity-deviation"]
+    assert worst["value"] > worst["tolerance"]
 
 
 def test_verify_writes_report_file(tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,12 +312,23 @@ def test_integer_product_agreement():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("z", [1.025, 3.9])
 def test_integer_product_next_to_either_circle(z):
-    # next to the inner (outer) circle the window reaches J = 1024; a term's
-    # power is u^j for j < 0 ((u/R^2)^j for j > 0), u = z conj(w), so none
-    # overflows: R^-n (R/u)^n would be 0 x inf from n ~ 511 at R = 4
+    # next to the inner (outer) circle the series decays slowly; its
+    # j-factors are built so that none overflows, and no warning is raised
     ev = kernel_by_path("product_formula", 0, z, z, P42)
     b = kernel_km(0, z, z, P42).value
-    assert ev.terms_used > 1024 and abs(ev.value - b) < 1e-12 * abs(b)
+    assert abs(ev.value - b) < 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("budget", [None, 0.0])
+def test_integer_product_is_the_theta_path_at_m0(budget):
+    # the product formula is the theta series before it is resummed: its
+    # value is kernel_km_theta's at m = 0, bit for bit, in binary64 and at
+    # 34 digits (the bench's sigma pair at (4, 3))
+    z, w = 1.7994 * cmath.exp(-0.0267j), 1.7005
+    theta = kernel_km_theta(0, z, w, P43, rounding_rtol=budget)
+    assert kernel_k0_integer_product(z, w, P43, rounding_rtol=budget) == theta.value
+    ev = kernel_by_path("product_formula", 0, z, w, P43, rounding_rtol=budget)
+    assert ev == replace(theta, path="product_formula")
 
 
 def test_integer_product_rejects_fractional_b():
@@ -458,10 +470,11 @@ def test_theta_path_past_the_exponent_range_of_its_tail(m):
 
 def test_theta_terms_used_grows_as_the_tolerance_tightens():
     # terms_used is the largest j of the Lambert series, not a count fixed
-    # by B and m
+    # by B and m; each order is summed to the smaller of the tolerance and
+    # eps, so only tolerances below eps move the stop
     counts = [
         kernel_km_theta(1, Z0, W0, P43, SeriesControl(tolerance=tol)).terms_used
-        for tol in (1e-6, 1e-10, 1e-14)
+        for tol in (1e-16, 1e-20, 1e-24)
     ]
     assert counts[0] < counts[1] < counts[2]
 
@@ -496,22 +509,22 @@ def test_sigma_theta_path_without_a_budget_is_certified():
         P = _theta_polynomial(0, 0, 3, e.log_R, e.num.pi)
         return P, np.abs(P)
 
-    summed = _theta(SeriesControl(), None, sigma_00)
+    summed = _theta(SeriesControl(), sigma_00)
     sigma = _evaluate("theta", z, w, p, None, summed)
     assert sigma.value == got and sigma.precision == "binary64" and sigma.condition > 1e4
-    assert sigma.tail_bound <= 1e-12 * abs(got)
+    assert sigma.tail_bound <= (1e-12 + EPS * sigma.condition) * abs(got)
     assert abs(got - ref) <= (1e-12 + 4 * EPS * sigma.condition) * abs(ref)
 
 
 def test_theta_kernel_without_a_budget_returns_a_certified_value():
     # at (4, 3), pair 0, the condition is 7e7: without a budget the value
-    # is returned, its truncation certified within tolerance x |value| and
-    # its rounding reported
+    # is returned, its truncation certified within (tolerance + eps x
+    # condition) x |value| and its rounding reported
     z, w = THETA_PAIRS_43[0]
     theta = kernel_km_theta(0, z, w, P43)
     ref = kernel_km(0, z, w, P43, rounding_rtol=0.0).value
     assert theta.precision == "binary64" and theta.condition > 1e4
-    assert theta.tail_bound <= 1e-12 * abs(theta.value)
+    assert theta.tail_bound <= (1e-12 + EPS * theta.condition) * abs(theta.value)
     certificate = theta.tail_bound + EPS * theta.condition * abs(theta.value)
     assert abs(theta.value - ref) <= certificate
 
@@ -788,8 +801,8 @@ def test_grid_and_budgeted_escalations_are_one_driver_call_each(monkeypatch):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
     # kernel_km_theta contracts one polynomial per evaluation: each of the
-    # level's (m+1)(m+2)/2 polynomials P_kl is built once, and the refine
-    # pass (order 2 summed twice) sums the orders again without rebuilding
+    # level's (m+1)(m+2)/2 polynomials P_kl is built once, and each order
+    # is summed once
     built = _calls(monkeypatch, kernels, "_theta_polynomial")
     orders = _calls(monkeypatch, kernels.LambertTable, "derivative")
     z, w = THETA_PAIRS_43[0]
@@ -797,12 +810,12 @@ def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
     assert sorted(args[:2] for args, _ in built) == [
         (k, l) for k in range(m + 1) for l in range(m + 1 - k)
     ]
-    assert [args[1] for args, _ in orders].count(2) == 2
+    assert [args[1] for args, _ in orders].count(2) == 1
 
 
 def test_sigma_theta_and_product_formula_build_one_polynomial(monkeypatch):
-    # sigma_theta_path contracts P_kl, and the product formula sums P_00
-    # term by term: one build per evaluation each
+    # sigma_theta_path contracts P_kl, and the product formula is the
+    # theta path's P_00 contraction at m = 0: one build per evaluation each
     built = _calls(monkeypatch, kernels, "_theta_polynomial")
     sigma_theta_path(0, 1, Z0, W0, P43)
     assert [args[:2] for args, _ in built] == [(0, 1)]
@@ -815,7 +828,7 @@ def test_j_series_window_stays_within_max_terms(budget):
     # ctrl.max_terms caps the j-window below its usual start J = 32 (65
     # terms), at 34 digits too
     ctrl = SeriesControl(max_terms=40)
-    ev = kernel_by_path("product_formula", 0, 7.0, 7.0j, P502, ctrl, rounding_rtol=budget)
+    ev = kernel_by_path("basis_sum", 0, 7.0, 7.0j, P502, ctrl, rounding_rtol=budget)
     assert ev.terms_used <= 40
     assert ev.precision == ("binary64" if budget is None else "extended")
 
@@ -952,9 +965,16 @@ def test_dispatch_known_paths():
     assert ev.path == "product_formula"
     ref = kernel_km(0, Z0, W0, P42).value
     assert abs(ev.value - ref) < 1e-9 * abs(ref)
-    # the product path reports its own window and tail bound
+    # the product path reports the theta path's Lambert terms and tail bound
     assert ev.terms_used > 0
     assert ev.tail_bound <= SeriesControl().tolerance * abs(ev.value)
+
+
+def test_basis_sum_path_sums_to_the_requested_tolerance():
+    # ctrl is forwarded unchanged: at (4, 3), m = 1, z = w = 2, a window of
+    # 65 terms leaves a tail of 5.9e-13 |K|, and 1e-14 takes 129
+    ev = kernel_by_path("basis_sum", 1, 2.0, 2.0, P43, SeriesControl(tolerance=1e-14))
+    assert ev.tail_bound <= 1e-14 * abs(ev.value)
 
 
 def test_dispatch_rejections():
