@@ -20,6 +20,7 @@ value; explicitly passed flags win over the file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,6 +97,7 @@ def parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse complex number from {text!r}") from exc
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annulus-kernels",

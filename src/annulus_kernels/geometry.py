@@ -29,7 +29,9 @@ BOUNDARY_MARGIN_FACTOR = 1e-9
 
 @dataclass(frozen=True)
 class AnnulusParams:
-    """The pair (R, B): outer radius R > 1 and magnetic weight B > 1/2."""
+    """The pair (R, B): outer radius R > 1 and magnetic weight B > 1/2,
+    with log_R = log(R), computed once at construction (every kernel
+    evaluation reads it)."""
 
     R: float
     B: float
@@ -39,15 +41,12 @@ class AnnulusParams:
             raise DomainError(f"outer radius must satisfy R > 1, got R={self.R}")
         if not (self.B > 0.5):
             raise DomainError(f"magnetic weight must satisfy B > 1/2, got B={self.B}")
-
-    @property
-    def log_R(self) -> float:
-        return math.log(self.R)
+        object.__setattr__(self, "log_R", math.log(self.R))
 
     @property
     def radial_scale(self) -> float:
         """log(R)/pi, the constant relating zeta to log|z|."""
-        return math.log(self.R) / math.pi
+        return self.log_R / math.pi
 
     def is_integer_B(self, tol: float = 1e-12) -> bool:
         """Whether B is (numerically) a positive integer.

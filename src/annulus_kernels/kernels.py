@@ -36,14 +36,18 @@ arg t)/c, 2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
 
 for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
-kernel_km_grid sum through one closed-form summation (_closed_form over
-_image_sum), on one pair geometry (_pair) for a point or a node array w,
-over one window of images per annulus and image count (_window), with one
-stop test for every node.  The elementwise stage runs in row blocks of
-about _BLOCK node-images, so the temporaries of a quadrature row stay
-cache-sized and are reused from call to call rather than mapped afresh; a
-pair, or an array of at most 2 _BLOCK node-images, is one block.  A
-pair's value is its node's in any grid to the last bits only: numpy's
+kernel_km_grid sum through one closed-form summation (_closed_form), on
+one pair geometry (_pair) for a point or a node array w, with one stop
+test for every node.  All that does not depend on the pair is one plan
+per number type, annulus, contraction (the level m, or sigma_kl's (k, l))
+and ctrl (_plan), cached and built at its first use: the contraction's
+coefficients and their moduli, the prefactor, the image counts and, per
+count, the window of images and each side's tail-bound factor and ends;
+so a pair pays for its images only.  The elementwise stage runs in row
+blocks of about _BLOCK node-images, so the temporaries of a quadrature row
+stay cache-sized and are reused from call to call rather than mapped
+afresh; a pair, or an array of at most 2 _BLOCK node-images, is one block.
+A pair's value is its node's in any grid to the last bits only: numpy's
 vector loops round an element by its position.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
@@ -133,7 +137,8 @@ class _Numbers:
 
 _BINARY64 = _Numbers(
     _EPS, float, math.pi, cmath.log, math.gamma, np.exp,
-    lambda z: np.log(abs(z)) + 1j * np.angle(z),  # a fifth of np.log's time
+    # np.angle's arithmetic without its dispatch; a fifth of np.log's time
+    lambda z: np.log(abs(z)) + 1j * np.arctan2(z.imag, z.real),
     log_gamma,
 )
 
@@ -348,18 +353,17 @@ def _sum_window(
         J *= 2
 
 
-def _prefactor(m: int, g: PairGeometry):
+def _prefactor(m: int, num: _Numbers, R, B, log_R):
     """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
-    the (k, l) contraction."""
-    B = g.B
+    the (k, l) contraction, in the number type num."""
     return (
-        (2 * g.num.pi) ** (2 * B - 3)
+        (2 * num.pi) ** (2 * B - 3)
         * (2 * B - 2 * m - 1)
-        / (g.R**B * g.log_R ** (2 * B - 1) * g.num.gamma(2 * B - m))
+        / (R**B * log_R ** (2 * B - 1) * num.gamma(2 * B - m))
     )
 
 
-def _level_polynomial(m: int, g: PairGeometry) -> Callable:
+def _level_polynomial(m: int, num: _Numbers, B) -> Callable:
     """The (k, l) contraction of kernel_km's image terms,
 
         poly(a, b, V) = sum_{k+l<=m} weight_{k,l} Gamma(2B-k-l) a^k b^l
@@ -373,12 +377,12 @@ def _level_polynomial(m: int, g: PairGeometry) -> Callable:
     (|V| (a + b))^n; V is the pair's (a column for nodes, or a block of
     its rows)."""
     f = math.factorial
-    B = g.B
-    c = [pochhammer(1 - 2 * B + m, n) * g.num.gamma(2 * B - n) / (f(m - n) * f(n))
+    c = [pochhammer(1 - 2 * B + m, n) * num.gamma(2 * B - n) / (f(m - n) * f(n))
          for n in range(m + 1)]
+    moduli = [abs(x) for x in c]
 
     def poly(a, b, V, modulus: bool = False):
-        coef = [abs(x) for x in c] if modulus else c
+        coef = moduli if modulus else c
         total = coef[m]
         if m:  # Horner in u
             u = abs(V) * (a + b) if modulus else V.conjugate() * a + V * b
@@ -389,11 +393,20 @@ def _level_polynomial(m: int, g: PairGeometry) -> Callable:
     return poly
 
 
-def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: SeriesControl):
-    """The image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l)
-    at the pair's t (one row per node), given poly(a, b, V) = sum coef_{k,l}
-    a^k b^l over k <= k_max, l <= l_max at the pair coordinate V (with
-    modulus=True: the coefficients' moduli).
+@functools.lru_cache(maxsize=128, typed=True)
+def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Callable, object]:
+    """The closed form's plan: all of its evaluation that does not depend
+    on the pair, for one number type num (R, B and log R in it), one ctrl
+    and one contraction, series = m for kernel_km's level m
+    (_level_polynomial and _prefactor) or (k, l) for sigma_kl.  Returns the
+    pair's image sum (image_sum, below) and the prefactor.  Built at the
+    first evaluation of its key (typed: an int R or B is its own key), a
+    34-digit plan in the 34-digit context, and read-only after.
+
+    image_sum(g) gives the image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t)
+    / Gamma(2B-k-l) at the pair's t (one row per node), given poly(a, b, V)
+    = sum coef_{k,l} a^k b^l over k <= k_max, l <= l_max at the pair
+    coordinate V (with modulus=True: the coefficients' moduli).
 
     Over a family the term bound of the module docstring sums to
     (2 pi/c) |t|^(-B) e^(-BX) (1 - e^-X)^(-2B) poly(1 - e^-X, e^X - 1) at
@@ -407,21 +420,50 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
     counts grow by the steps the slowest decay asks for; past
     ctrl.max_terms images the sum is refused.  The majorant charges each
     term its modulus times 1 + |log h|, as exp amplifies the rounding of
-    its argument.  Returns the sums, tail bounds, majorants and images.
+    its argument.  image_sum returns the sums, tail bounds, majorants and
+    images.  Per pair of counts (images) the plan keeps the window
+    e^(d nu/2), 2 pi i B nu over nu = -n_minus..n_plus and each side's
+    bound factor and ends.
 
-    Every node sums one window of images (_window, shared by all pairs of
-    the annulus) under one stop test; its elementwise stage runs over row
-    blocks of about _BLOCK node-images (_row_blocks), so that its
-    temporaries stay small, each block contracted at its own rows of V.  A
-    pair's sum is its node's in any batch only to the last bits: numpy's
-    vector loops (exp, log) round an element by its position.
+    Every node sums one window of images under one stop test; its
+    elementwise stage runs over row blocks of about _BLOCK node-images
+    (_row_blocks), so that its temporaries stay small, each block
+    contracted at its own rows of V.  A pair's sum is its node's in any
+    batch only to the last bits: numpy's vector loops (exp, log) round an
+    element by its position.
     """
-    num, B = g.num, g.B
-    log_t = num.clogs(np.reshape(g.t, (-1, 1)))  # one row per t
-    spacing = 2 * num.pi / g.radial_scale  # xi_(nu+1) - xi_nu
-    q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
-    unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
-    scale = np.abs(np.asarray(unit, dtype=complex))
+    if isinstance(series, tuple):  # sigma_kl's Gamma(2B-k-l) a^k b^l
+        (k_max, l_max), pref = series, 1
+        gamma = num.gamma(2 * B - k_max - l_max)  # > 0: its own modulus
+        poly = lambda a, b, V, modulus=False: gamma * a**k_max * b**l_max
+    else:
+        k_max = l_max = series
+        poly, pref = _level_polynomial(series, num, B), _prefactor(series, num, R, B, log_R)
+    spacing = 2 * num.pi / (log_R / num.pi)  # xi_(nu+1) - xi_nu
+    # counts and bounds in binary64, with the slowest decay of each side
+    eps, d, b = num.eps, float(spacing), float(B)
+    rates = (b - l_max, b - k_max)  # of the + and - sides
+    reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
+    counts = tuple(
+        max(math.ceil((reach - math.log(-math.expm1(-rate * d))) / (rate * d) - 0.5), 0)
+        for rate in rates
+    )
+
+    @functools.lru_cache(maxsize=16)
+    def images(n_plus: int, n_minus: int) -> tuple:  # the window and bounds of a count
+        nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
+        window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu
+        for x in window:
+            x.flags.writeable = False
+        sides = []
+        for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
+            # no further out than binary64 holds e^(X max(k, l)): a smaller X
+            # only loosens the decreasing bound
+            X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
+            near, far = -math.expm1(-X), math.expm1(X)
+            factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
+            sides.append((factor, (far, near) if minus else (near, far)))
+        return window, tuple(sides)
 
     def stage(q0, V, step, phase):  # net and gross image sums of a block of rows
         q = q0 * step  # e^(xi_nu/2)
@@ -434,63 +476,42 @@ def _image_sum(g: PairGeometry, poly: Callable, k_max: int, l_max: int, ctrl: Se
             abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), V, modulus=True)
         ).sum(axis=-1)
 
-    # counts and bounds in binary64, with the slowest decay of each side
-    eps, d, b = num.eps, float(spacing), float(B)
-    rates = (b - l_max, b - k_max)  # of the + and - sides
-    reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
-    n_plus, n_minus = (
-        max(math.ceil((reach - math.log(-math.expm1(-rate * d))) / (rate * d) - 0.5), 0)
-        for rate in rates
-    )
-    while n_plus + n_minus + 1 <= ctrl.max_terms:
-        window = _window(num, spacing, B, n_minus, n_plus)
-        blocks = _row_blocks(len(q0), n_plus + n_minus + 1)
-        if blocks is None:
-            net, gross = stage(q0, g.V, *window)
-        else:
-            net, gross = (np.concatenate(x) for x in zip(
-                *(stage(q0[rows], g.V[rows], *window) for rows in blocks)))
-        total, gross = unit[:, 0] * net, scale[:, 0] * gross
-        bound = 0.0
-        for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
-            # no further out than binary64 holds e^(X max(k, l)): a smaller X
-            # only loosens the decreasing bound
-            X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
-            near, far = -math.expm1(-X), math.expm1(X)
-            factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
-            ends = (far, near) if minus else (near, far)
-            bound = bound + factor * poly(*ends, g.V, modulus=True)
-        bound = (scale * np.asarray(bound, dtype=float))[:, 0]
-        limit = ctrl.tolerance * np.abs(np.asarray(total, dtype=complex))
-        excess = (bound / (limit + eps * np.asarray(gross, dtype=float))).max()
-        if excess <= 1.0:
-            return total, bound, gross, n_plus + n_minus + 1
-        if not math.isfinite(excess):
-            raise ConvergenceError(f"image sum overflowed binary64 (R={g.params.R:g})")
-        step = max(math.ceil(math.log(excess) / (min(rates) * d)), 1)
-        n_plus, n_minus = n_plus + step, n_minus + step
-    raise ConvergenceError(
-        f"image sum did not reach tolerance {ctrl.tolerance} within "
-        f"{ctrl.max_terms} terms ({n_plus + n_minus + 1} images needed)"
-    )
+    def image_sum(g: PairGeometry):
+        log_t = num.clogs(np.asarray(g.t).reshape(-1, 1))  # one row per t
+        q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
+        unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
+        scale = np.abs(np.asarray(unit, dtype=complex))
+        n_plus, n_minus = counts
+        while n_plus + n_minus + 1 <= ctrl.max_terms:
+            window, sides = images(n_plus, n_minus)
+            blocks = _row_blocks(len(q0), n_plus + n_minus + 1)
+            if blocks is None:
+                net, gross = stage(q0, g.V, *window)
+            else:
+                net, gross = (np.concatenate(x) for x in zip(
+                    *(stage(q0[rows], g.V[rows], *window) for rows in blocks)))
+            total, gross = unit[:, 0] * net, scale[:, 0] * gross
+            bound = sum(factor * poly(*ends, g.V, modulus=True) for factor, ends in sides)
+            bound = (scale * np.asarray(bound, dtype=float))[:, 0]
+            limit = ctrl.tolerance * np.abs(np.asarray(total, dtype=complex))
+            excess = (bound / (limit + eps * np.asarray(gross, dtype=float))).max()
+            if excess <= 1.0:
+                return total, bound, gross, n_plus + n_minus + 1
+            if not math.isfinite(excess):
+                raise ConvergenceError(f"image sum overflowed binary64 (R={float(R):g})")
+            step = max(math.ceil(math.log(excess) / (min(rates) * d)), 1)
+            n_plus, n_minus = n_plus + step, n_minus + step
+        raise ConvergenceError(
+            f"image sum did not reach tolerance {ctrl.tolerance} within "
+            f"{ctrl.max_terms} terms ({n_plus + n_minus + 1} images needed)"
+        )
+
+    return image_sum, pref
 
 
-@functools.lru_cache(maxsize=64)
-def _window(num: _Numbers, spacing, B, n_minus: int, n_plus: int) -> tuple:
-    """e^(d nu/2) and 2 pi i B nu over the images nu = -n_minus..n_plus,
-    d = spacing, in the number type num: independent of the pair, so built
-    once per annulus and window (read-only; at 34 digits their mpf inputs
-    fix the precision)."""
-    nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
-    window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu
-    for x in window:
-        x.flags.writeable = False
-    return window
-
-
-# node-images per block of _image_sum's stage: 64 KiB per complex temporary.
-# Blocks of 16384 (256 KiB temporaries) still page-faulted on every call
-# of a fresh process, as one whole 12288-node row does
+# node-images per block of the image sums' stage: 64 KiB per complex
+# temporary.  Blocks of 16384 (256 KiB temporaries) still page-faulted on
+# every call of a fresh process, as one whole 12288-node row does
 _BLOCK = 4096
 
 
@@ -519,29 +540,19 @@ def sigma_kl(
     if not (0 <= k <= m_context and 0 <= l <= m_context):
         raise DomainError(f"need 0 <= k,l <= m={m_context}, got k={k}, l={l}")
     require_admissible(m_context, params)
-
-    def sigma(e: PairGeometry):
-        gamma = e.num.gamma(2 * e.B - k - l)  # > 0: its own modulus
-        return (lambda a, b, V, modulus=False: gamma * a**k * b**l), 1
-
-    return _evaluate(
-        "closed_form", z, w, params, rounding_rtol, _closed_form(sigma, k, l, ctrl)
-    ).value
+    summed = _closed_form((k, l), ctrl)
+    return _evaluate("closed_form", z, w, params, rounding_rtol, summed).value
 
 
-def _closed_form(
-    contraction: Callable[[PairGeometry], tuple], k_max: int, l_max: int,
-    ctrl: SeriesControl,
-) -> Callable[[PairGeometry, int], tuple]:
+def _closed_form(series, ctrl: SeriesControl) -> Callable[[PairGeometry, int], tuple]:
     """The closed form's summed (_evaluate): prefactor x the image sums of
-    poly, contraction(pair) -> (poly, prefactor) with poly's degrees k_max
-    and l_max (_image_sum).  At a point its value, condition and tail bound
-    are row 0's; at nodes the values, with the worst node's condition and
-    tail bound."""
+    the plan of series (_plan) in the pair's number type.  At a point its
+    value, condition and tail bound are row 0's; at nodes the values, with
+    the worst node's condition and tail bound."""
 
     def summed(e: PairGeometry, start: int):
-        poly, pref = contraction(e)
-        total, tail, gross, images = _image_sum(e, poly, k_max, l_max, ctrl)
+        image_sum, pref = _plan(e.num, e.R, e.B, e.log_R, ctrl, series)
+        total, tail, gross, images = image_sum(e)
         if isinstance(e.t, np.ndarray):
             condition = np.max(gross / np.maximum(np.abs(total), 1e-300))
             return pref * total, condition, abs(pref) * np.max(tail), images
@@ -572,13 +583,10 @@ def kernel_km(
     recomputed at 34 digits and reported with precision="extended", and a
     34-digit value whose own rounding exceeds the budget raises
     ConvergenceError.  The value is kernel_km_grid's at the node w, to the
-    last bits (_image_sum).
+    last bits (_plan).
     """
     require_admissible(m, params)
-    return _evaluate(
-        "closed_form", z, w, params, rounding_rtol,
-        _closed_form(lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m, ctrl),
-    )
+    return _evaluate("closed_form", z, w, params, rounding_rtol, _closed_form(m, ctrl))
 
 
 def kernel_basis_sum_oracle(
@@ -744,7 +752,7 @@ def _theta(
     each Lambert series and the one against 1/(2 log R).
 
     Every order is summed once, within target x |L_s| <= target x G_s, the
-    target the smaller of ctrl.tolerance and the pair's eps (as _image_sum
+    target the smaller of ctrl.tolerance and the pair's eps (as _plan
     sizes its images): the tail bound, target x the majorant, is at most
     eps x condition x |value| at either precision.
     """
@@ -811,7 +819,7 @@ def kernel_km_theta(
     B = _integer_B(params, "theta path")
 
     def polynomial(e: PairGeometry):
-        f, pref = math.factorial, _prefactor(m, e)
+        f, pref = math.factorial, _prefactor(m, e.num, e.R, e.B, e.log_R)
         terms = [(pochhammer(1 - 2 * e.B + m, k + l) / (f(m - k - l) * f(k) * f(l))
                   * e.V**l * e.V.conjugate() ** k,
                   _theta_polynomial(k, l, B, e.log_R, e.num.pi))
@@ -866,7 +874,7 @@ def kernel_km_grid(
     every node, so each node's truncation is certified as kernel_km's, and
     each node is kernel_km(m, z, w) within that value's certificate (tail
     bound plus eps x condition x |K|); neither is reported.  The terms are
-    formed in row blocks of about _BLOCK node-images (_image_sum), which
+    formed in row blocks of about _BLOCK node-images (_plan), which
     changes neither the images nor the stop test; a node's value matches
     kernel_km's to the last bits, as numpy's vector loops round an element
     by its position.  Nodes are refused as pointwise pairs are: off the
@@ -876,9 +884,11 @@ def kernel_km_grid(
     """
     require_admissible(m, params)
     w = np.asarray(w_nodes, dtype=complex)
+    if not w.size:  # no pair to sum: an empty array of w's shape, z checked
+        require_interior(z, params)
+        return np.empty(w.shape, complex)
     return _evaluate(
-        "closed_form", z, w.ravel(), params, None,
-        _closed_form(lambda e: (_level_polynomial(m, e), _prefactor(m, e)), m, m, ctrl),
+        "closed_form", z, w.ravel(), params, None, _closed_form(m, ctrl)
     ).value.reshape(w.shape)
 
 

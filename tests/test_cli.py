@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from annulus_kernels.cli import main, parse_complex
+from annulus_kernels.cli import build_parser, main, parse_complex
 from annulus_kernels.errors import DomainError
 
 
@@ -200,6 +200,20 @@ def test_grid_writes_file(tmp_path):
     assert code == 0 and out == ""
     lines = target.read_text().strip().split("\n")
     assert len(lines) == 5
+
+
+def test_grid_exports_in_one_process_write_the_same_bytes(tmp_path):
+    # the parser is built once per process (cli.build_parser is cached);
+    # a second export parses and writes as the first did
+    targets = [tmp_path / f"grid-{i}.csv" for i in range(2)]
+    for target in targets:
+        code, out, _ = run_cli(
+            ["grid", "--R", "4", "--B", "3", "--m", "1", "--w=-1.5+0.8i",
+             "--n-rad", "4", "--n-ang", "6", "--out", str(target)]
+        )
+        assert code == 0 and out == ""
+    assert build_parser() is build_parser()
+    assert targets[0].read_bytes() == targets[1].read_bytes()
 
 
 def test_verify_gram_passes_and_reports():

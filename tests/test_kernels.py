@@ -882,6 +882,55 @@ def test_grid_preserves_shape():
     assert np.allclose(out, out[0, 0])
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_grid_of_no_node_is_empty(shape):
+    # no pair to sum: an empty complex array of the nodes' shape, and the
+    # fixed point is still checked
+    out = kernel_km_grid(0, Z0, np.zeros(shape, dtype=complex), P43)
+    assert out.shape == shape and out.dtype == complex
+    with pytest.raises(DomainError):
+        kernel_km_grid(0, 5.0, np.zeros(shape, dtype=complex), P43)
+
+
+def _closed_form_outputs(p, pairs, nodes):
+    """Every closed-form output at p, exactly: kernel_km without a budget,
+    with 1e-10 and escalated (budget 0), sigma_kl and kernel_km_grid."""
+    out = []
+    for m in admissible_levels(p):
+        for z, w in pairs:
+            for budget in (None, 1e-10, 0.0):
+                ev = kernel_km(m, z, w, p, rounding_rtol=budget)
+                out.append((ev.value, ev.terms_used, ev.tail_bound, ev.condition, ev.precision))
+            out += [sigma_kl(m, 0, z, w, m, p), sigma_kl(0, m, z, w, m, p)]
+        out.append(kernel_km_grid(m, pairs[0][0], nodes, p).tobytes())
+    return repr(out)
+
+
+@pytest.mark.parametrize("R,B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_closed_form_plans_are_pure(R, B):
+    # a plan (kernels._plan) holds only what does not depend on the pair:
+    # plans built afresh and warm plans give the same outputs, bit for bit
+    p = AnnulusParams(R=R, B=B)
+    pairs = sample_pairs(p, 3, 7)
+    nodes = np.array([w for _, w in pairs])
+    first = _closed_form_outputs(p, pairs, nodes)
+    kernels._plan.cache_clear()
+    assert _closed_form_outputs(p, pairs, nodes) == first  # cold
+    assert _closed_form_outputs(p, pairs, nodes) == first  # warm
+
+
+def test_warm_plans_keep_the_stop_rule():
+    # plans are keyed by ctrl: a warm default plan lends its image counts
+    # neither to a smaller budget nor to a tighter tolerance
+    p = AnnulusParams(R=50.0, B=2.0)
+    z, w = sample_pairs(p, 1, 7)[0]
+    default = kernel_km(1, z, w, p)
+    assert default.terms_used == 17
+    with pytest.raises(ConvergenceError, match="17 images needed"):
+        kernel_km(1, z, w, p, SeriesControl(max_terms=16))
+    assert kernel_km(1, z, w, p, SeriesControl(tolerance=1e-20)).terms_used > 17
+
+
 # both grids' rounding, seen at most 1e-15 x max|K| on these rows
 GRID_ROUNDING = 16 * np.finfo(float).eps
 
