@@ -5,8 +5,9 @@ series, the basis-sum oracle, and — at integer B — the theta-function
 representation and (for m = 0) the pair-product form, whose value is the
 theta path's at m = 0 (the same series before it is resummed).  The script
 reports the worst relative deviation of each path from the basis-sum
-oracle, the term counts, and the worst conditioning seen, as a table or as
-JSON.
+oracle, the term counts, the worst conditioning seen and the escalations
+to extended precision, as a table or as JSON.  The oracle has a row of its
+own (deviation 0), with its j-window, condition and escalations.
 
 Examples
 --------
@@ -68,32 +69,23 @@ def compare_paths(args: argparse.Namespace) -> list[dict]:
             for z, w in pairs
         ]
         for path in KERNEL_PATHS:
-            if path == "basis_sum":
-                continue
-            worst = 0.0
-            max_terms = 0
-            max_condition = 0.0
-            escalations = 0
             try:
-                for (z, w), ref in zip(pairs, refs):
-                    ev = kernel_by_path(
-                        path, m, z, w, params, ctrl,
-                        rounding_rtol=args.rounding_rtol,
-                    )
-                    worst = max(worst, abs(ev.value - ref.value) / abs(ref.value))
-                    max_terms = max(max_terms, ev.terms_used)
-                    max_condition = max(max_condition, ev.condition)
-                    escalations += ev.precision != "binary64"
+                evs = refs if path == "basis_sum" else [
+                    kernel_by_path(path, m, z, w, params, ctrl, rounding_rtol=args.rounding_rtol)
+                    for z, w in pairs
+                ]
             except UnsupportedPathError:
                 continue
             rows.append(
                 {
                     "m": m,
                     "path": path,
-                    "max_rel_dev": float(worst),
-                    "max_terms": int(max_terms),
-                    "max_condition": float(max_condition),
-                    "escalated": int(escalations),
+                    "max_rel_dev": max(
+                        abs(ev.value - ref.value) / abs(ref.value) for ev, ref in zip(evs, refs)
+                    ),
+                    "max_terms": max(ev.terms_used for ev in evs),
+                    "max_condition": max(ev.condition for ev in evs),
+                    "escalated": sum(ev.precision != "binary64" for ev in evs),
                     "n_pairs": len(pairs),
                 }
             )

@@ -242,7 +242,7 @@ def cmd_info(cfg: CliConfig) -> int:
     for m in levels:
         lines.append(f"  m = {m}: eigenvalue lambda = {eigen[m]:g}")
     lines.append(
-        "integer-B paths (theta, product, inversion): "
+        "integer-B paths (theta, product): "
         + ("available" if integer_paths else "not available (B not an integer)")
     )
     _emit("\n".join(lines) + "\n", cfg.out)

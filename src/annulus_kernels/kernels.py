@@ -64,9 +64,10 @@ log-derivative charged at the gross sum of its Lambert terms), within
 eps x condition x |value|.
 
 The basis-sum oracle sums its j-series as a term function vectorised over
-the window j = -J..J, by one routine (_sum_window) in either number type: the
-window doubles until the rigorous geometric tail bound (_tail_bound) falls
-below the tolerance, at 34 digits from the binary64 stop on.
+an index array, by one routine (_sum_window) in either number type: the
+window j = -J..J is predicted from the decay ratios, and while the rigorous
+geometric tail bound (_tail_bound) exceeds the tolerance it grows by the
+step that bound asks for, each index evaluated once.
 
 Every evaluation, of every path, is one call of one driver (_evaluate):
 it builds the pair geometry, sums the path's series there (the path's
@@ -246,12 +247,12 @@ def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> 
 
 def _evaluate(
     path: str, z, w, params: AnnulusParams, rounding_rtol: float | None,
-    summed: Callable[[PairGeometry, int], tuple],
+    summed: Callable[[PairGeometry], tuple],
 ) -> KernelEvaluation:
     """The one evaluation driver of every path, with its extended-precision
-    policy.  summed(pair, start) -> (value, condition, tail bound, terms)
-    sums the path's series at the pair geometry of (z, w), w a point or an
-    ndarray of nodes; start is 0, or at 34 digits the binary64 sum's terms.
+    policy.  summed(pair) -> (value, condition, tail bound, terms) sums the
+    path's series at the pair geometry of (z, w), w a point or an ndarray
+    of nodes.
     When eps x condition exceeds rounding_rtol (_rounding_exceeds; never
     without a budget), summed re-runs on the pair rebuilt from the binary64
     inputs in 34-digit numbers and every field is that sum's, its value
@@ -260,14 +261,14 @@ def _evaluate(
     """
     g = _pair(z, w, params)
     _decay_ratios(g)
-    value, condition, tail, terms = summed(g, 0)
+    value, condition, tail, terms = summed(g)
     precision = "binary64"
     if _rounding_exceeds(g.num, condition, rounding_rtol):
         import mpmath as mp
 
         with mp.workdps(34):
             e = _pair(g.z, g.w, params, _mpmath_numbers())
-            value, condition, tail, terms = summed(e, terms)
+            value, condition, tail, terms = summed(e)
             if _rounding_exceeds(e.num, condition, rounding_rtol):
                 raise ConvergenceError(
                     f"34-digit sum keeps no digit within the rounding budget "
@@ -282,6 +283,11 @@ def _integer_B(params: AnnulusParams, what: str) -> int:
     if not params.is_integer_B():
         raise UnsupportedPathError(f"{what} requires integer B, got B={params.B}")
     return int(round(params.B))
+
+
+def _integer_2B(params: AnnulusParams) -> bool:
+    """Whether 2B is an integer: B an integer or half an odd one."""
+    return abs(2.0 * params.B - round(2.0 * params.B)) <= 1e-12
 
 
 def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
@@ -300,6 +306,14 @@ def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
     return q_plus, q_minus
 
 
+def _effective_ratios(ratios, p, shift: float, J: int) -> np.ndarray:
+    """q_eff = q ((|j + shift| + 1)/|j + shift|)^p at the edges j = -J and
+    j = J (_tail_bound); infinite at an edge with j + shift = 0."""
+    edge = np.array([abs(-J + shift), abs(J + shift)])
+    with np.errstate(divide="ignore"):
+        return ratios * ((edge + 1.0) / edge) ** p
+
+
 def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarray:
     """Rigorous bound on the tails |j| > J of bilateral series whose moduli
     decay like q_minus^|j| and q_plus^j (ratios[..., 0] and [..., 1]) times
@@ -309,48 +323,85 @@ def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarra
     |j + shift|)^p at the edge; every bound is infinite once any q_eff >= 1,
     as it is when an edge sits at j + shift = 0 (unbounded growth ratio).
     """
-    edge = np.array([abs(-J + shift), abs(J + shift)])
-    with np.errstate(divide="ignore"):
-        q_eff = ratios * ((edge + 1.0) / edge) ** p
+    q_eff = _effective_ratios(ratios, p, shift, J)
     if np.max(q_eff) < 1.0:
         return (edges * q_eff / (1.0 - q_eff)).sum(axis=-1)
     return np.full(edges.shape[:-1], math.inf)
 
 
-def _sum_window(
-    terms: Callable[[int], np.ndarray], p, shift: float, g: PairGeometry,
-    ctrl: SeriesControl, J: int,
-):
-    """Sum one or more bilateral series over the window j = -J..J.
+def _steady_from(ratios: np.ndarray, p: float, shift: float) -> int:
+    """The smallest J >= shift past which both q_eff < 1 (_effective_ratios,
+    p > 0): q ((x + 1)/x)^p < 1 exactly when the edge's distance x = |j +
+    shift| exceeds 1/(q^(-1/p) - 1)."""
+    with np.errstate(over="ignore"):  # p near 0: no edge is too close
+        x_minus, x_plus = 1.0 / np.expm1(-np.log(ratios) / p)
+    return max(math.floor(shift + x_minus), math.floor(x_plus - shift), 0) + 1
 
-    terms(J) gives the terms of each series along the last axis, in either
-    number type; their growth exponent p and shift are those of _tail_bound.
-    J doubles from its start, at most (ctrl.max_terms - 1) // 2, until every
-    tail is below ctrl.tolerance times the largest sum; a window that would
-    pass ctrl.max_terms terms is refused.  Returns the sums, the tail
-    bounds, the gross magnitudes (sums of |term|, the rounding majorants)
-    and J.
+
+def _grown(J: int, edges, ratios: np.ndarray, p: float, shift: float, limit: float):
+    """(J', tail): the tail bound beyond J at the edge moduli (_tail_bound),
+    and the half-width it asks for.  J' is J when the bound is within limit;
+    else J plus the step that brings it within limit at the slower side's
+    q_eff per term (at J, the largest q_eff along either tail), or, where a
+    q_eff >= 1 leaves the bound infinite, _steady_from's J."""
+    tail = float(_tail_bound(edges, ratios, p, shift, J))
+    if tail <= limit:
+        return J, tail
+    if not math.isfinite(tail):
+        return max(_steady_from(ratios, p, shift), J + 1), tail
+    q = float(np.max(_effective_ratios(ratios, p, shift, J)))
+    return J + max(math.ceil(math.log(tail / limit) / -math.log(q)), 1), tail
+
+
+def _sum_window(
+    terms: Callable[[np.ndarray], np.ndarray], p: float, shift: float, g: PairGeometry,
+    ctrl: SeriesControl,
+):
+    """Sum a bilateral series over the window j = -J..J, each term once.
+
+    terms(j) gives the terms at an index array j of the pair's number type;
+    the first call's window is centred on j = 0.  p > 0 and shift are the
+    growth exponent and shift of _tail_bound.  The first J is predicted
+    from the decay ratios: on model moduli q^|j + shift| |j + shift|^p
+    (q_minus below j = -shift, q_plus above), relative to j = 0's, it is
+    grown (_grown) once from J = log(target)/log(q) of the slower side, or
+    _steady_from's J, to leave tails within target.
+    The target is the smaller of ctrl.tolerance and eps in binary64, where
+    more terms add little to a numpy pass while a second pass repeats its
+    loggamma and Jacobi rounds, and ctrl.tolerance at 34 digits, where each
+    term costs an mpmath loggamma.  The stop test is the tail bound at the
+    edge moduli within ctrl.tolerance x |sum|; while it fails, J grows by
+    the step that bound asks for (_grown) and only the new indices are
+    evaluated.  J is at most (ctrl.max_terms - 1) // 2; a sum that needs
+    more is refused.  Returns the sum, its tail bound, its gross magnitude
+    (the sum of |term|, the rounding majorant) and J.
     """
-    J = min(J, (ctrl.max_terms - 1) // 2)
     q_plus, q_minus = _decay_ratios(g)
     ratios = np.array([q_minus, q_plus])
-    p_edges = np.asarray(p)[..., None]
+    target = min(ctrl.tolerance, _EPS) if g.num is _BINARY64 else ctrl.tolerance
+    cap = (ctrl.max_terms - 1) // 2
+    J = max(math.ceil(math.log(target) / math.log(ratios.max())), _steady_from(ratios, p, shift))
+    d = np.array([J - shift, J + shift])  # |j + shift| at j = -J, J
+    model = ratios**d * (d / shift) ** p / q_plus**shift
+    J = min(_grown(J, model, ratios, p, shift, target)[0], cap)
+    values = terms(np.arange(-J, J + 1, dtype=g.num.dtype))
     while True:
-        values = terms(J)
-        total = values.sum(axis=-1)
+        total = values.sum()
         moduli = np.abs(values)
-        gross = moduli.sum(axis=-1)
-        tails = _tail_bound(moduli[..., :: 2 * J], ratios, p_edges, shift, J)  # j = -J, J
-        scale = max(float(np.max(np.abs(total))), 1e-300)
-        if np.max(tails) <= ctrl.tolerance * scale:
-            return total, tails, gross, J
-        if 4 * J + 1 > ctrl.max_terms:
+        limit = ctrl.tolerance * max(float(abs(total)), 1e-300)
+        wanted, tail = _grown(J, moduli[[0, -1]], ratios, p, shift, limit)  # j = -J, J
+        if wanted == J:
+            return total, tail, moduli.sum(), J
+        if J == cap:
             raise ConvergenceError(
                 f"bilateral series did not reach tolerance {ctrl.tolerance} "
                 f"within {ctrl.max_terms} terms (J={J}, q+={q_plus:.4g}, "
                 f"q-={q_minus:.4g})"
             )
-        J *= 2
+        j = np.arange(J + 1, min(wanted, cap) + 1, dtype=g.num.dtype)
+        new = terms(np.concatenate([-j[::-1], j]))
+        values = np.concatenate([new[: j.size], values, new[j.size:]])
+        J += j.size
 
 
 def _prefactor(m: int, num: _Numbers, R, B, log_R):
@@ -544,13 +595,13 @@ def sigma_kl(
     return _evaluate("closed_form", z, w, params, rounding_rtol, summed).value
 
 
-def _closed_form(series, ctrl: SeriesControl) -> Callable[[PairGeometry, int], tuple]:
+def _closed_form(series, ctrl: SeriesControl) -> Callable[[PairGeometry], tuple]:
     """The closed form's summed (_evaluate): prefactor x the image sums of
     the plan of series (_plan) in the pair's number type.  At a point its
     value, condition and tail bound are row 0's; at nodes the values, with
     the worst node's condition and tail bound."""
 
-    def summed(e: PairGeometry, start: int):
+    def summed(e: PairGeometry):
         image_sum, pref = _plan(e.num, e.R, e.B, e.log_R, ctrl, series)
         total, tail, gross, images = image_sum(e)
         if isinstance(e.t, np.ndarray):
@@ -601,13 +652,14 @@ def kernel_basis_sum_oracle(
                       / |Gamma(B-m + i (j+B) c)|^2,   c = log(R)/pi,
 
     with the radial factors RR_m^(-2 y_j, 1-B)(x) = (-2i)^m m!
-    P_m^(-B-mu_j, -B+mu_j)(ix) at x = X and Y.  The range |j| <= J grows
-    until the edge-term geometric estimate (polynomial growth of the radial
-    factors absorbed into the effective ratio) drops below
-    tol * |partial sum|.  When rounding_rtol is given and machine epsilon
-    times the gross-to-net condition exceeds it, the same per-term formula
-    is summed again at 34 digits under the same rule.  At most 8192 terms
-    are summed.
+    P_m^(-B-mu_j, -B+mu_j)(ix) at x = X and Y.  The range |j| <= J is
+    predicted from the decay ratios and grows, by the step the edge-term
+    geometric estimate (polynomial growth of the radial factors absorbed
+    into the effective ratio) asks for, until that estimate drops below
+    tol * |partial sum| (_sum_window); each term is evaluated once.  When
+    rounding_rtol is given and machine epsilon times the gross-to-net
+    condition exceeds it, the same per-term formula is summed again at 34
+    digits under the same rule.  At most 8192 terms are summed.
     """
     return _basis_sum(m, z, w, params, SeriesControl(tolerance=tol, max_terms=8192), rounding_rtol)
 
@@ -615,28 +667,31 @@ def kernel_basis_sum_oracle(
 def _basis_sum(
     m: int, z, w, params: AnnulusParams, ctrl: SeriesControl, rounding_rtol: float | None,
 ) -> KernelEvaluation:
-    """The basis-sum oracle summed under ctrl (kernel_basis_sum_oracle)."""
+    """The basis-sum oracle summed under ctrl (kernel_basis_sum_oracle): its
+    terms at an index array j, each relative to the j = 0 term's Gamma
+    pair, summed over the window of _sum_window."""
     require_admissible(m, params)
-
-    def terms(g: PairGeometry, J: int):
-        # log(|Gamma(B-m + mu_j)|^2 t^j) over j = -J..J, mu_j = i (j + B) log(R)/pi
-        j = np.arange(-J, J + 1, dtype=g.num.dtype)
-        mu = 1j * (j + g.B) * g.radial_scale
-        lg = g.num.loggamma(g.B - m + mu)
-        log_terms = lg + lg.conj() + j * g.num.clog(g.t)
-        jac = JacobiParams(-g.B - mu, -g.B + mu, m)
-        radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
-        return g.num.exp(log_terms - log_terms[J]) * radial  # j = 0 sits at J
 
     # ||phi_0||^2 is a common factor: its binary64 rounding (about
     # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
     # the extended sum as well
     const = (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, params)
 
-    def summed(g: PairGeometry, start: int):  # one rule at both precisions
-        J0 = max(start // 2, 32)  # at 34 digits, the binary64 stop
-        total, tail, gross, J = _sum_window(
-            lambda J: terms(g, J), 2.0 * params.B - 1.0, params.B, g, ctrl, J0)
+    def summed(g: PairGeometry):  # one rule at both precisions
+        log_t, centre = g.num.clog(g.t), []
+
+        def terms(j):  # relative to j = 0's, which the first window holds
+            # log(|Gamma(B-m + mu_j)|^2 t^j), mu_j = i (j + B) log(R)/pi
+            mu = 1j * (j + g.B) * g.radial_scale
+            lg = g.num.loggamma(g.B - m + mu)
+            log_terms = lg + lg.conj() + j * log_t
+            if not centre:
+                centre.append(log_terms[j.size // 2])
+            jac = JacobiParams(-g.B - mu, -g.B + mu, m)
+            radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
+            return g.num.exp(log_terms - centre[0]) * radial
+
+        total, tail, gross, J = _sum_window(terms, 2.0 * params.B - 1.0, params.B, g, ctrl)
         condition = gross / max(abs(total), 1e-300)
         return complex(const * total), condition, abs(const) * tail, 2 * J + 1
 
@@ -738,7 +793,7 @@ def _theta_polynomial(k: int, l: int, B: int, log_R, pi=math.pi) -> np.ndarray:
 
 def _theta(
     ctrl: SeriesControl, polynomial: Callable[[PairGeometry], tuple],
-) -> Callable[[PairGeometry, int], tuple]:
+) -> Callable[[PairGeometry], tuple]:
     """The theta path's summed (_evaluate): polynomial(pair) -> (P, M), the
     coefficients P_p (ascending in n) of a polynomial P(n) and majorants M_p
     of their moduli, built once per evaluation.  The value is
@@ -757,7 +812,7 @@ def _theta(
     eps x condition x |value| at either precision.
     """
 
-    def summed(e: PairGeometry, start: int):
+    def summed(e: PairGeometry):
         P, M = polynomial(e)
         pref = e.t ** -int(round(e.params.B)) * 2.0 * e.log_R
         table = LambertTable(0.5j * e.num.clog(e.t), e.R)
@@ -837,15 +892,18 @@ def kernel_km_theta(
 def inversion_covariance_residual(
     m: int, z, w, params: AnnulusParams, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> float:
-    """Relative defect of the inversion rule (integer B):
+    """Relative defect of the inversion rule (2B an integer):
 
         K_m(R/z, R/w) = (z conj(w)/R)^(2B) K_m(z, w),
 
-    returned as |lhs - rhs| / |K_m(z, w)|.  Non-integer B is rejected: the
-    rule maps the index ladder j -> -j - 2B onto itself only when 2B is an
-    even integer.
+    returned as |lhs - rhs| / |K_m(z, w)|.  Other B are rejected: the map
+    j -> -j - 2B takes the index ladder onto itself, and (z conj(w)/R)^(2B)
+    is single-valued, only when 2B is an integer.
     """
-    _integer_B(params, "inversion covariance")
+    if not _integer_2B(params):
+        raise UnsupportedPathError(
+            f"inversion covariance requires 2B to be an integer, got B={params.B}"
+        )
     zc, wc = complex(z), complex(w)
     # the covariance factor |z conj(w)/R|^(2B) amplifies both truncation and
     # rounding error of each side relative to |K_m(z, w)|, so the kernels are

@@ -49,6 +49,7 @@ from .geometry import (
     zeta_coordinate,
 )
 from .kernels import (
+    _integer_2B,
     _tail_bound,
     _theta_polynomial,
     inversion_covariance_residual,
@@ -91,7 +92,8 @@ SUITE_NAMES = (
     "all",
 )
 
-_INTEGER_B_SUITES = ("inversion", "theta")
+# the suites that hold only at some B, with the test of B each needs
+_B_GATES = {"inversion": _integer_2B, "theta": AnnulusParams.is_integer_B}
 
 REPRODUCING_POINTS = 5  # per level; each costs a kernel row over the rule
 GRAM_HALFWIDTH = 8  # the gram suite's indices: |j + B| <= GRAM_HALFWIDTH
@@ -689,9 +691,9 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
 
 
 def _suite_inversion(params: AnnulusParams, opts: SuiteOptions):
-    if not params.is_integer_B():
+    if not _integer_2B(params):
         raise UnsupportedPathError(
-            f"inversion suite requires integer B, got B={params.B}"
+            f"inversion suite requires 2B to be an integer, got B={params.B}"
         )
     pairs = sample_pairs(params, opts.n_points, opts.seed + 707)
     worst = 0.0
@@ -751,10 +753,10 @@ def run_suite(
     """Run the named verification suite and return its report.
 
     The suite "all" aggregates every individual suite, prefixing residual
-    names with the sub-suite; the integer-B-only suites (inversion, theta)
-    are included only when B is an integer and skipped otherwise.  Unknown
-    names raise UnknownSuiteError; requesting the inversion or theta suite
-    directly at non-integer B raises UnsupportedPathError.
+    names with the sub-suite; the inversion suite is included only when 2B
+    is an integer, and the theta suite only when B is.  Unknown names raise
+    UnknownSuiteError; requesting the inversion or theta suite directly
+    where it is not included raises UnsupportedPathError.
     """
     if name not in SUITE_NAMES:
         raise UnknownSuiteError(
@@ -765,7 +767,7 @@ def run_suite(
     if name == "all":
         residuals: list[ResidualEntry] = []
         for sub in SUITE_NAMES[:-1]:
-            if sub in _INTEGER_B_SUITES and not params.is_integer_B():
+            if sub in _B_GATES and not _B_GATES[sub](params):
                 continue
             for entry in _SUITE_FUNCTIONS[sub](params, opts):
                 residuals.append(

@@ -269,10 +269,10 @@ def test_criterion_09_inversion_covariance():
         for z, w in sample_pairs(p, 20, SEED):
             worst = max(worst, inversion_covariance_residual(m, z, w, p, CTRL))
     with pytest.raises(UnsupportedPathError):
-        inversion_covariance_residual(0, 1.5, 2.0, AnnulusParams(R=4.0, B=2.5), CTRL)
+        inversion_covariance_residual(0, 1.5, 2.0, AnnulusParams(R=4.0, B=2.75), CTRL)
     elapsed = time.perf_counter() - start
     _criterion(
-        9, "inversion covariance at (4,3), all m, 20 pairs; non-integer B rejected",
+        9, "inversion covariance at (4,3), all m, 20 pairs; B with 2B non-integer rejected",
         worst <= 1e-10, f"max residual {worst:.2e} <= 1e-10", elapsed, 10.0,
     )
 

@@ -127,12 +127,25 @@ def test_eval_exhausted_budget_exits_3():
         # the image count grows like log R: R = 1e6 at B - m = 0.75 needs
         # more than 57 images
         ["--R", "1e6", "--B", "0.75", "--z", "40+0i", "--w", "-300+2i"],
-        # the cap binds the basis-sum oracle's j-window below its 65-term start
+        # the cap binds the basis-sum oracle's j-window below its predicted
+        # 29 terms and the 23 it needs
         ["--R", "50", "--B", "2", "--z", "7", "--w", "7j", "--path", "basis_sum"],
     ]:
         code, _, err = run_cli(["eval", *argv, "--max-terms", "16"])
         assert code == 3
         assert "16 terms" in err
+
+
+def test_eval_oracle_sums_up_to_its_term_cap():
+    # at (4, 3) the oracle needs 179 terms at this pair (sample_pairs(p, 6,
+    # 11)[3]): --max-terms 200 allows a window of 199
+    code, out, err = run_cli(
+        ["eval", "--R", "4", "--B", "3", "--z", "0.5366953619679994-1.2040167678563856i",
+         "--w", "-1.330513581203581-0.4237793077758844i", "--path", "oracle",
+         "--max-terms", "200"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["terms_used"] <= 200
 
 
 def test_grid_exhausted_budget_exits_3():
@@ -237,7 +250,7 @@ def test_verify_seed_echoed():
 
 
 def test_verify_inversion_fractional_B_exits_4():
-    code, _, err = run_cli(["verify", "inversion", "--R", "4", "--B", "2.5"])
+    code, _, err = run_cli(["verify", "inversion", "--R", "4", "--B", "2.75"])
     assert code == 4
 
 

@@ -38,5 +38,8 @@ def test_path_comparison_runs():
     done = run_script("path_comparison.py", "--n-pairs", "2", "--format", "json")
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout)["rows"]
-    assert {row["path"] for row in rows} >= {"closed_form", "theta", "product_formula"}
+    assert {row["path"] for row in rows} >= {"closed_form", "basis_sum", "theta", "product_formula"}
     assert all(row["n_pairs"] == 2 for row in rows)
+    # the reference's own row: its j-window, condition and escalations
+    oracle = [row for row in rows if row["path"] == "basis_sum"]
+    assert oracle and all(row["max_terms"] > 0 and row["max_rel_dev"] == 0.0 for row in oracle)

@@ -59,7 +59,8 @@ def test_unknown_suite_rejected():
 
 
 def test_integer_only_suites_reject_fractional_B():
-    p = AnnulusParams(R=4.0, B=2.5)
+    # 2B = 5.5: neither the inversion rule nor the theta path holds
+    p = AnnulusParams(R=4.0, B=2.75)
     with pytest.raises(UnsupportedPathError):
         run_suite("inversion", p)
     with pytest.raises(UnsupportedPathError):
@@ -73,6 +74,24 @@ def test_all_suite_skips_integer_only_at_fractional_B():
     prefixes = {e.name.split("/")[0] for e in rep.residuals}
     assert "inversion" not in prefixes and "theta" not in prefixes
     assert "multipath" in prefixes and "basis" in prefixes
+
+
+def test_all_suite_includes_inversion_at_half_integer_B():
+    rep = run_suite("all", AnnulusParams(R=4.0, B=2.5))
+    assert rep.passed
+    prefixes = {e.name.split("/")[0] for e in rep.residuals}
+    assert "inversion" in prefixes and "theta" not in prefixes
+
+
+@pytest.mark.parametrize("R", [1.2, 1.5, 4.0, 50.0])
+@pytest.mark.parametrize("B", [1.5, 2.5])
+def test_inversion_holds_at_half_integer_B(R, B):
+    # j -> -j - 2B maps the index ladder onto itself whenever 2B is an
+    # integer: 1.35e-14 to 9.06e-11 at seed 7.  (50, 2.5), at 9.06e-11, is
+    # near the tolerance, as (50, 3) is past it (ROADMAP defect 3):
+    # |z conj(w)/R|^(2B) multiplies the binary64 rounding of the lhs
+    (residual,) = run_suite("inversion", AnnulusParams(R=R, B=B)).residuals
+    assert residual.value <= residual.tolerance == 1e-10
 
 
 def test_report_schema_and_pass_consistency():
