@@ -25,6 +25,8 @@ from .errors import DomainError
 #: Points closer than this fraction of (R - 1) to either boundary circle are
 #: rejected: every series and weight in the package degenerates there.
 BOUNDARY_MARGIN_FACTOR = 1e-9
+#: How far B (or 2B, for the inversion rule) may sit from an integer.
+_INTEGRALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,13 @@ class AnnulusParams:
         """log(R)/pi, the constant relating zeta to log|z|."""
         return self.log_R / math.pi
 
-    def is_integer_B(self, tol: float = 1e-12) -> bool:
-        """Whether B is (numerically) a positive integer.
+    def is_integer_B(self) -> bool:
+        """Whether B is a positive integer, within _INTEGRALITY_TOL.
 
         Integrality of B is the quantization condition under which the
-        theta-function representation and the inversion rule hold.
+        theta-function representation holds.
         """
-        return abs(self.B - round(self.B)) <= tol and round(self.B) >= 1
+        return abs(self.B - round(self.B)) <= _INTEGRALITY_TOL and round(self.B) >= 1
 
     def boundary_distance(self, z: complex) -> float:
         """Distance of |z| to the nearer boundary circle."""

@@ -51,8 +51,8 @@ A pair's value is its node's in any grid to the last bits only: numpy's
 vector loops round an element by its position.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
-from one Lambert table per pair (special.LambertTable), in numpy over j in
-binary64 and in real mpf arithmetic at 34 digits.  One summation (_theta)
+from one Lambert table per pair (special.LambertTable), whose one row
+builder runs in the pair's number type.  One summation (_theta)
 contracts one polynomial per evaluation, each power n^p against one order
 p + 2: sigma_{k,l}'s P_kl for sigma_theta_path, the weighted sum of the
 level's P_kl for kernel_km_theta.  The product formula is that series
@@ -78,9 +78,9 @@ binary64 inputs in mpmath numbers and the same term code sums the value
 again under the same truncation rule; every field of the result is then
 that 34-digit sum's, and a 34-digit sum whose own rounding still exceeds
 the budget is refused.  Without a budget a path returns its binary64 value
-with its condition.  The pair's number type selects the elementwise
-functions: numpy (and special.log_gamma) for binary64, mpmath over numpy
-object arrays, imported at the first extended evaluation, at 34 digits.
+with its condition.  The pair's number type (special._Numbers) selects
+the elementwise functions: numpy and special.log_gamma for binary64,
+mpmath over numpy object arrays, imported at first use, at 34 digits.
 
 Convention note: textbook displays of the closed form differ in where the
 conjugation sits and whether an alternating sign (-1)^m is present.  Both
@@ -92,7 +92,6 @@ and the prefactor carries no alternating sign.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -101,62 +100,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedPathError
-from .geometry import AnnulusParams, require_interior, xi_nodes
+from .geometry import _INTEGRALITY_TOL, AnnulusParams, require_interior, xi_nodes
 from .special import (
+    _BINARY64,
     BOUNDARY_MARGIN,
     DEFAULT_SERIES,
     JacobiParams,
     LambertTable,
     SeriesControl,
+    _mpmath_numbers,
+    _Numbers,
     jacobi_poly,
-    log_gamma,
     pochhammer,
 )
 from .basis import basis_norm_sq, require_admissible
 
 KERNEL_PATHS = ("closed_form", "basis_sum", "theta", "product_formula")
-
-_EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True, eq=False)
-class _Numbers:
-    """The functions a number type is evaluated with, and its unit
-    roundoff eps.  exp, clogs (the complex log) and loggamma act elementwise
-    on arrays; index arrays j have dtype.  Each type has one instance,
-    compared and hashed by identity."""
-
-    eps: float
-    dtype: type
-    pi: object
-    clog: Callable
-    gamma: Callable
-    exp: Callable
-    clogs: Callable
-    loggamma: Callable
-
-
-_BINARY64 = _Numbers(
-    _EPS, float, math.pi, cmath.log, math.gamma, np.exp,
-    # np.angle's arithmetic without its dispatch; a fifth of np.log's time
-    lambda z: np.log(abs(z)) + 1j * np.arctan2(z.imag, z.real),
-    log_gamma,
-)
-
-
-@functools.cache
-def _mpmath_numbers() -> _Numbers:
-    """mpmath numbers, held in numpy object arrays, for the 34-digit
-    evaluation (_evaluate); mpmath is imported on the first call."""
-    import mpmath as mp
-
-    with mp.workdps(34):
-        eps = float(mp.eps)
-    return _Numbers(
-        eps, object, mp.pi, mp.log, mp.gamma,
-        np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.log, 1, 1),
-        np.frompyfunc(mp.loggamma, 1, 1),
-    )
 
 
 @dataclass(frozen=True)
@@ -241,7 +200,7 @@ def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> 
     the budget: num.eps x condition against rounding_rtol, at 34 digits or
     binary64's eps if that is larger (the value is returned in binary64).
     Without a budget nothing does."""
-    floor = 0.0 if num is _BINARY64 else _EPS
+    floor = 0.0 if num is _BINARY64 else _BINARY64.eps
     return rounding_rtol is not None and num.eps * condition > max(rounding_rtol, floor)
 
 
@@ -287,7 +246,7 @@ def _integer_B(params: AnnulusParams, what: str) -> int:
 
 def _integer_2B(params: AnnulusParams) -> bool:
     """Whether 2B is an integer: B an integer or half an odd one."""
-    return abs(2.0 * params.B - round(2.0 * params.B)) <= 1e-12
+    return abs(2.0 * params.B - round(2.0 * params.B)) <= _INTEGRALITY_TOL
 
 
 def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
@@ -378,7 +337,7 @@ def _sum_window(
     """
     q_plus, q_minus = _decay_ratios(g)
     ratios = np.array([q_minus, q_plus])
-    target = min(ctrl.tolerance, _EPS) if g.num is _BINARY64 else ctrl.tolerance
+    target = min(ctrl.tolerance, _BINARY64.eps) if g.num is _BINARY64 else ctrl.tolerance
     cap = (ctrl.max_terms - 1) // 2
     J = max(math.ceil(math.log(target) / math.log(ratios.max())), _steady_from(ratios, p, shift))
     d = np.array([J - shift, J + shift])  # |j + shift| at j = -J, J

@@ -11,6 +11,10 @@ their monomial coefficients (routh_coefficients, the one form the basis
 evaluates) with the Rodrigues-formula oracle they are checked against, the
 Cauchy Beta integral, and Jacobi's theta_4 together with its logarithmic
 derivatives.
+
+The two number types of every series (_Numbers), binary64 in numpy and
+34-digit mpmath in numpy object arrays, live here too: the Lambert table
+builds its rows with one function in either, as the kernels' series do.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -105,6 +110,48 @@ def log_gamma(z):
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
     return complex(_scipy_special().loggamma(z))
+
+
+@dataclass(frozen=True, eq=False)
+class _Numbers:
+    """The functions a number type is evaluated with, and its unit
+    roundoff eps.  exp, cos_sin (the pair cos, sin), clogs (the complex
+    log) and loggamma act elementwise on arrays; index arrays j have dtype.
+    Each type has one instance, compared and hashed by identity."""
+
+    eps: float
+    dtype: type
+    pi: object
+    clog: Callable
+    gamma: Callable
+    exp: Callable
+    cos_sin: Callable
+    clogs: Callable
+    loggamma: Callable
+
+
+_BINARY64 = _Numbers(
+    float(np.finfo(float).eps), float, math.pi, cmath.log, math.gamma, np.exp,
+    lambda x: (np.cos(x), np.sin(x)),
+    # np.angle's arithmetic without its dispatch; a fifth of np.log's time
+    lambda z: np.log(abs(z)) + 1j * np.arctan2(z.imag, z.real),
+    log_gamma,
+)
+
+
+@functools.cache
+def _mpmath_numbers() -> _Numbers:
+    """mpmath numbers, held in numpy object arrays, for the 34-digit
+    evaluation; mpmath is imported on the first call."""
+    import mpmath as mp
+
+    with mp.workdps(34):
+        eps = float(mp.eps)
+    return _Numbers(
+        eps, object, mp.pi, mp.log, mp.gamma, np.frompyfunc(mp.exp, 1, 1),
+        np.frompyfunc(mp.cos_sin, 1, 2), np.frompyfunc(mp.log, 1, 1),
+        np.frompyfunc(mp.loggamma, 1, 1),
+    )
 
 
 def gamma_abs_sq(x: float, y: float) -> float:
@@ -386,6 +433,19 @@ def theta4(z: complex, R: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
     )
 
 
+def _lambert_rows(num: _Numbers, x, y, log_R, j: np.ndarray) -> tuple:
+    """LambertTable's rows at the indices j, in the number type num of x,
+    y and log R: the real and imaginary parts of g_j sin 2jz, then of
+    g_j cos 2jz, from sin 2jx, cos 2jx, g_j cosh 2jy and g_j sinh 2jy, and
+    1 - R^-2j.  The array stands left of each mpmath scalar, which would
+    otherwise convert it whole."""
+    cos, sin = num.cos_sin(j * (2 * x))
+    up, down = num.exp(j * (2 * y - log_R)), num.exp(j * (-2 * y - log_R))
+    gap = 1 - up * down  # 1 - R^-2j
+    a, b = (up + down) / (2 * gap), (up - down) / (2 * gap)  # g_j cosh, sinh
+    return sin * a, cos * b, cos * a, -(sin * b), gap
+
+
 class LambertTable:
     """The logarithmic derivatives (log theta_4)^(s)(z, R), s >= 1, at one
     point z, summed from one table of the Lambert series' j-factors that
@@ -406,22 +466,24 @@ class LambertTable:
 
         4 (2j+2)^(s-1) q^(j+1) / ((1 - q)(1 - R^-2j))
 
-    falls below ctrl.tolerance x |partial sum|.  The binary64 table, over
-    j = 1..n vectorised with numpy, sets that j for every order and doubles
-    on demand.  An mpmath z (R in mpmath or float) adds a table in real mpf
-    arithmetic at the working precision, one cos_sin and two exp per j,
-    extended only as far as an order needs; its orders are summed from it.
-    terms is the largest j any order has summed.
+    falls below ctrl.tolerance x |partial sum|.  One function
+    (_lambert_rows) builds the rows over an index array in either number
+    type: numpy in binary64, mpmath over numpy object arrays at the working
+    precision, one cos_sin and two exp per j.  A table extends its rows to
+    new indices only, so each j is built once per number type.  The
+    binary64 rows set that j for every order, double on demand and give the
+    binary64 value, the stop rule's partial sum.  An mpmath z (R in mpmath
+    or float) selects mpmath numbers: its rows reach as far as an order
+    needs, and each order is summed from them in index order, as binary64
+    sums it.  terms is the largest j any order has summed.
     """
 
     def __init__(self, z, R) -> None:
         mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
-        self._mp = mp if mp is not None and isinstance(z, mp.mpc) else None
-        if self._mp is None:
-            z = complex(z)
+        in_mpmath = mp is not None and isinstance(z, mp.mpc)
+        self._num, z = (_mpmath_numbers(), z) if in_mpmath else (_BINARY64, complex(z))
         if not (R > 1.0):
             raise DomainError(f"requires R > 1, got R={R}")
-        self._z, self._R = z, R
         x, y, log_R = float(z.real), float(z.imag), math.log(float(R))
         self._q = math.exp(2.0 * abs(y) - log_R)
         if self._q >= 1.0 - BOUNDARY_MARGIN:
@@ -429,90 +491,71 @@ class LambertTable:
                 f"log-derivative series ratio exp(2|Im z|)/R = {self._q:.6g} is "
                 f"within {BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
             )
-        self._x, self._rates = x, (2.0 * y - log_R, -2.0 * y - log_R)
-        self._n = 0
-        self._exact: list[list] = [[], [], [], []]  # the mpf rows of _extend_exact
+        # x, y and log R in each number type the table sums in, and its rows
+        self._args = {_BINARY64: (x, y, log_R)}
+        if in_mpmath:
+            self._args[self._num] = (z.real, z.imag, mp.log(R))
+        self._rows_of: dict[_Numbers, tuple] = {}
+        self._stop_rows = (np.empty(0),) * 3  # what _stop reads off the binary64 rows
         self.terms = 0
 
-    @property
-    def extended(self) -> bool:
-        """Whether the orders are summed in mpmath."""
-        return self._mp is not None
-
-    def _extend(self, n: int) -> None:
-        """The binary64 rows for j = 1..n: g_j sin 2jz, g_j cos 2jz and the
-        tail factor q^(j+1) / ((1 - q)(1 - R^-2j))."""
-        j = np.arange(1.0, n + 1.0)
-        cos, sin = np.cos(2.0 * self._x * j), np.sin(2.0 * self._x * j)
-        up, down = np.exp(self._rates[0] * j), np.exp(self._rates[1] * j)
-        gap = 1.0 - up * down  # 1 - R^-2j
-        a, b = (up + down) / (2.0 * gap), (up - down) / (2.0 * gap)  # g_j cosh, sinh
-        self._sin = sin * a + 1j * cos * b
-        self._cos = cos * a - 1j * sin * b
-        q = self._q
-        self._tail = np.exp((j + 1.0) * math.log(q)) / ((1.0 - q) * gap)
-        self._n = n
-
-    def _extend_exact(self, n: int) -> None:
-        """The mpf rows sin 2jx g_j cosh, cos 2jx g_j sinh, cos 2jx g_j cosh
-        and sin 2jx g_j sinh up to j = n."""
-        mp, z = self._mp, self._z
-        log_R = mp.log(self._R)
-        x2, up_rate, down_rate = 2 * z.real, 2 * z.imag - log_R, -2 * z.imag - log_R
-        rows = self._exact
-        for j in range(len(rows[0]) + 1, n + 1):
-            cos, sin = mp.cos_sin(j * x2)
-            up, down = mp.exp(j * up_rate), mp.exp(j * down_rate)
-            gap = 2 * (1 - up * down)
-            a, b = (up + down) / gap, (up - down) / gap
-            for row, value in zip(rows, (sin * a, cos * b, cos * a, sin * b)):
-                row.append(value)
+    def _rows(self, num: _Numbers, n: int) -> tuple:
+        """The rows of num for j = 1..n or more, built for new indices only."""
+        rows = self._rows_of.get(num)
+        size = 0 if rows is None else rows[0].size
+        if n > size:
+            new = _lambert_rows(num, *self._args[num], np.arange(size + 1, n + 1, dtype=num.dtype))
+            rows = new if rows is None else tuple(map(np.concatenate, zip(rows, new)))
+            self._rows_of[num] = rows
+        return rows
 
     def _stop(self, order: int, ctrl: SeriesControl):
         """(n, partial sum, gross sum of its terms' moduli) of order s at the
         first j = n whose tail bound is below ctrl.tolerance x |partial sum|,
         in binary64."""
-        reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(self._q)  # q^j = tolerance
-        n = self._n or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
+        q = self._q
+        reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(q)  # q^j = tolerance
+        n = self._stop_rows[-1].size or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
         while True:
-            if n > self._n:
-                self._extend(n)
-            weight = 4.0 * np.arange(2.0, 2.0 * self._n + 3.0, 2.0) ** (order - 1)
-            terms = weight[:-1] * (self._sin if order % 2 else self._cos)
-            sums = np.cumsum(terms), weight[1:] * self._tail, np.cumsum(np.abs(terms))
+            if n > self._stop_rows[-1].size:  # g_j sin 2jz, g_j cos 2jz, tail factor
+                re_sin, im_sin, re_cos, im_cos, gap = self._rows(_BINARY64, n)
+                j = np.arange(2.0, gap.size + 2.0)  # j + 1
+                tail = np.exp(j * math.log(q)) / ((1.0 - q) * gap)
+                self._stop_rows = re_sin + 1j * im_sin, re_cos + 1j * im_cos, tail
+            sin, cos, tail = self._stop_rows
+            size = tail.size
+            weight = 4.0 * np.arange(2.0, 2.0 * size + 3.0, 2.0) ** (order - 1)
+            terms = weight[:-1] * (sin if order % 2 else cos)
+            sums = np.cumsum(terms), weight[1:] * tail, np.cumsum(np.abs(terms))
             partial, tail, gross = (x[: ctrl.max_terms] for x in sums)
             done = tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
             if done.any():
                 n = int(done.argmax())
                 return n + 1, complex(partial[n]), float(gross[n])
-            if self._n >= ctrl.max_terms:
+            if size >= ctrl.max_terms:
                 raise ConvergenceError(
                     f"log-derivative series (order {order}) hit the "
                     f"{ctrl.max_terms}-term cap"
                 )
-            n = min(2 * self._n, ctrl.max_terms)
+            n = min(2 * size, ctrl.max_terms)
 
     def derivative(self, order: int, ctrl: SeriesControl = DEFAULT_SERIES):
         """(value, gross) of (log theta_4)^(order)(z): the value a complex, or
         an mpc for an mpmath z, and gross the sum of its terms' moduli, the
         rounding majorant of the series.  The gross is summed in binary64
-        for either table: a sum of moduli carries no cancellation."""
+        for either number type: a sum of moduli carries no cancellation."""
         if order < 1:
             raise DomainError(f"derivative order must be >= 1, got {order}")
         n, value, gross = self._stop(order, ctrl)
         self.terms = max(self.terms, n)
+        if self._num is not _BINARY64:  # the same sum over the table's own rows
+            *rows, _ = self._rows(self._num, n)
+            # exact integer weights: a rounded power would skew each mpmath term
+            weight = 4 * (2 * np.arange(1, n + 1, dtype=self._num.dtype)) ** (order - 1)
+            re, im = (np.cumsum(weight * row[:n])[-1]
+                      for row in (rows[:2] if order % 2 else rows[2:]))
+            value = re + 1j * im
         sign = 1 if (order - 1) % 4 < 2 else -1  # sin, cos, -sin, -cos
-        if self._mp is None:
-            return sign * value, gross
-        self._extend_exact(n)
-        # (2j)^(s-1) as exact integers: a rounded power would put a
-        # term-dependent error into the mpf sum
-        weight = [4 * (2 * j) ** (order - 1) for j in range(1, n + 1)]
-        fdot, rows = self._mp.fdot, self._exact
-        if order % 2:  # sin 2jz = sin 2jx cosh 2jy + i cos 2jx sinh 2jy
-            value = self._mp.mpc(fdot(weight, rows[0][:n]), fdot(weight, rows[1][:n]))
-        else:
-            value = self._mp.mpc(fdot(weight, rows[2][:n]), -fdot(weight, rows[3][:n]))
         return sign * value, gross
 
 
@@ -523,7 +566,7 @@ def theta4_log_derivative(
     series of LambertTable summed for one order.
 
     Converges iff exp(2 |Im z|) / R < 1; the distance of that ratio from 1
-    must exceed BOUNDARY_MARGIN.  An mpmath z (with R in mpmath) is
-    summed in mpmath at the working precision.
+    must exceed BOUNDARY_MARGIN.  An mpmath z (R in mpmath or float) is
+    summed in mpmath at the working precision, by the same row builder.
     """
     return LambertTable(z, R).derivative(order, ctrl)[0]

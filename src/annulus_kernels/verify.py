@@ -691,10 +691,6 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
 
 
 def _suite_inversion(params: AnnulusParams, opts: SuiteOptions):
-    if not _integer_2B(params):
-        raise UnsupportedPathError(
-            f"inversion suite requires 2B to be an integer, got B={params.B}"
-        )
     pairs = sample_pairs(params, opts.n_points, opts.seed + 707)
     worst = 0.0
     for m in admissible_levels(params):
@@ -706,10 +702,6 @@ def _suite_inversion(params: AnnulusParams, opts: SuiteOptions):
 
 
 def _suite_theta(params: AnnulusParams, opts: SuiteOptions):
-    if not params.is_integer_B():
-        raise UnsupportedPathError(
-            f"theta suite requires integer B, got B={params.B}"
-        )
     B = int(round(params.B))
     pairs = sample_pairs(params, max(4, opts.n_points // 4), opts.seed + 808)
     ctrl = opts.ctrl
@@ -762,6 +754,8 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
+    if name in _B_GATES and not _B_GATES[name](params):
+        raise UnsupportedPathError(f"{name} suite does not hold at B={params.B}")
     opts = options if options is not None else SuiteOptions()
     start = time.perf_counter()
     if name == "all":

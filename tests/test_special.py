@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from annulus_kernels.errors import ConvergenceError, DomainError, PoleError
 from annulus_kernels.geometry import AnnulusParams, alpha_index
+from annulus_kernels import special
 from annulus_kernels.kernels import _theta_polynomial
 from annulus_kernels.special import (
     DEFAULT_SERIES,
@@ -579,16 +580,59 @@ def test_theta4_log_derivative_vs_mpmath_reference(R, z):
 
 
 def test_lambert_table_serves_every_order_from_one_table():
+    mp = pytest.importorskip("mpmath")
     z, R = 0.4 + 0.3j, 4.0
     table = LambertTable(z, R)
-    assert not table.extended
     for order in (5, 1, 2, 8, 3):
         alone = theta4_log_derivative(order, z, R)
-        assert abs(table.derivative(order)[0] - alone) <= 1e-15 * abs(alone)
+        value = table.derivative(order)[0]
+        assert type(value) is complex
+        assert abs(value - alone) <= 1e-15 * abs(alone)
+    # an mpc z sums in mpmath: its values are mpc
+    with mp.workdps(34):
+        assert isinstance(LambertTable(mp.mpc(z), R).derivative(2)[0], mp.mpc)
     # higher orders need more terms; the table reports the largest j summed
     single = LambertTable(z, R)
     single.derivative(1)
     assert 0 < single.terms < table.terms
+
+
+def test_lambert_table_builds_each_index_once(monkeypatch):
+    # every row index j is built once per number type: across orders taken
+    # in any order, across the binary64 doubling a tight tolerance forces,
+    # and at 34 digits, whose rows reach the largest j an order summed
+    mp = pytest.importorskip("mpmath")
+    built = {}
+    rows = special._lambert_rows
+
+    def counted(num, x, y, log_R, j):
+        built.setdefault(num.dtype, []).append([int(i) for i in j])
+        return rows(num, x, y, log_R, j)
+
+    monkeypatch.setattr(special, "_lambert_rows", counted)
+
+    def assert_once(dtype, last):
+        indices = [i for block in built[dtype] for i in block]
+        assert indices == list(range(1, last + 1))
+
+    z, R = 0.4 + 0.3j, 4.0
+    table = LambertTable(z, R)
+    for order in (5, 1, 8, 2, 7, 3, 6, 4):
+        table.derivative(order)
+    assert len(built[float]) == 1
+    table.derivative(1, SeriesControl(tolerance=1e-300, max_terms=100_000))
+    assert len(built[float]) > 2  # doubled at least twice
+    assert_once(float, sum(map(len, built[float])))
+    assert object not in built
+
+    built.clear()
+    with mp.workdps(34):
+        table = LambertTable(mp.mpc(z), mp.mpf(R))
+        for order in (3, 8, 1, 6, 2, 7, 4, 5):
+            table.derivative(order, SeriesControl(tolerance=1e-34))
+    assert_once(float, sum(map(len, built[float])))
+    assert_once(object, table.terms)
+    assert len(built[object]) > 1  # grown order by order
 
 
 def test_lambert_table_terms_grow_with_tolerance():
