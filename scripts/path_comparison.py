@@ -5,9 +5,11 @@ series, the basis-sum oracle, and — at integer B — the theta-function
 representation and (for m = 0) the pair-product form, whose value is the
 theta path's at m = 0 (the same series before it is resummed).  The script
 reports the worst relative deviation of each path from the basis-sum
-oracle, the term counts, the worst conditioning seen and the escalations
-to extended precision, as a table or as JSON.  The oracle has a row of its
-own (deviation 0), with its j-window, condition and escalations.
+oracle, the term counts, the worst conditioning seen, the escalations
+to extended precision and the median wall time of one call, as a table or
+as JSON.  The oracle has a row of its own (deviation 0), with its j-window,
+condition, escalations and time.  Times are those of the machine the script
+runs on and vary from run to run; every other field is deterministic.
 
 Examples
 --------
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import time
 
 from annulus_kernels import (
     AnnulusParams,
@@ -60,20 +64,24 @@ def compare_paths(args: argparse.Namespace) -> list[dict]:
     pairs = sample_pairs(params, args.n_pairs, args.seed)
     levels = [args.m] if args.m is not None else list(admissible_levels(params))
 
+    def timed(evaluate) -> tuple[list, float]:
+        """The evaluations of every pair and the median seconds per call."""
+        evs, seconds = [], []
+        for z, w in pairs:
+            start = time.perf_counter()
+            evs.append(evaluate(z, w))
+            seconds.append(time.perf_counter() - start)
+        return evs, statistics.median(seconds)
+
     rows: list[dict] = []
     for m in levels:
-        refs = [
-            kernel_basis_sum_oracle(
-                m, z, w, params, tol=args.tol, rounding_rtol=args.rounding_rtol
-            )
-            for z, w in pairs
-        ]
+        refs, ref_s = timed(lambda z, w: kernel_basis_sum_oracle(
+            m, z, w, params, tol=args.tol, rounding_rtol=args.rounding_rtol))
         for path in KERNEL_PATHS:
             try:
-                evs = refs if path == "basis_sum" else [
-                    kernel_by_path(path, m, z, w, params, ctrl, rounding_rtol=args.rounding_rtol)
-                    for z, w in pairs
-                ]
+                evs, call_s = (refs, ref_s) if path == "basis_sum" else timed(
+                    lambda z, w: kernel_by_path(
+                        path, m, z, w, params, ctrl, rounding_rtol=args.rounding_rtol))
             except UnsupportedPathError:
                 continue
             rows.append(
@@ -87,6 +95,7 @@ def compare_paths(args: argparse.Namespace) -> list[dict]:
                     "max_condition": max(ev.condition for ev in evs),
                     "escalated": sum(ev.precision != "binary64" for ev in evs),
                     "n_pairs": len(pairs),
+                    "median_call_ms": 1e3 * call_s,
                 }
             )
     return rows
@@ -113,12 +122,12 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"R={args.R} B={args.B} seed={args.seed} tol={args.tol:g}")
     print(f"{'m':>2} {'path':<16} {'max rel dev':>12} {'terms':>6} "
-          f"{'condition':>10} {'escalated':>9}")
+          f"{'condition':>10} {'escalated':>9} {'ms/call':>8}")
     for row in rows:
         print(
             f"{row['m']:>2} {row['path']:<16} {row['max_rel_dev']:>12.3e} "
             f"{row['max_terms']:>6} {row['max_condition']:>10.2e} "
-            f"{row['escalated']:>4}/{row['n_pairs']}"
+            f"{row['escalated']:>4}/{row['n_pairs']} {row['median_call_ms']:>8.3f}"
         )
     return 0
 

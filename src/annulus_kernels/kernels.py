@@ -54,7 +54,8 @@ The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
 from one Lambert table per pair (special.LambertTable), whose one row
 builder runs in the pair's number type.  One summation (_theta)
 contracts one polynomial per evaluation, each power n^p against one order
-p + 2: sigma_{k,l}'s P_kl for sigma_theta_path, the weighted sum of the
+p + 2, every order's stop found in one pass: sigma_{k,l}'s P_kl (cached,
+_theta_coefficients) for sigma_theta_path, the weighted sum of the
 level's P_kl for kernel_km_theta.  The product formula is that series
 before it is resummed, sum_n n^p [n R^n/(R^(2n)-1)] t^n = i^p L_(p+2)/
 2^(p+2), so its value is kernel_km_theta's at m = 0.  Every order is
@@ -67,7 +68,8 @@ The basis-sum oracle sums its j-series as a term function vectorised over
 an index array, by one routine (_sum_window) in either number type: the
 window j = -J..J is predicted from the decay ratios, and while the rigorous
 geometric tail bound (_tail_bound) exceeds the tolerance it grows by the
-step that bound asks for, each index evaluated once.
+step that bound asks for, each index evaluated once; both Jacobi factors
+of a window share one set of binomials.
 
 Every evaluation, of every path, is one call of one driver (_evaluate):
 it builds the pair geometry, sums the path's series there (the path's
@@ -265,39 +267,39 @@ def _decay_ratios(g: PairGeometry) -> tuple[float, float]:
     return q_plus, q_minus
 
 
-def _effective_ratios(ratios, p, shift: float, J: int) -> np.ndarray:
-    """q_eff = q ((|j + shift| + 1)/|j + shift|)^p at the edges j = -J and
-    j = J (_tail_bound); infinite at an edge with j + shift = 0."""
-    edge = np.array([abs(-J + shift), abs(J + shift)])
-    with np.errstate(divide="ignore"):
-        return ratios * ((edge + 1.0) / edge) ** p
+def _effective_ratios(ratios, p, shift: float, J: int) -> list:
+    """q_eff = q ((|j + shift| + 1)/|j + shift|)^p at j = -J, J of ratios =
+    (q_minus, q_plus); infinite at j + shift = 0 or a growth factor past e^700."""
+    return [q * ((x + 1.0) / x) ** p if x and p * math.log1p(1.0 / x) < 700.0 else math.inf
+            for q, x in zip(ratios, (abs(-J + shift), abs(J + shift)))]
 
 
-def _tail_bound(edges: np.ndarray, ratios, p, shift: float, J: int) -> np.ndarray:
-    """Rigorous bound on the tails |j| > J of bilateral series whose moduli
-    decay like q_minus^|j| and q_plus^j (ratios[..., 0] and [..., 1]) times
-    a growth |j + shift|^p (p broadcasting against edges); edges[..., 0] and
-    edges[..., 1] are the moduli at j = -J and j = J.  Each tail is at most
-    its edge term x q_eff/(1 - q_eff), q_eff = q ((|j + shift| + 1)/
-    |j + shift|)^p at the edge; every bound is infinite once any q_eff >= 1,
-    as it is when an edge sits at j + shift = 0 (unbounded growth ratio).
+def _tail_bound(edges, ratios, p, shift: float, J: int):
+    """Rigorous bound on the tails |j| > J of a bilateral series whose
+    moduli decay like q_minus^|j| and q_plus^j (ratios = (q_minus, q_plus))
+    times a growth |j + shift|^p; edges = (the moduli at j = -J, at j = J).
+    Each tail is at most its edge term x q_eff/(1 - q_eff), q_eff = q
+    ((|j + shift| + 1)/|j + shift|)^p at the edge; the bound is infinite
+    once either q_eff >= 1, as it is when an edge sits at j + shift = 0
+    (unbounded growth ratio).  Scalars, two a side: no array pass.
     """
     q_eff = _effective_ratios(ratios, p, shift, J)
-    if np.max(q_eff) < 1.0:
-        return (edges * q_eff / (1.0 - q_eff)).sum(axis=-1)
-    return np.full(edges.shape[:-1], math.inf)
+    if max(q_eff) < 1.0:
+        return sum(edge * q / (1.0 - q) for edge, q in zip(edges, q_eff))
+    return math.inf
 
 
-def _steady_from(ratios: np.ndarray, p: float, shift: float) -> int:
+def _steady_from(ratios, p: float, shift: float) -> int:
     """The smallest J >= shift past which both q_eff < 1 (_effective_ratios,
     p > 0): q ((x + 1)/x)^p < 1 exactly when the edge's distance x = |j +
-    shift| exceeds 1/(q^(-1/p) - 1)."""
-    with np.errstate(over="ignore"):  # p near 0: no edge is too close
-        x_minus, x_plus = 1.0 / np.expm1(-np.log(ratios) / p)
+    shift| exceeds 1/(q^(-1/p) - 1), 0 once q^(-1/p) passes e^709 (p near
+    0: no edge is too close)."""
+    x_minus, x_plus = (1.0 / math.expm1(a) if a < 709.0 else 0.0
+                       for a in (-math.log(q) / p for q in ratios))
     return max(math.floor(shift + x_minus), math.floor(x_plus - shift), 0) + 1
 
 
-def _grown(J: int, edges, ratios: np.ndarray, p: float, shift: float, limit: float):
+def _grown(J: int, edges, ratios, p: float, shift: float, limit: float):
     """(J', tail): the tail bound beyond J at the edge moduli (_tail_bound),
     and the half-width it asks for.  J' is J when the bound is within limit;
     else J plus the step that brings it within limit at the slower side's
@@ -308,7 +310,7 @@ def _grown(J: int, edges, ratios: np.ndarray, p: float, shift: float, limit: flo
         return J, tail
     if not math.isfinite(tail):
         return max(_steady_from(ratios, p, shift), J + 1), tail
-    q = float(np.max(_effective_ratios(ratios, p, shift, J)))
+    q = max(_effective_ratios(ratios, p, shift, J))
     return J + max(math.ceil(math.log(tail / limit) / -math.log(q)), 1), tail
 
 
@@ -336,19 +338,22 @@ def _sum_window(
     (the sum of |term|, the rounding majorant) and J.
     """
     q_plus, q_minus = _decay_ratios(g)
-    ratios = np.array([q_minus, q_plus])
+    ratios = q_minus, q_plus
     target = min(ctrl.tolerance, _BINARY64.eps) if g.num is _BINARY64 else ctrl.tolerance
     cap = (ctrl.max_terms - 1) // 2
-    J = max(math.ceil(math.log(target) / math.log(ratios.max())), _steady_from(ratios, p, shift))
-    d = np.array([J - shift, J + shift])  # |j + shift| at j = -J, J
-    model = ratios**d * (d / shift) ** p / q_plus**shift
+    J = max(math.ceil(math.log(target) / math.log(max(ratios))), _steady_from(ratios, p, shift))
+    try:  # q^|j + shift| |j + shift|^p at j = -J, J, relative to j = 0's
+        model = [q**d * (d / shift) ** p / q_plus**shift
+                 for q, d in zip(ratios, (J - shift, J + shift))]
+    except (OverflowError, ZeroDivisionError):  # past binary64: no finite bound
+        model = [math.inf, math.inf]
     J = min(_grown(J, model, ratios, p, shift, target)[0], cap)
     values = terms(np.arange(-J, J + 1, dtype=g.num.dtype))
     while True:
         total = values.sum()
         moduli = np.abs(values)
         limit = ctrl.tolerance * max(float(abs(total)), 1e-300)
-        wanted, tail = _grown(J, moduli[[0, -1]], ratios, p, shift, limit)  # j = -J, J
+        wanted, tail = _grown(J, (moduli[0], moduli[-1]), ratios, p, shift, limit)
         if wanted == J:
             return total, tail, moduli.sum(), J
         if J == cap:
@@ -630,11 +635,7 @@ def _basis_sum(
     terms at an index array j, each relative to the j = 0 term's Gamma
     pair, summed over the window of _sum_window."""
     require_admissible(m, params)
-
-    # ||phi_0||^2 is a common factor: its binary64 rounding (about
-    # eps |log ||phi_0||^2|) is not amplified by cancellation, so it serves
-    # the extended sum as well
-    const = (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, params)
+    const = _oracle_constant(m, params.R, params.B)
 
     def summed(g: PairGeometry):  # one rule at both precisions
         log_t, centre = g.num.clog(g.t), []
@@ -646,15 +647,21 @@ def _basis_sum(
             log_terms = lg + lg.conj() + j * log_t
             if not centre:
                 centre.append(log_terms[j.size // 2])
-            jac = JacobiParams(-g.B - mu, -g.B + mu, m)
-            radial = jacobi_poly(jac, 1j * g.X) * jacobi_poly(jac, 1j * g.Y)
-            return g.num.exp(log_terms - centre[0]) * radial
+            at_X, at_Y = jacobi_poly(JacobiParams(-g.B - mu, -g.B + mu, m), (1j * g.X, 1j * g.Y))
+            return g.num.exp(log_terms - centre[0]) * (at_X * at_Y)
 
         total, tail, gross, J = _sum_window(terms, 2.0 * params.B - 1.0, params.B, g, ctrl)
         condition = gross / max(abs(total), 1e-300)
         return complex(const * total), condition, abs(const) * tail, 2 * J + 1
 
     return _evaluate("basis_sum", z, w, params, rounding_rtol, summed)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _oracle_constant(m: int, R, B) -> float:
+    """The oracle's factor (-4)^m m!^2 / ||phi_0||^2 in binary64, whose
+    rounding no cancellation amplifies: it serves the 34-digit sum too."""
+    return (-4) ** m * math.factorial(m) ** 2 / basis_norm_sq(0, m, AnnulusParams(R, B))
 
 
 def kernel_jacobi_product_sum(
@@ -750,6 +757,27 @@ def _theta_polynomial(k: int, l: int, B: int, log_R, pi=math.pi) -> np.ndarray:
     return P
 
 
+@functools.lru_cache(maxsize=128, typed=True)
+def _theta_coefficients(k: int, l: int, B: int, log_R, num: _Numbers) -> tuple:
+    """P_kl (_theta_polynomial) and its moduli in the number type num (log R
+    in it), read-only, shared by every pair (built in the pair's context)."""
+    P = _theta_polynomial(k, l, B, log_R, num.pi)
+    M = np.abs(P)
+    P.flags.writeable = M.flags.writeable = False
+    return P, M
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _theta_level(m: int, B: int, num: _Numbers, R, B_num, log_R) -> tuple:
+    """kernel_km_theta's prefactor at level m (R, B_num = B and log R in num)
+    and per k + l <= m, (0, 0) first, (1-2B+m)_(k+l)/((m-k-l)! k! l!), P_kl, |P_kl|."""
+    f = math.factorial
+    return _prefactor(m, num, R, B_num, log_R), tuple(
+        (k, l, pochhammer(1 - 2 * B_num + m, k + l) / (f(m - k - l) * f(k) * f(l)),
+         *_theta_coefficients(k, l, B, log_R, num))
+        for l in range(m + 1) for k in range(m + 1 - l))
+
+
 def _theta(
     ctrl: SeriesControl, polynomial: Callable[[PairGeometry], tuple],
 ) -> Callable[[PairGeometry], tuple]:
@@ -768,7 +796,7 @@ def _theta(
     Every order is summed once, within target x |L_s| <= target x G_s, the
     target the smaller of ctrl.tolerance and the pair's eps (as _plan
     sizes its images): the tail bound, target x the majorant, is at most
-    eps x condition x |value| at either precision.
+    eps x condition x |value| at either precision; one stop pass serves all.
     """
 
     def summed(e: PairGeometry):
@@ -776,11 +804,12 @@ def _theta(
         pref = e.t ** -int(round(e.params.B)) * 2.0 * e.log_R
         table = LambertTable(0.5j * e.num.clog(e.t), e.R)
         target = min(ctrl.tolerance, e.num.eps)
-        eff = replace(ctrl, tolerance=target)
+        orders = [p + 2 for p, bound in enumerate(M) if bound]
+        sums = iter(table._derivatives(orders, replace(ctrl, tolerance=target)))
         total, gross = (1.0 / (2.0 * e.log_R) * x[0] for x in (P, M))
         for p, (cp, bound) in enumerate(zip(P, M)):
             if bound:
-                L, G = table.derivative(p + 2, eff)
+                L, G = next(sums)
                 total += cp * (0.5j) ** p * L / 4.0  # i^p L_(p+2) / 2^(p+2)
                 gross += bound * 0.5**p * G / 4.0
         value, gross = pref * total, abs(pref) * gross
@@ -807,10 +836,7 @@ def sigma_theta_path(
             f"theta path needs B - max(k,l) >= 1, got B={B}, k={k}, l={l}"
         )
 
-    def polynomial(e: PairGeometry):
-        P = _theta_polynomial(k, l, B, e.log_R, e.num.pi)
-        return P, np.abs(P)
-
+    polynomial = lambda e: _theta_coefficients(k, l, B, e.log_R, e.num)
     return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, polynomial)).value
 
 
@@ -821,28 +847,25 @@ def kernel_km_theta(
     """K_m through the theta path (integer B; admissible m has B - m >= 1):
     _theta contracts one polynomial, prefactor x sum_{k+l<=m} weight_{k,l}
     P_kl (weights of _level_polynomial; P_00's degree 2B - 2 is the largest),
-    with its majorant summed term by term.  terms_used is the largest j of
-    the pair's Lambert table.  Each order is summed once (_theta), so the
-    tail bound satisfies kernel_km's tail_bound <= tolerance x |value| +
-    eps x condition x |value| at either precision; the condition includes
-    the cancellation inside the contraction and each Lambert series.  With
-    rounding_rtol set, an evaluation whose rounding exceeds it is redone at
-    34 digits, and refused when that sum keeps no digit within it.
+    with its majorant summed term by term; a pair pays for the weights'
+    powers of V and the sum, the rest cached per level (_theta_level).
+    terms_used is the largest j of the pair's Lambert table.  Each order is
+    summed once (_theta), so the tail bound satisfies kernel_km's tail_bound
+    <= (tolerance + eps x condition) x |value| at either precision; the
+    condition includes the cancellation inside the contraction and each
+    Lambert series.  With rounding_rtol set, an evaluation whose rounding
+    exceeds it is redone at 34 digits, and refused without a digit there.
     """
     require_admissible(m, params)
     B = _integer_B(params, "theta path")
 
     def polynomial(e: PairGeometry):
-        f, pref = math.factorial, _prefactor(m, e.num, e.R, e.B, e.log_R)
-        terms = [(pochhammer(1 - 2 * e.B + m, k + l) / (f(m - k - l) * f(k) * f(l))
-                  * e.V**l * e.V.conjugate() ** k,
-                  _theta_polynomial(k, l, B, e.log_R, e.num.pi))
-                 for l in range(m + 1) for k in range(m + 1 - l)]
-        (weight, p), *rest = terms  # (0, 0): P_00 has the largest degree
-        P, M = weight * p, abs(weight) * np.abs(p)
-        for weight, p in rest:
+        pref, terms = _theta_level(m, B, e.num, e.R, e.B, e.log_R)
+        weights = [coef * e.V**l * e.V.conjugate() ** k for k, l, coef, *_ in terms]
+        P, M = weights[0] * terms[0][3], abs(weights[0]) * terms[0][4]  # (0, 0): largest degree
+        for weight, (*_, p, moduli) in zip(weights[1:], terms[1:]):
             P[: p.size] += weight * p
-            M[: p.size] += abs(weight) * np.abs(p)
+            M[: p.size] += abs(weight) * moduli
         return pref * P, abs(pref) * M
 
     return _evaluate("theta", z, w, params, rounding_rtol, _theta(ctrl, polynomial))

@@ -98,13 +98,16 @@ def log_gamma(z):
     array).  Backed by scipy.special.loggamma (Stirling's series, reached
     by recurrence, reflection or a Taylor series at small |z|), imported on
     the first call; an array gives the values of its elements one by one.
+    An array's pole test looks only at its elements with imag == 0.
     """
     if isinstance(z, np.ndarray):
         z = z.astype(complex, copy=False)
-        re = z.real
-        poles = (z.imag == 0.0) & (re <= 0.0) & np.isfinite(re) & (re == np.round(re))
-        if poles.any():
-            raise PoleError(f"log_gamma pole at z={z[poles].flat[0]}")
+        on_axis = z[z.imag == 0.0]  # 1-D, in index order, for any shape
+        left = on_axis[on_axis.real <= 0.0] if on_axis.size else on_axis
+        re = left.real
+        poles = left[np.isfinite(re) & (re == np.round(re))] if left.size else left
+        if poles.size:
+            raise PoleError(f"log_gamma pole at z={poles[0]}")
         return _scipy_special().loggamma(z)
     z = complex(z)
     if _is_nonpositive_integer(z):
@@ -164,20 +167,33 @@ def gamma_abs_sq(x: float, y: float) -> float:
 
 
 def pochhammer(a: complex, n: int):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as an exact product.
-
-    No Gamma ratios are involved, so a may be a non-positive integer (the
-    product then vanishes for n large enough).
-    """
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as an exact product
+    from a (no 1 x a, no a + 0), the empty product the int 1.  No Gamma
+    ratios are involved, so a may be a non-positive integer (the product
+    then vanishes for n large enough)."""
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
-    result = 1
-    for i in range(n):
+    result = a if n else 1
+    for i in range(1, n):
         result = result * (a + i)
     return result
 
 
-def jacobi_poly(params: JacobiParams, x: complex):
+def _jacobi_binomials(alpha, beta, k: int) -> list:
+    """C(k+alpha, k-l) C(k+beta, l), l = 0..k (jacobi_poly), with no pass
+    that cannot change a value (an empty product's argument, x 1, / 1)."""
+    binomials, beta_k = [], beta + k
+    for l in range(k + 1):
+        c = pochhammer((alpha + l if l else alpha) + 1, k - l) if l < k else 1
+        if l:
+            b = pochhammer(beta_k - l + 1, l)
+            c = c * b if l < k else b
+        divisor = math.factorial(k - l) * math.factorial(l)
+        binomials.append(c / divisor if divisor > 1 else c)
+    return binomials
+
+
+def jacobi_poly(params: JacobiParams, x):
     """Jacobi polynomial P_k^(alpha, beta)(x) for complex parameters,
 
         P_k = sum_{l=0}^{k} C(k+alpha, k-l) C(k+beta, l)
@@ -185,24 +201,21 @@ def jacobi_poly(params: JacobiParams, x: complex):
 
     the generalized binomials being C(k+alpha, k-l) = (alpha+l+1)_(k-l)/(k-l)!
     and C(k+beta, l) = (beta+k-l+1)_l / l!.  The sum is finite and exact; for
-    real parameters and argument no complex arithmetic occurs at all.
+    real parameters and argument no complex arithmetic occurs at all.  A
+    tuple of points gives the tuple of their values, from one binomial set.
     """
-    k = params.degree
-    alpha, beta = params.alpha, params.beta
-    if isinstance(alpha, complex) and alpha.imag == 0.0:
-        alpha = alpha.real
-    if isinstance(beta, complex) and beta.imag == 0.0:
-        beta = beta.real
-    if isinstance(x, complex) and x.imag == 0.0:
-        x = x.real
-    xm = (x - 1) / 2
-    xp = (x + 1) / 2
-    total = 0
-    for l in range(k + 1):
-        c = pochhammer(alpha + l + 1, k - l) * pochhammer(beta + k - l + 1, l)
-        c = c / (math.factorial(k - l) * math.factorial(l))
-        total = total + c * xm**l * xp ** (k - l)
-    return total
+    k, points = params.degree, x if isinstance(x, tuple) else (x,)
+    alpha, beta, *points = (v.real if isinstance(v, complex) and v.imag == 0.0 else v
+                            for v in (params.alpha, params.beta, *points))
+    binomials, values = _jacobi_binomials(alpha, beta, k), []
+    for point in points:
+        xm, xp = (point - 1) / 2, (point + 1) / 2
+        for l, c in enumerate(binomials):  # no factor x^0, no first 0 +
+            term = c * xm**l if l else c
+            term = term * xp ** (k - l) if l < k else term
+            total = total + term if l else term
+        values.append(total)
+    return tuple(values) if isinstance(x, tuple) else values[0]
 
 
 @functools.cache
@@ -225,16 +238,12 @@ def jacobi_coefficients(params: JacobiParams) -> np.ndarray:
     """Monomial coefficients (ascending) of P_k^(alpha, beta), complex-valued.
 
     A sum of the binomial factors ((x-1)/2)^l ((x+1)/2)^(k-l), taken from
-    a table cached per degree; intended for small degrees where exact
-    derivative work is needed.
+    a table cached per degree, weighted by jacobi_poly's binomials;
+    intended for small degrees where exact derivative work is needed.
     """
     k = params.degree
     coeffs = np.zeros(k + 1, dtype=complex)
-    for l, term in enumerate(_binomial_table(k)):
-        c = pochhammer(params.alpha + l + 1, k - l) * pochhammer(
-            params.beta + k - l + 1, l
-        )
-        c = c / (math.factorial(k - l) * math.factorial(l))
+    for c, term in zip(_jacobi_binomials(params.alpha, params.beta, k), _binomial_table(k)):
         coeffs += complex(c) * term
     return coeffs
 
@@ -472,10 +481,11 @@ class LambertTable:
     precision, one cos_sin and two exp per j.  A table extends its rows to
     new indices only, so each j is built once per number type.  The
     binary64 rows set that j for every order, double on demand and give the
-    binary64 value, the stop rule's partial sum.  An mpmath z (R in mpmath
-    or float) selects mpmath numbers: its rows reach as far as an order
-    needs, and each order is summed from them in index order, as binary64
-    sums it.  terms is the largest j any order has summed.
+    binary64 value, the stop rule's partial sum; orders asked together
+    (_derivatives) share one stop pass, each as if alone.  An mpmath z (R
+    in mpmath or float) selects mpmath numbers: its rows reach as far as an
+    order needs, and each order is summed from them in index order, as
+    binary64 sums it.  terms is the largest j any order has summed.
     """
 
     def __init__(self, z, R) -> None:
@@ -509,10 +519,10 @@ class LambertTable:
             self._rows_of[num] = rows
         return rows
 
-    def _stop(self, order: int, ctrl: SeriesControl):
-        """(n, partial sum, gross sum of its terms' moduli) of order s at the
-        first j = n whose tail bound is below ctrl.tolerance x |partial sum|,
-        in binary64."""
+    def _stop(self, orders: np.ndarray, ctrl: SeriesControl):
+        """(n, partial sum, gross sum of its terms' moduli) of each order in
+        the array orders at its first j = n whose tail bound is below
+        ctrl.tolerance x |partial sum|, in binary64: one pass, a row each."""
         q = self._q
         reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(q)  # q^j = tolerance
         n = self._stop_rows[-1].size or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
@@ -523,40 +533,46 @@ class LambertTable:
                 tail = np.exp(j * math.log(q)) / ((1.0 - q) * gap)
                 self._stop_rows = re_sin + 1j * im_sin, re_cos + 1j * im_cos, tail
             sin, cos, tail = self._stop_rows
-            size = tail.size
-            weight = 4.0 * np.arange(2.0, 2.0 * size + 3.0, 2.0) ** (order - 1)
-            terms = weight[:-1] * (sin if order % 2 else cos)
-            sums = np.cumsum(terms), weight[1:] * tail, np.cumsum(np.abs(terms))
-            partial, tail, gross = (x[: ctrl.max_terms] for x in sums)
-            done = tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
-            if done.any():
-                n = int(done.argmax())
-                return n + 1, complex(partial[n]), float(gross[n])
+            size = min(tail.size, ctrl.max_terms)
+            weight = 4.0 * np.arange(2.0, 2.0 * size + 3.0, 2.0) ** (orders[:, None] - 1)
+            terms = weight[:, :-1] * np.where(orders[:, None] % 2, sin[:size], cos[:size])
+            partial, gross = np.cumsum(terms, axis=1), np.cumsum(np.abs(terms), axis=1)
+            limit = ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
+            done = weight[:, 1:] * tail[:size] < limit
+            if done.any(axis=1).all():
+                n, rows = done.argmax(axis=1), np.arange(orders.size)
+                return n + 1, partial[rows, n], gross[rows, n]
             if size >= ctrl.max_terms:
-                raise ConvergenceError(
-                    f"log-derivative series (order {order}) hit the "
-                    f"{ctrl.max_terms}-term cap"
-                )
+                raise ConvergenceError(f"log-derivative series (order "
+                                       f"{orders[~done.any(axis=1)][0]}) hit the "
+                                       f"{ctrl.max_terms}-term cap")
             n = min(2 * size, ctrl.max_terms)
+
+    def _derivatives(self, orders, ctrl: SeriesControl) -> list[tuple]:
+        """derivative's (value, gross) of each of orders, from one stop pass
+        and, for an mpmath z, one extension of the table's own rows."""
+        if min(orders) < 1:
+            raise DomainError(f"derivative order must be >= 1, got {min(orders)}")
+        ns, values, grosses = self._stop(np.array(orders), ctrl)
+        self.terms = max(self.terms, int(ns.max()))
+        values = values.tolist()
+        if self._num is not _BINARY64:  # the same sums over the table's own rows
+            *rows, _ = self._rows(self._num, int(ns.max()))
+            for i, (order, n) in enumerate(zip(orders, ns.tolist())):
+                # exact integer weights: a rounded power would skew each mpmath term
+                weight = 4 * (2 * np.arange(1, n + 1, dtype=self._num.dtype)) ** (order - 1)
+                re, im = (np.cumsum(weight * row[:n])[-1]
+                          for row in (rows[:2] if order % 2 else rows[2:]))
+                values[i] = re + 1j * im
+        return [((1 if (order - 1) % 4 < 2 else -1) * v, g)  # sin, cos, -sin, -cos
+                for order, v, g in zip(orders, values, grosses.tolist())]
 
     def derivative(self, order: int, ctrl: SeriesControl = DEFAULT_SERIES):
         """(value, gross) of (log theta_4)^(order)(z): the value a complex, or
         an mpc for an mpmath z, and gross the sum of its terms' moduli, the
         rounding majorant of the series.  The gross is summed in binary64
         for either number type: a sum of moduli carries no cancellation."""
-        if order < 1:
-            raise DomainError(f"derivative order must be >= 1, got {order}")
-        n, value, gross = self._stop(order, ctrl)
-        self.terms = max(self.terms, n)
-        if self._num is not _BINARY64:  # the same sum over the table's own rows
-            *rows, _ = self._rows(self._num, n)
-            # exact integer weights: a rounded power would skew each mpmath term
-            weight = 4 * (2 * np.arange(1, n + 1, dtype=self._num.dtype)) ** (order - 1)
-            re, im = (np.cumsum(weight * row[:n])[-1]
-                      for row in (rows[:2] if order % 2 else rows[2:]))
-            value = re + 1j * im
-        sign = 1 if (order - 1) % 4 < 2 else -1  # sin, cos, -sin, -cos
-        return sign * value, gross
+        return self._derivatives((order,), ctrl)[0]
 
 
 def theta4_log_derivative(

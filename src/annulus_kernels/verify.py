@@ -268,14 +268,15 @@ def _alias_free_spec(
     (kernel_km_grid refuses that row).
     """
     mods = np.abs(nodes.ravel()) * abs(zc)
-    ratios = np.array([1.0 / float(mods.min()), float(mods.max()) / params.R**2])
-    if not 1.0 - ratios.max() >= BOUNDARY_MARGIN:
+    ratios = 1.0 / float(mods.min()), float(mods.max()) / params.R**2
+    if not 1.0 - max(ratios) >= BOUNDARY_MARGIN:
         return None
     p, shift = 2.0 * params.B - 1.0, params.B
 
     def folded(n: int) -> float:  # the modes |j| >= n, relative to j = 0
-        edge = np.array([abs(1 - n + shift), abs(n - 1 + shift)]) / shift
-        return float(_tail_bound(ratios ** (n - 1) * edge**p, ratios, p, shift, n - 1))
+        edges = [q ** (n - 1) * (abs(x) / shift) ** p
+                 for q, x in zip(ratios, (1 - n + shift, n - 1 + shift))]
+        return float(_tail_bound(edges, ratios, p, shift, n - 1))
 
     n = spec.n_angular
     while not folded(n) <= 1e-13:

@@ -801,29 +801,49 @@ def test_grid_and_budgeted_escalations_are_one_driver_call_each(monkeypatch):
     assert [ev.precision for _, ev in seen] == ["binary64", "extended", "extended"]
 
 
+def _theta_builds(monkeypatch) -> tuple[list, list]:
+    """The (k, l) of every P_kl built and the orders of every Lambert stop
+    pass from now on, with the theta path's caches emptied first."""
+    kernels._theta_coefficients.cache_clear()
+    kernels._theta_level.cache_clear()
+    built = _calls(monkeypatch, kernels, "_theta_polynomial")
+    stops = _calls(monkeypatch, kernels.LambertTable, "_stop")
+    return built, stops
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
-    # kernel_km_theta contracts one polynomial per evaluation: each of the
-    # level's (m+1)(m+2)/2 polynomials P_kl is built once, and each order
-    # is summed once
-    built = _calls(monkeypatch, kernels, "_theta_polynomial")
-    orders = _calls(monkeypatch, kernels.LambertTable, "derivative")
-    z, w = THETA_PAIRS_43[0]
-    kernel_km_theta(m, z, w, P43)
-    assert sorted(args[:2] for args, _ in built) == [
-        (k, l) for k in range(m + 1) for l in range(m + 1 - k)
-    ]
-    assert [args[1] for args, _ in orders].count(2) == 1
+    # each of the level's (m+1)(m+2)/2 polynomials P_kl is built once per
+    # annulus and number type, however many pairs are evaluated; each sum
+    # (binary64, and 34-digit when a zero budget escalates) asks its Lambert
+    # table for every order in one stop pass; the cached arrays are read-only
+    level = [(k, l) for k in range(m + 1) for l in range(m + 1 - k)]
+    for budget, sums in ((None, 1), (0.0, 2)):
+        built, stops = _theta_builds(monkeypatch)
+        for z, w in THETA_PAIRS_43[:2]:
+            assert kernel_km_theta(m, z, w, P43, rounding_rtol=budget).precision == (
+                "binary64" if budget is None else "extended")
+        assert sorted(args[:2] for args, _ in built) == sorted(level * sums)
+        assert len(stops) == 2 * sums
+        # the orders p + 2 of P's nonzero coefficients, up to P_00's degree 2B - 2
+        assert all({2, 6} <= set(args[1].tolist()) <= set(range(2, 7)) for args, _ in stops)
+        monkeypatch.undo()
+    _, terms = kernels._theta_level(m, 3, kernels._BINARY64, P43.R, P43.B, P43.log_R)
+    assert all(not x.flags.writeable for *_, p, moduli in terms for x in (p, moduli))
 
 
 def test_sigma_theta_and_product_formula_build_one_polynomial(monkeypatch):
     # sigma_theta_path contracts P_kl, and the product formula is the
-    # theta path's P_00 contraction at m = 0: one build per evaluation each
-    built = _calls(monkeypatch, kernels, "_theta_polynomial")
-    sigma_theta_path(0, 1, Z0, W0, P43)
-    assert [args[:2] for args, _ in built] == [(0, 1)]
-    kernel_k0_integer_product(Z0, W0, P43)
+    # theta path's P_00 contraction at m = 0: each P_kl is built once per
+    # annulus and number type, shared by both, with one stop pass per sum
+    built, stops = _theta_builds(monkeypatch)
+    for _ in range(2):
+        sigma_theta_path(0, 1, Z0, W0, P43)
+        kernel_k0_integer_product(Z0, W0, P43)
     assert [args[:2] for args, _ in built] == [(0, 1), (0, 0)]
+    assert len(stops) == 4
+    P, moduli = kernels._theta_coefficients(0, 1, 3, P43.log_R, kernels._BINARY64)
+    assert len(built) == 2 and not P.flags.writeable and not moduli.flags.writeable
 
 
 @pytest.mark.parametrize("budget", [None, 0.0])

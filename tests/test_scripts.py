@@ -43,3 +43,6 @@ def test_path_comparison_runs():
     # the reference's own row: its j-window, condition and escalations
     oracle = [row for row in rows if row["path"] == "basis_sum"]
     assert oracle and all(row["max_terms"] > 0 and row["max_rel_dev"] == 0.0 for row in oracle)
+    # each path's median time per call: a measurement, so only its presence
+    # and sign are checked, and it is no part of any comparison of runs
+    assert all(row["median_call_ms"] > 0.0 for row in rows)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,11 +75,16 @@ def test_log_gamma_on_an_array_matches_scalar_calls():
     assert log_gamma(np.array([1.0, 2.0, 3.0])).tolist() == [log_gamma(v) for v in (1.0, 2.0, 3.0)]
 
 
-@pytest.mark.parametrize("pole", [0.0, -1.0, -7.0 + 0.0j])
+@pytest.mark.parametrize("pole", [0.0, -1.0, -7.0 + 0.0j, complex(-0.0, 0.0)])
 def test_log_gamma_on_an_array_raises_at_any_pole(pole):
-    z = np.array([1.5 + 2.0j, -0.5 + 0.0j, pole, 3.0 - 1.0j])
-    with pytest.raises(PoleError):
-        log_gamma(z)
+    # a pole anywhere in a 1-D or 2-D array, outside row 0 of a 2-D one,
+    # among real non-poles left of the origin; the message names it
+    for shape in [(4,), (2, 2), (3, 4)]:
+        z = np.full(shape, 1.5 + 2.0j)
+        z.flat[:2] = (-0.5 + 0.0j, -2.5)
+        z.flat[-1] = pole
+        with pytest.raises(PoleError, match=re.escape(f"z={complex(pole)}")):
+            log_gamma(z)
 
 
 @pytest.mark.parametrize("x", [-math.inf, math.inf, math.nan])
@@ -633,6 +639,42 @@ def test_lambert_table_builds_each_index_once(monkeypatch):
     assert_once(float, sum(map(len, built[float])))
     assert_once(object, table.terms)
     assert len(built[object]) > 1  # grown order by order
+
+
+def _bits(x) -> tuple:
+    """A value exactly: both parts of a complex in hex (the sign of a zero
+    included), an mpc by its own exact parts."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return x.real.man_exp, x.imag.man_exp
+
+
+@pytest.mark.parametrize("in_mpmath", [False, True])
+@pytest.mark.parametrize("R, z", LAMBERT_REFERENCE_POINTS)
+def test_lambert_table_one_stop_pass_is_each_orders_own(R, z, in_mpmath):
+    # orders 1-8 asked of one table in one stop pass get, bit for bit, the
+    # stopping j, partial sum and gross of a pass for each order alone (as
+    # derivative takes them, one order at a time), and the same values;
+    # the table's terms match.  A second, far tighter tolerance forces the
+    # stop rows to double (1e-300 in binary64, 1e-60 for an mpc z, whose
+    # own rows then reach the largest j of any order)
+    mp = pytest.importorskip("mpmath")
+    orders = list(range(1, 9))
+    tight = SeriesControl(tolerance=1e-60 if in_mpmath else 1e-300, max_terms=100_000)
+    with mp.workdps(34):
+        point = (mp.mpc(z), mp.mpf(R)) if in_mpmath else (z, R)
+        alone, together = LambertTable(*point), LambertTable(*point)
+        for ctrl in (DEFAULT_SERIES, tight):
+            size = together._stop_rows[-1].size
+            ns, partials, grosses = together._stop(np.array(orders), ctrl)
+            for s, n, partial, gross in zip(orders, ns, partials, grosses):
+                (n1,), (partial1,), (gross1,) = alone._stop(np.array([s]), ctrl)
+                assert (n, _bits(complex(partial)), gross) == (n1, _bits(complex(partial1)), gross1)
+            want = [alone.derivative(s, ctrl) for s in orders]
+            got = together._derivatives(orders, ctrl)
+            assert [(_bits(v), g) for v, g in got] == [(_bits(v), g) for v, g in want]
+            assert together.terms == alone.terms == ns.max()
+        assert together._stop_rows[-1].size >= 2 * size > 0
 
 
 def test_lambert_table_terms_grow_with_tolerance():
