@@ -185,8 +185,12 @@ def log_basis_norm_sq(j: int, m: int, params: AnnulusParams) -> float:
 
 
 def basis_norm_sq(j: int, m: int, params: AnnulusParams) -> float:
-    """Closed-form squared norm ||phi_j||^2 (see log_basis_norm_sq)."""
-    return math.exp(log_basis_norm_sq(j, m, params))
+    """Closed-form squared norm ||phi_j||^2 (see log_basis_norm_sq); a norm
+    past binary64's range raises DomainError naming B."""
+    try:
+        return math.exp(log_basis_norm_sq(j, m, params))
+    except OverflowError:
+        raise DomainError(f"||phi_{j}||^2 at B={params.B:g} is past binary64's range") from None
 
 
 def sturm_liouville_apply(m: int, j: int, xi, params: AnnulusParams):

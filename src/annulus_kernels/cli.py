@@ -290,21 +290,16 @@ def cmd_grid(cfg: CliConfig) -> int:
     zeta = math.pi * (np.arange(n_r) + 0.5) / n_r
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     radii = params.R ** (zeta / math.pi)
-    z_grid = radii[:, None] * np.exp(1j * theta)[None, :]
+    z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     # K_m(z, w_fixed) via Hermitian symmetry of the kernel:
     # K_m(z, w) = conj(K_m(w, z)), and the grid evaluator fixes the first slot
-    values = np.conj(
-        kernel_km_grid(cfg.m, wc, z_grid.ravel(), params, cfg.control())
-    ).reshape(z_grid.shape)
-    # round-trip decimal form (17 significant digits); abs_K is Python's
+    K = np.conj(kernel_km_grid(cfg.m, wc, z, params, cfg.control()))
+    # round-trip decimal form (17 significant digits), the whole table in one
+    # format pass; abs_K is np.hypot, the libm hypot of Python's
     # abs(complex), which np.abs can miss by an ulp
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
-    lines = ["re_z,im_z,re_K,im_K,abs_K"]
-    lines += [
-        row % (zc.real, zc.imag, kv.real, kv.imag, abs(kv))
-        for zc, kv in zip(z_grid.ravel().tolist(), values.ravel().tolist())
-    ]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    table = np.stack([z.real, z.imag, K.real, K.imag, np.hypot(K.real, K.imag)], axis=-1)
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * z.size
+    _emit("re_z,im_z,re_K,im_K,abs_K\n" + rows % tuple(table.ravel().tolist()), cfg.out)
     return _EXIT_OK
 
 

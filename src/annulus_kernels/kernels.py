@@ -29,8 +29,10 @@ imaginary transformation of theta_4, DLMF 20.7) gives a sum over windings:
     a_nu = 1 + e^(-xi_nu),  b_nu = 1 + e^(xi_nu),  xi_nu = i (log t - 2 pi i nu)/c,
 
 on principal branches, valid because Im xi = log|t|/c lies in (-pi, pi)
-exactly when 1/R < |t| < R.  The images sit at x = Re xi_nu = (2 pi nu -
-arg t)/c, 2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
+exactly when 1/R < |t| < R.  At the quantized strengths, 2B an integer,
+h_nu = (-1)^(2B nu) (1/s_nu)^(2B), s_nu = 2 cosh(xi_nu/2), an integer
+power (_plan).  The images sit at x = Re xi_nu = (2 pi nu - arg t)/c,
+2 pi/c apart, and |1 + e^xi| >= e^|x| - 1 bounds each term by
 
     (2 pi/c) Gamma(2B-k-l) |t|^(-B) e^(-(B-l) x) (1 - e^(-x))^(-(2B-k-l))
 
@@ -218,11 +220,15 @@ def _evaluate(
     without a budget), summed re-runs on the pair rebuilt from the binary64
     inputs in 34-digit numbers and every field is that sum's, its value
     returned in binary64; a sum whose own rounding still exceeds the budget
-    is refused (ConvergenceError).
+    is refused (ConvergenceError).  A binary64 sum whose constants overflow
+    (Gamma(2B), (2 pi)^(2B) at a large B) raises DomainError naming B.
     """
     g = _pair(z, w, params)
     _decay_ratios(g)
-    value, condition, tail, terms = summed(g)
+    try:
+        value, condition, tail, terms = summed(g)
+    except OverflowError as exc:  # math.gamma, math.exp, float ** or int -> float
+        raise DomainError(f"B={params.B:g} is past binary64's range ({exc})") from exc
     precision = "binary64"
     if _rounding_exceeds(g.num, condition, rounding_rtol):
         import mpmath as mp
@@ -433,12 +439,20 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
     no numpy call, a second pass costs a whole one.  While a tail bound
     exceeds ctrl.tolerance x |sum| + eps x the rounding majorant, both
     counts grow by the steps the slowest decay asks for; past
-    ctrl.max_terms images the sum is refused.  The majorant charges each
-    term its modulus times 1 + |log h|, as exp amplifies the rounding of
-    its argument.  image_sum returns the sums, tail bounds, majorants and
-    images.  Per pair of counts (images) the plan keeps the window
-    e^(d nu/2), 2 pi i B nu over nu = -n_minus..n_plus and each side's
-    bound factor and ends.
+    ctrl.max_terms images the sum is refused.  image_sum returns the sums,
+    tail bounds, majorants and images.  Per pair of counts (images) the
+    plan keeps the window e^(d nu/2), 2 pi i B nu (and (-1)^nu at odd 2B)
+    over nu = -n_minus..n_plus and each side's bound factor and ends.
+
+    The weight h_nu = e^(2 pi i B nu) s_nu^(-2B), s_nu = 2 cosh(xi_nu/2),
+    has two forms.  Where 2B is exactly an integer in binary64 (decided
+    here, not within _INTEGRALITY_TOL), it is ((-1)^nu / s_nu)^(2B): one
+    reciprocal and a square-and-multiply ladder of array products (_power)
+    in either number type; elsewhere exp(log h), log h = 2 pi i B nu - 2B
+    log s_nu.  Both keep the majorant, each term's modulus times 1 + |log
+    h|: exp amplifies the rounding of its argument, and the ladder's
+    relative error is about 2B times that of s_nu, which carries the
+    rounding of q0 and of the image step.
 
     Every node sums one window of images under one stop test; its
     elementwise stage runs over row blocks of about _BLOCK node-images
@@ -455,6 +469,9 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
         k_max = l_max = series
         poly, pref = _level_polynomial(series, num, B), _prefactor(series, num, R, B, log_R)
     spacing = 2 * num.pi / (log_R / num.pi)  # xi_(nu+1) - xi_nu
+    # t^(i/(2c)) and t^(-B) are one exp of log t times these, a column each
+    exponents = np.array([0.5j / (log_R / num.pi), -B])[:, None, None]
+    power = int(2 * B) if float(2 * B).is_integer() else None  # 2B exactly: h_nu's ladder
     # counts and bounds in binary64, with the slowest decay of each side
     eps, d, b = num.eps, float(spacing), float(B)
     rates = (b - l_max, b - k_max)  # of the + and - sides
@@ -464,11 +481,16 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
         for rate in rates
     )
 
+    # the stop test in binary64: numpy's arrays as they are, mpmath's converted
+    cast = (lambda x, dtype: x) if num is _BINARY64 else np.asarray
+
     @functools.lru_cache(maxsize=16)
     def images(n_plus: int, n_minus: int) -> tuple:  # the window and bounds of a count
         nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
-        window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu
-        for x in window:
+        # (-1)^nu, complex as the s it divides; 1 where 2B is even
+        sign = 1 - 2 * (nu % 2) + 0j if power and power % 2 else 1
+        window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu, sign
+        for x in window[:2]:
             x.flags.writeable = False
         sides = []
         for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
@@ -480,12 +502,13 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
             sides.append((factor, (far, near) if minus else (near, far)))
         return window, tuple(sides)
 
-    def stage(q0, V, step, phase):  # net and gross image sums of a block of rows
+    def stage(q0, V, step, phase, sign):  # net and gross image sums of a block of rows
         q = q0 * step  # e^(xi_nu/2)
         q_inv = 1 / q
         s = q + q_inv  # 2 cosh(xi_nu/2)
         log_h = phase - 2 * B * num.clogs(s)
-        h = num.exp(log_h)
+        # e^(2 pi i B nu) s^(-2B), at integer 2B as ((-1)^nu / s)^(2B)
+        h = num.exp(log_h) if power is None else _power(sign / s, power)
         a_nu, b_nu = s * q_inv, s * q  # 1 + e^(-xi_nu), 1 + e^(xi_nu)
         return (h * poly(a_nu, b_nu, V)).sum(axis=-1), (
             abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), V, modulus=True)
@@ -493,9 +516,9 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
 
     def image_sum(g: PairGeometry):
         log_t = num.clogs(np.asarray(g.t).reshape(-1, 1))  # one row per t
-        q0 = num.exp(0.5j * log_t / g.radial_scale)  # e^(xi_0/2), xi_0 = i log(t)/c
-        unit = spacing * num.exp(-B * log_t)  # (2 pi/c) t^(-B)
-        scale = np.abs(np.asarray(unit, dtype=complex))
+        t_powers = num.exp(exponents * log_t)  # e^(xi_0/2), xi_0 = i log(t)/c, and t^(-B)
+        q0, unit = t_powers[0], spacing * t_powers[1]  # unit: (2 pi/c) t^(-B)
+        scale = np.abs(cast(unit, complex))
         n_plus, n_minus = counts
         while n_plus + n_minus + 1 <= ctrl.max_terms:
             window, sides = images(n_plus, n_minus)
@@ -507,9 +530,9 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
                     *(stage(q0[rows], g.V[rows], *window) for rows in blocks)))
             total, gross = unit[:, 0] * net, scale[:, 0] * gross
             bound = sum(factor * poly(*ends, g.V, modulus=True) for factor, ends in sides)
-            bound = (scale * np.asarray(bound, dtype=float))[:, 0]
-            limit = ctrl.tolerance * np.abs(np.asarray(total, dtype=complex))
-            excess = (bound / (limit + eps * np.asarray(gross, dtype=float))).max()
+            bound = (scale * cast(bound, float))[:, 0]
+            limit = ctrl.tolerance * np.abs(cast(total, complex))
+            excess = (bound / (limit + eps * cast(gross, float))).max()
             if excess <= 1.0:
                 return total, bound, gross, n_plus + n_minus + 1
             if not math.isfinite(excess):
@@ -522,6 +545,18 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
         )
 
     return image_sum, pref
+
+
+def _power(x, n: int):
+    """x^n for an integer n >= 1, elementwise in either number type, by
+    square-and-multiply: floor(log2 n) squarings and a product per further
+    set bit of n, each rounded once (numpy's complex ** is a scalar loop)."""
+    result = x if n & 1 else None
+    while n > 1:
+        x, n = x * x, n >> 1
+        if n & 1:
+            result = x if result is None else result * x
+    return result
 
 
 # node-images per block of the image sums' stage: 64 KiB per complex

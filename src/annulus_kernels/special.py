@@ -133,12 +133,18 @@ class _Numbers:
     loggamma: Callable
 
 
+def _clogs(z: np.ndarray) -> np.ndarray:
+    """log|z| + i arg z, each part written in place: np.angle's arithmetic
+    without its dispatch (a fifth of np.log's time) and no pass to join."""
+    out = np.empty(z.shape, complex)
+    np.log(abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
 _BINARY64 = _Numbers(
     float(np.finfo(float).eps), float, math.pi, cmath.log, math.gamma, np.exp,
-    lambda x: (np.cos(x), np.sin(x)),
-    # np.angle's arithmetic without its dispatch; a fifth of np.log's time
-    lambda z: np.log(abs(z)) + 1j * np.arctan2(z.imag, z.real),
-    log_gamma,
+    lambda x: (np.cos(x), np.sin(x)), _clogs, log_gamma,
 )
 
 

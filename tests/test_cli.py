@@ -9,10 +9,14 @@ import contextlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from annulus_kernels.basis import admissible_levels
 from annulus_kernels.cli import build_parser, main, parse_complex
 from annulus_kernels.errors import DomainError
+from annulus_kernels.geometry import AnnulusParams, polar_point
+from annulus_kernels.kernels import kernel_km_grid
 
 
 def run_cli(argv):
@@ -136,6 +140,20 @@ def test_eval_exhausted_budget_exits_3():
         assert "16 terms" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--z", "{r}", "--w", "{r}j"],
+    ["grid", "--w", "{r}j", "--n-rad", "2", "--n-ang", "2"],
+])
+@pytest.mark.parametrize("R, B", [(50.0, 160.0), (4.0, 90.0), (4.0, 200.0)])
+def test_out_of_range_B_exits_2(command, R, B):
+    # the closed form's constants overflow binary64: an invalid parameter,
+    # exit 2 with the error naming B, not a traceback
+    argv = [arg.format(r=math.sqrt(R)) for arg in command]
+    code, out, err = run_cli([*argv, "--R", repr(R), "--B", repr(B)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"B={B:g}" in err
+
+
 def test_eval_oracle_sums_up_to_its_term_cap():
     # at (4, 3) the oracle needs 179 terms at this pair (sample_pairs(p, 6,
     # 11)[3]): --max-terms 200 allows a window of 199
@@ -168,7 +186,39 @@ def test_grid_row_count_and_abs_column():
     assert len(rows) == 1 + 2 * 4
     for row in rows[1:]:
         re_z, im_z, re_k, im_k, abs_k = (float(x) for x in row.split(","))
-        assert abs_k == pytest.approx(math.hypot(re_k, im_k), rel=1e-15, abs=0.0)
+        assert abs_k == abs(complex(re_k, im_k))  # Python's abs, to the bit
+
+
+def _per_row_csv(m, params, w, n_rad, n_ang) -> str:
+    """The grid CSV of K_m(z, w) as a per-row formatter writes it, over
+    cmd_grid's layout and values: one "%.17g" row per node, abs_K from
+    Python's abs(complex)."""
+    zeta = math.pi * (np.arange(n_rad) + 0.5) / n_rad
+    theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    z_grid = (params.R ** (zeta / math.pi))[:, None] * np.exp(1j * theta)[None, :]
+    values = np.conj(kernel_km_grid(m, w, z_grid.ravel(), params))
+    lines = ["re_z,im_z,re_K,im_K,abs_K"] + [
+        "%.17g,%.17g,%.17g,%.17g,%.17g" % (z.real, z.imag, k.real, k.imag, abs(k))
+        for z, k in zip(z_grid.ravel().tolist(), values.tolist())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("R, B", [(4.0, 3.0), (6.0, 2.75), (50.0, 2.0), (1.5, 2.0)])
+def test_grid_file_is_the_per_row_format_byte_for_byte(tmp_path, R, B):
+    # the one-pass table format writes the bytes of the per-row formatter,
+    # on the README's 24 x 64 layout at every level of the benchmark annuli
+    p = AnnulusParams(R=R, B=B)
+    w = complex(polar_point(0.325 * math.pi, 0.7, p))
+    target = tmp_path / "grid.csv"
+    for m in admissible_levels(p):
+        code, _, err = run_cli(
+            ["grid", "--R", repr(R), "--B", repr(B), "--m", str(m),
+             f"--w={w.real!r}{w.imag:+.17g}i", "--n-rad", "24", "--n-ang", "64",
+             "--out", str(target)]
+        )
+        assert code == 0, err
+        assert target.read_bytes() == _per_row_csv(m, p, w, 24, 64).encode()
 
 
 def test_grid_values_round_trip_17_digits():

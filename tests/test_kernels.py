@@ -22,7 +22,7 @@ from annulus_kernels.errors import (
 from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.quadrature import QuadratureSpec, annulus_nodes
 from annulus_kernels.special import SeriesControl, pochhammer, theta4_log_derivative
-from annulus_kernels.basis import admissible_levels, log_basis_norm_sq
+from annulus_kernels.basis import admissible_levels, basis_norm_sq, log_basis_norm_sq
 from annulus_kernels import kernels
 from annulus_kernels.kernels import (
     KERNEL_PATHS,
@@ -1043,6 +1043,129 @@ def test_warm_plans_keep_the_stop_rule():
     with pytest.raises(ConvergenceError, match="17 images needed"):
         kernel_km(1, z, w, p, SeriesControl(max_terms=16))
     assert kernel_km(1, z, w, p, SeriesControl(tolerance=1e-20)).terms_used > 17
+
+
+# ---------------------------------------------------------------------------
+# image weights at quantized field strength: (-1)^(2B nu) (1/s)^(2B)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_power_ladder_rounds_within_its_bound(n):
+    # (1/s)^n by square-and-multiply, against s^(-n) at 50 digits: the
+    # reciprocal's rounding is multiplied by n, and each of the at most
+    # 2 floor(log2 n) products adds one rounding
+    import mpmath as mp
+
+    rng = np.random.default_rng(3)
+    s = np.exp(rng.uniform(-1.0, 3.0, 200) + 1j * rng.uniform(-np.pi, np.pi, 200))
+    bound = 2 * (n + math.floor(math.log2(n)))
+    num = kernels._mpmath_numbers()
+    with mp.workdps(34):  # 34-digit s, off the binary64 grid
+        s34 = np.array([mp.mpc(x) * mp.expjpi(mp.mpf(1) / 7) for x in s[:40].tolist()])
+        ladder34 = kernels._power(1 / s34, n)
+    with mp.workdps(50):
+        for values, ladder, eps in ((s, kernels._power(1 / s, n), EPS), (s34, ladder34, num.eps)):
+            for x, h in zip(values.tolist(), ladder.tolist()):
+                exact = mp.mpc(x) ** -n
+                assert abs(mp.mpc(h) - exact) <= bound * eps * abs(exact), (n, x)
+
+
+@pytest.mark.parametrize("B, ladder", [
+    (0.75, False), (2.75, False), (3.0 + 1e-13, False),
+    (1.0, True), (1.5, True), (2.0, True), (2.5, True), (3.0, True),
+])
+def test_image_weights_follow_the_exact_integrality_of_2B(monkeypatch, B, ladder):
+    # h_nu comes from the ladder exactly when 2B is an integer in binary64
+    # (a B 1e-13 off an integer keeps exp), in both number types, pointwise
+    # and on a grid; only then does exp see no (rows, images) array
+    p = AnnulusParams(R=4.0, B=B)
+    pairs = sample_pairs(p, 2, 7)
+    powers = _calls(monkeypatch, kernels, "_power")
+    shapes = []
+    for num in (kernels._BINARY64, kernels._mpmath_numbers()):
+        real = num.exp
+        monkeypatch.setitem(
+            vars(num), "exp", lambda x, real=real: shapes.append(np.shape(x)) or real(x))
+    kernels._plan.cache_clear()
+    for m in admissible_levels(p):
+        for z, w in pairs:
+            for budget in (None, 0.0):
+                kernel_km(m, z, w, p, rounding_rtol=budget)
+        kernel_km_grid(m, pairs[0][0], np.array([w for _, w in pairs]), p)
+    node_images = [shape for shape in shapes if len(shape) == 2]
+    assert bool(powers) == ladder and bool(node_images) != ladder
+    assert all(n == 2 * B for (_, n), _ in powers)
+
+
+# the binary64 values that miss their 34-digit values by more than their
+# certificates, (B, R, m, pair): by 1.01 to 2.3 of it, mostly at R = 1.2
+# where 1/c = 17 amplifies the rounding of log t
+_QUANTIZED_MISSES = {
+    *((B, 1.2, 0, i) for B in (1.0, 1.5, 2.0, 2.5, 3.0) for i in range(4)),
+    (2.0, 1.2, 1, 3), (2.0, 1.5, 1, 3), (2.5, 1.2, 1, 3),
+    (3.0, 1.2, 1, 2), (3.0, 1.2, 1, 3), (3.0, 1.2, 2, 3), (3.0, 50.0, 0, 1),
+}
+_COORDINATE_AND_POWER_ROUNDING = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP defects 12 and 14: the certificate omits the rounding of the pair "
+    "coordinates and undercharges that of each image's power of s"))
+
+
+@pytest.mark.parametrize("B, R, m, i", [
+    pytest.param(*case, marks=[_COORDINATE_AND_POWER_ROUNDING] * (case in _QUANTIZED_MISSES))
+    for case in (
+        (B, R, m, i) for B in (1.0, 1.5, 2.0, 2.5, 3.0) for R in (1.2, 1.5, 4.0, 50.0)
+        for m in admissible_levels(AnnulusParams(R=R, B=B)) for i in range(4))
+])
+def test_quantized_kernel_within_its_certificate(B, R, m, i):
+    # at 2B an integer a binary64 kernel_km value lies within its
+    # certificate, tail + eps x condition x |K|, of its forced 34-digit value
+    p = AnnulusParams(R=R, B=B)
+    z, w = sample_pairs(p, 4, 7)[i]
+    ev = kernel_km(m, z, w, p)
+    reference = kernel_km(m, z, w, p, rounding_rtol=0.0).value
+    assert abs(ev.value - reference) <= ev.tail_bound + EPS * ev.condition * abs(ev.value)
+
+
+# out of binary64's range: Gamma(2B), (2 pi)^(2B), (c0 - 1)!^2 or ||phi_0||^2
+OUT_OF_RANGE_PATHS = {
+    "kernel_km": lambda p, z, w: kernel_km(0, z, w, p),
+    "kernel_km_grid": lambda p, z, w: kernel_km_grid(0, z, np.array([w, z]), p),
+    "kernel_km_theta": lambda p, z, w: kernel_km_theta(0, z, w, p),
+    "sigma_kl": lambda p, z, w: sigma_kl(0, 0, z, w, 0, p),
+    "kernel_k0_integer_product": lambda p, z, w: kernel_k0_integer_product(z, w, p),
+    "sigma_theta_path": lambda p, z, w: sigma_theta_path(0, 0, z, w, p),
+    "kernel_basis_sum_oracle": lambda p, z, w: kernel_basis_sum_oracle(0, z, w, p),
+    "kernel_jacobi_product_sum": lambda p, z, w: kernel_jacobi_product_sum(0, z, w, p),
+    "basis_norm_sq": lambda p, z, w: basis_norm_sq(0, 0, p),
+}
+
+
+@pytest.mark.parametrize("R, B, overflowing", [
+    (50.0, 160.0, set(OUT_OF_RANGE_PATHS)),
+    (4.0, 90.0, {"kernel_km", "kernel_km_grid", "kernel_km_theta", "sigma_kl",
+                 "kernel_k0_integer_product"}),
+    (4.0, 200.0, {"kernel_km", "kernel_km_grid", "kernel_km_theta", "sigma_kl",
+                  "kernel_k0_integer_product", "sigma_theta_path"}),
+])
+# the Lambert table's powers overflow on the way to sigma_theta_path's cap
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_out_of_range_B_raises_a_typed_error(R, B, overflowing):
+    # a path whose binary64 constants overflow raises DomainError naming B;
+    # no path lets a bare OverflowError out.  The rest return, or refuse
+    # with a KernelError (sigma_theta_path's Lambert cap at (4, 90)); the
+    # oracle's finite values at (4, 90) and (4, 200) are not checked
+    p = AnnulusParams(R=R, B=B)
+    z, w = sample_pairs(p, 1, 3)[0]
+    for name, path in OUT_OF_RANGE_PATHS.items():
+        if name in overflowing:
+            with pytest.raises(DomainError, match=f"B={B:g}"):
+                path(p, z, w)
+        else:
+            try:
+                path(p, z, w)
+            except ConvergenceError:
+                assert (R, B, name) == (4.0, 90.0, "sigma_theta_path")
 
 
 # both grids' rounding, seen at most 1e-15 x max|K| on these rows
