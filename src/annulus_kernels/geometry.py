@@ -31,18 +31,18 @@ _INTEGRALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AnnulusParams:
-    """The pair (R, B): outer radius R > 1 and magnetic weight B > 1/2,
-    with log_R = log(R), computed once at construction (every kernel
-    evaluation reads it)."""
+    """The pair (R, B), both finite: outer radius R > 1 and magnetic weight
+    B > 1/2, with log_R = log(R), computed once at construction (every
+    kernel evaluation reads it)."""
 
     R: float
     B: float
 
     def __post_init__(self) -> None:
-        if not (self.R > 1.0):
-            raise DomainError(f"outer radius must satisfy R > 1, got R={self.R}")
-        if not (self.B > 0.5):
-            raise DomainError(f"magnetic weight must satisfy B > 1/2, got B={self.B}")
+        if not (1.0 < self.R < math.inf):
+            raise DomainError(f"outer radius must be finite with R > 1, got R={self.R}")
+        if not (0.5 < self.B < math.inf):
+            raise DomainError(f"magnetic weight must be finite with B > 1/2, got B={self.B}")
         object.__setattr__(self, "log_R", math.log(self.R))
 
     @property

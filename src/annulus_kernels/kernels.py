@@ -53,7 +53,7 @@ A pair's value is its node's in any grid to the last bits only: numpy's
 vector loops round an element by its position.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
-from one Lambert table per pair (special.LambertTable), whose one row
+from one call of special.lambert_log_derivatives per sum, whose one row
 builder runs in the pair's number type.  One summation (_theta)
 contracts one polynomial per evaluation, each power n^p against one order
 p + 2, every order's stop found in one pass: sigma_{k,l}'s P_kl (cached,
@@ -110,11 +110,11 @@ from .special import (
     BOUNDARY_MARGIN,
     DEFAULT_SERIES,
     JacobiParams,
-    LambertTable,
     SeriesControl,
     _mpmath_numbers,
     _Numbers,
     jacobi_poly,
+    lambert_log_derivatives,
     pochhammer,
 )
 from .basis import basis_norm_sq, require_admissible
@@ -823,7 +823,7 @@ def _theta(
         t^(-B) 2 log R sum_n [n R^n/(R^(2n)-1)] P(n) t^n
             = t^(-B) 2 log R [P_0/(2 log R) + sum_p P_p i^p L_(p+2)/2^(p+2)],
 
-    L_s = (log theta_4)^(s) at z0 = (i/2) log t (the pair's Lambert table);
+    L_s = (log theta_4)^(s) at z0 = (i/2) log t (lambert_log_derivatives);
     its rounding majorant, the same sum over M_p with each L_s charged at
     G_s, the gross sum of its Lambert terms, holds the cancellation inside
     each Lambert series and the one against 1/(2 log R).
@@ -831,16 +831,18 @@ def _theta(
     Every order is summed once, within target x |L_s| <= target x G_s, the
     target the smaller of ctrl.tolerance and the pair's eps (as _plan
     sizes its images): the tail bound, target x the majorant, is at most
-    eps x condition x |value| at either precision; one stop pass serves all.
+    eps x condition x |value| at either precision; one call, and in it one
+    stop pass, serves all.
     """
 
     def summed(e: PairGeometry):
         P, M = polynomial(e)
         pref = e.t ** -int(round(e.params.B)) * 2.0 * e.log_R
-        table = LambertTable(0.5j * e.num.clog(e.t), e.R)
         target = min(ctrl.tolerance, e.num.eps)
         orders = [p + 2 for p, bound in enumerate(M) if bound]
-        sums = iter(table._derivatives(orders, replace(ctrl, tolerance=target)))
+        sums, terms = lambert_log_derivatives(
+            0.5j * e.num.clog(e.t), e.R, orders, replace(ctrl, tolerance=target))
+        sums = iter(sums)
         total, gross = (1.0 / (2.0 * e.log_R) * x[0] for x in (P, M))
         for p, (cp, bound) in enumerate(zip(P, M)):
             if bound:
@@ -848,7 +850,7 @@ def _theta(
                 total += cp * (0.5j) ** p * L / 4.0  # i^p L_(p+2) / 2^(p+2)
                 gross += bound * 0.5**p * G / 4.0
         value, gross = pref * total, abs(pref) * gross
-        return complex(value), gross / max(abs(value), 1e-300), target * gross, table.terms
+        return complex(value), gross / max(abs(value), 1e-300), target * gross, terms
 
     return summed
 
@@ -884,7 +886,7 @@ def kernel_km_theta(
     P_kl (weights of _level_polynomial; P_00's degree 2B - 2 is the largest),
     with its majorant summed term by term; a pair pays for the weights'
     powers of V and the sum, the rest cached per level (_theta_level).
-    terms_used is the largest j of the pair's Lambert table.  Each order is
+    terms_used is the largest j any Lambert series summed.  Each order is
     summed once (_theta), so the tail bound satisfies kernel_km's tail_bound
     <= (tolerance + eps x condition) x |value| at either precision; the
     condition includes the cancellation inside the contraction and each

@@ -13,8 +13,9 @@ Cauchy Beta integral, and Jacobi's theta_4 together with its logarithmic
 derivatives.
 
 The two number types of every series (_Numbers), binary64 in numpy and
-34-digit mpmath in numpy object arrays, live here too: the Lambert table
-builds its rows with one function in either, as the kernels' series do.
+34-digit mpmath in numpy object arrays, live here too: the Lambert series
+of the log-derivatives (lambert_log_derivatives) builds its rows with one
+function in either, as the kernels' series do.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class SeriesControl:
     def __post_init__(self) -> None:
         if not (self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_terms < 16:
-            raise DomainError(f"max_terms must be at least 16, got {self.max_terms}")
+        if not (isinstance(self.max_terms, (int, np.integer)) and self.max_terms >= 16):
+            raise DomainError(f"max_terms must be an integer >= 16, got {self.max_terms!r}")
 
 
 DEFAULT_SERIES = SeriesControl()
@@ -449,8 +450,8 @@ def theta4(z: complex, R: float, ctrl: SeriesControl = DEFAULT_SERIES) -> comple
 
 
 def _lambert_rows(num: _Numbers, x, y, log_R, j: np.ndarray) -> tuple:
-    """LambertTable's rows at the indices j, in the number type num of x,
-    y and log R: the real and imaginary parts of g_j sin 2jz, then of
+    """The Lambert series' rows at the indices j, in the number type num of
+    x, y and log R: the real and imaginary parts of g_j sin 2jz, then of
     g_j cos 2jz, from sin 2jx, cos 2jx, g_j cosh 2jy and g_j sinh 2jy, and
     1 - R^-2j.  The array stands left of each mpmath scalar, which would
     otherwise convert it whole."""
@@ -461,10 +462,12 @@ def _lambert_rows(num: _Numbers, x, y, log_R, j: np.ndarray) -> tuple:
     return sin * a, cos * b, cos * a, -(sin * b), gap
 
 
-class LambertTable:
-    """The logarithmic derivatives (log theta_4)^(s)(z, R), s >= 1, at one
-    point z, summed from one table of the Lambert series' j-factors that
-    every order shares:
+def lambert_log_derivatives(
+    z, R, orders, ctrl: SeriesControl = DEFAULT_SERIES
+) -> tuple[list, int]:
+    """([(value, gross), ...], terms) of the logarithmic derivatives
+    (log theta_4)^(s)(z, R) of each s in orders (all >= 1), summed from one
+    set of the Lambert series' rows that every order shares:
 
         (log theta_4)^(s)(z)
             = 4 sum_{j>=1} (2j)^(s-1) g_j sin(2jz + (s-1) pi/2),
@@ -481,114 +484,77 @@ class LambertTable:
 
         4 (2j+2)^(s-1) q^(j+1) / ((1 - q)(1 - R^-2j))
 
-    falls below ctrl.tolerance x |partial sum|.  One function
-    (_lambert_rows) builds the rows over an index array in either number
-    type: numpy in binary64, mpmath over numpy object arrays at the working
-    precision, one cos_sin and two exp per j.  A table extends its rows to
-    new indices only, so each j is built once per number type.  The
-    binary64 rows set that j for every order, double on demand and give the
-    binary64 value, the stop rule's partial sum; orders asked together
-    (_derivatives) share one stop pass, each as if alone.  An mpmath z (R
-    in mpmath or float) selects mpmath numbers: its rows reach as far as an
-    order needs, and each order is summed from them in index order, as
-    binary64 sums it.  terms is the largest j any order has summed.
+    falls below ctrl.tolerance x |partial sum|.  One binary64 pass finds
+    every order's stop, value and gross (the sum of its terms' moduli, the
+    rounding majorant: with no cancellation in it, binary64 serves either
+    number type); its rows double on demand, built for the new indices
+    only, as a rebuild from j = 1 would move last bits (numpy's vector
+    loops round an element by its position).  An mpmath z (R in mpmath or
+    float) selects mpmath numbers at the working precision: the same row
+    builder (_lambert_rows, one cos_sin and two exp per j) reaches the
+    largest stop, and each order is summed from its rows in index order
+    with exact integer weights, an mpc.  terms is the largest j summed.
     """
-
-    def __init__(self, z, R) -> None:
-        mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
-        in_mpmath = mp is not None and isinstance(z, mp.mpc)
-        self._num, z = (_mpmath_numbers(), z) if in_mpmath else (_BINARY64, complex(z))
-        if not (R > 1.0):
-            raise DomainError(f"requires R > 1, got R={R}")
-        x, y, log_R = float(z.real), float(z.imag), math.log(float(R))
-        self._q = math.exp(2.0 * abs(y) - log_R)
-        if self._q >= 1.0 - BOUNDARY_MARGIN:
-            raise ConvergenceError(
-                f"log-derivative series ratio exp(2|Im z|)/R = {self._q:.6g} is "
-                f"within {BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
-            )
-        # x, y and log R in each number type the table sums in, and its rows
-        self._args = {_BINARY64: (x, y, log_R)}
-        if in_mpmath:
-            self._args[self._num] = (z.real, z.imag, mp.log(R))
-        self._rows_of: dict[_Numbers, tuple] = {}
-        self._stop_rows = (np.empty(0),) * 3  # what _stop reads off the binary64 rows
-        self.terms = 0
-
-    def _rows(self, num: _Numbers, n: int) -> tuple:
-        """The rows of num for j = 1..n or more, built for new indices only."""
-        rows = self._rows_of.get(num)
-        size = 0 if rows is None else rows[0].size
-        if n > size:
-            new = _lambert_rows(num, *self._args[num], np.arange(size + 1, n + 1, dtype=num.dtype))
-            rows = new if rows is None else tuple(map(np.concatenate, zip(rows, new)))
-            self._rows_of[num] = rows
-        return rows
-
-    def _stop(self, orders: np.ndarray, ctrl: SeriesControl):
-        """(n, partial sum, gross sum of its terms' moduli) of each order in
-        the array orders at its first j = n whose tail bound is below
-        ctrl.tolerance x |partial sum|, in binary64: one pass, a row each."""
-        q = self._q
-        reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(q)  # q^j = tolerance
-        n = self._stop_rows[-1].size or min(ctrl.max_terms, 2 * math.ceil(reach) + 16)
-        while True:
-            if n > self._stop_rows[-1].size:  # g_j sin 2jz, g_j cos 2jz, tail factor
-                re_sin, im_sin, re_cos, im_cos, gap = self._rows(_BINARY64, n)
-                j = np.arange(2.0, gap.size + 2.0)  # j + 1
-                tail = np.exp(j * math.log(q)) / ((1.0 - q) * gap)
-                self._stop_rows = re_sin + 1j * im_sin, re_cos + 1j * im_cos, tail
-            sin, cos, tail = self._stop_rows
-            size = min(tail.size, ctrl.max_terms)
-            weight = 4.0 * np.arange(2.0, 2.0 * size + 3.0, 2.0) ** (orders[:, None] - 1)
-            terms = weight[:, :-1] * np.where(orders[:, None] % 2, sin[:size], cos[:size])
-            partial, gross = np.cumsum(terms, axis=1), np.cumsum(np.abs(terms), axis=1)
-            limit = ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
-            done = weight[:, 1:] * tail[:size] < limit
-            if done.any(axis=1).all():
-                n, rows = done.argmax(axis=1), np.arange(orders.size)
-                return n + 1, partial[rows, n], gross[rows, n]
-            if size >= ctrl.max_terms:
-                raise ConvergenceError(f"log-derivative series (order "
-                                       f"{orders[~done.any(axis=1)][0]}) hit the "
-                                       f"{ctrl.max_terms}-term cap")
-            n = min(2 * size, ctrl.max_terms)
-
-    def _derivatives(self, orders, ctrl: SeriesControl) -> list[tuple]:
-        """derivative's (value, gross) of each of orders, from one stop pass
-        and, for an mpmath z, one extension of the table's own rows."""
-        if min(orders) < 1:
-            raise DomainError(f"derivative order must be >= 1, got {min(orders)}")
-        ns, values, grosses = self._stop(np.array(orders), ctrl)
-        self.terms = max(self.terms, int(ns.max()))
-        values = values.tolist()
-        if self._num is not _BINARY64:  # the same sums over the table's own rows
-            *rows, _ = self._rows(self._num, int(ns.max()))
-            for i, (order, n) in enumerate(zip(orders, ns.tolist())):
-                # exact integer weights: a rounded power would skew each mpmath term
-                weight = 4 * (2 * np.arange(1, n + 1, dtype=self._num.dtype)) ** (order - 1)
-                re, im = (np.cumsum(weight * row[:n])[-1]
-                          for row in (rows[:2] if order % 2 else rows[2:]))
-                values[i] = re + 1j * im
-        return [((1 if (order - 1) % 4 < 2 else -1) * v, g)  # sin, cos, -sin, -cos
-                for order, v, g in zip(orders, values, grosses.tolist())]
-
-    def derivative(self, order: int, ctrl: SeriesControl = DEFAULT_SERIES):
-        """(value, gross) of (log theta_4)^(order)(z): the value a complex, or
-        an mpc for an mpmath z, and gross the sum of its terms' moduli, the
-        rounding majorant of the series.  The gross is summed in binary64
-        for either number type: a sum of moduli carries no cancellation."""
-        return self._derivatives((order,), ctrl)[0]
+    mp = sys.modules.get("mpmath")  # an mpc exists only once mpmath is loaded
+    in_mpmath = mp is not None and isinstance(z, mp.mpc)
+    num, z = (_mpmath_numbers(), z) if in_mpmath else (_BINARY64, complex(z))
+    if not (R > 1.0):
+        raise DomainError(f"requires R > 1, got R={R}")
+    x, y, log_R = float(z.real), float(z.imag), math.log(float(R))
+    q = math.exp(2.0 * abs(y) - log_R)
+    if q >= 1.0 - BOUNDARY_MARGIN:
+        raise ConvergenceError(
+            f"log-derivative series ratio exp(2|Im z|)/R = {q:.6g} is "
+            f"within {BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
+        )
+    if min(orders) < 1:
+        raise DomainError(f"derivative order must be >= 1, got {min(orders)}")
+    orders = np.array(orders)
+    reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(q)  # q^j = tolerance
+    n, rows = min(ctrl.max_terms, 2 * math.ceil(reach) + 16), (np.empty(0),) * 5
+    while True:  # the rows of j = 1..n, built for the new indices only
+        j = np.arange(rows[0].size + 1, n + 1, dtype=float)
+        rows = tuple(map(np.concatenate, zip(rows, _lambert_rows(_BINARY64, x, y, log_R, j))))
+        re_sin, im_sin, re_cos, im_cos, gap = rows  # g_j sin 2jz, g_j cos 2jz
+        size = gap.size
+        tail = np.exp(np.arange(2.0, size + 2.0) * math.log(q)) / ((1.0 - q) * gap)  # j + 1
+        weight = 4.0 * np.arange(2.0, 2.0 * size + 3.0, 2.0) ** (orders[:, None] - 1)
+        terms = weight[:, :-1] * np.where(orders[:, None] % 2, re_sin + 1j * im_sin,
+                                          re_cos + 1j * im_cos)
+        partial, gross = np.cumsum(terms, axis=1), np.cumsum(np.abs(terms), axis=1)
+        done = weight[:, 1:] * tail < ctrl.tolerance * np.maximum(np.abs(partial), 1e-300)
+        if done.any(axis=1).all():
+            break
+        if size >= ctrl.max_terms:
+            raise ConvergenceError(f"log-derivative series (order "
+                                   f"{orders[~done.any(axis=1)][0]}) hit the "
+                                   f"{ctrl.max_terms}-term cap")
+        n = min(2 * size, ctrl.max_terms)
+    stops, pick = done.argmax(axis=1), np.arange(orders.size)
+    values, grosses = partial[pick, stops].tolist(), gross[pick, stops].tolist()
+    orders, ns = orders.tolist(), (stops + 1).tolist()
+    if num is not _BINARY64:  # the same sums over the point's own rows
+        *rows, _ = _lambert_rows(num, z.real, z.imag, mp.log(R),
+                                 np.arange(1, max(ns) + 1, dtype=object))
+        for i, (order, n) in enumerate(zip(orders, ns)):
+            # exact integer weights: a rounded power would skew each mpmath term
+            weight = 4 * (2 * np.arange(1, n + 1, dtype=object)) ** (order - 1)
+            re, im = (np.cumsum(weight * row[:n])[-1]
+                      for row in (rows[:2] if order % 2 else rows[2:]))
+            values[i] = re + 1j * im
+    return [((1 if (order - 1) % 4 < 2 else -1) * v, g)  # sin, cos, -sin, -cos
+            for order, v, g in zip(orders, values, grosses)], max(ns)
 
 
 def theta4_log_derivative(
     order: int, z: complex, R: float, ctrl: SeriesControl = DEFAULT_SERIES
 ) -> complex:
     """Derivative of order s >= 1 of log theta_4(z, R), the Lambert-type
-    series of LambertTable summed for one order.
+    series of lambert_log_derivatives summed for one order.
 
     Converges iff exp(2 |Im z|) / R < 1; the distance of that ratio from 1
     must exceed BOUNDARY_MARGIN.  An mpmath z (R in mpmath or float) is
     summed in mpmath at the working precision, by the same row builder.
     """
-    return LambertTable(z, R).derivative(order, ctrl)[0]
+    [(value, _)], _ = lambert_log_derivatives(z, R, [order], ctrl)
+    return value

@@ -66,6 +66,20 @@ def test_invalid_radius_exits_2():
     assert "R > 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "--R", "4", "--B", "inf"],
+    ["info", "--R", "inf", "--B", "3"],
+    ["eval", "--R", "4", "--B", "inf", "--z", "2", "--w", "2"],
+    ["verify", "special-functions", "--R", "4", "--B", "inf"],
+])
+def test_non_finite_annulus_exits_2(argv):
+    # B = inf once hung info and verify (admissible_levels grew without end)
+    # and made eval fail with a bare ValueError, exit 1
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_eval_theta_on_a_wide_annulus_exits_0():
     # decay ratio 0.912 at (50, 2): the theta path's tail bound once
     # overflowed there, a traceback with exit 1

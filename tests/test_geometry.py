@@ -39,6 +39,14 @@ def test_params_validation():
         AnnulusParams(R=4.0, B=0.5)
 
 
+@pytest.mark.parametrize("R, B", [(math.inf, 3.0), (4.0, math.inf), (math.nan, 3.0),
+                                  (4.0, math.nan)])
+def test_params_refuse_non_finite(R, B):
+    # an infinite B was once accepted, and admissible_levels then never returned
+    with pytest.raises(DomainError, match="finite"):
+        AnnulusParams(R=R, B=B)
+
+
 def test_params_derived_quantities():
     p = AnnulusParams(R=math.e**math.pi, B=2.0)
     assert p.log_R == pytest.approx(math.pi)

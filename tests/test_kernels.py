@@ -802,12 +802,13 @@ def test_grid_and_budgeted_escalations_are_one_driver_call_each(monkeypatch):
 
 
 def _theta_builds(monkeypatch) -> tuple[list, list]:
-    """The (k, l) of every P_kl built and the orders of every Lambert stop
-    pass from now on, with the theta path's caches emptied first."""
+    """The (k, l) of every P_kl built and every call of the Lambert series
+    (its arguments z, R, orders, ctrl) from now on, with the theta path's
+    caches emptied first."""
     kernels._theta_coefficients.cache_clear()
     kernels._theta_level.cache_clear()
     built = _calls(monkeypatch, kernels, "_theta_polynomial")
-    stops = _calls(monkeypatch, kernels.LambertTable, "_stop")
+    stops = _calls(monkeypatch, kernels, "lambert_log_derivatives")
     return built, stops
 
 
@@ -815,8 +816,8 @@ def _theta_builds(monkeypatch) -> tuple[list, list]:
 def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
     # each of the level's (m+1)(m+2)/2 polynomials P_kl is built once per
     # annulus and number type, however many pairs are evaluated; each sum
-    # (binary64, and 34-digit when a zero budget escalates) asks its Lambert
-    # table for every order in one stop pass; the cached arrays are read-only
+    # (binary64, and 34-digit when a zero budget escalates) asks for every
+    # Lambert order in one call; the cached arrays are read-only
     level = [(k, l) for k in range(m + 1) for l in range(m + 1 - k)]
     for budget, sums in ((None, 1), (0.0, 2)):
         built, stops = _theta_builds(monkeypatch)
@@ -826,7 +827,7 @@ def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
         assert sorted(args[:2] for args, _ in built) == sorted(level * sums)
         assert len(stops) == 2 * sums
         # the orders p + 2 of P's nonzero coefficients, up to P_00's degree 2B - 2
-        assert all({2, 6} <= set(args[1].tolist()) <= set(range(2, 7)) for args, _ in stops)
+        assert all({2, 6} <= set(args[2]) <= set(range(2, 7)) for args, _ in stops)
         monkeypatch.undo()
     _, terms = kernels._theta_level(m, 3, kernels._BINARY64, P43.R, P43.B, P43.log_R)
     assert all(not x.flags.writeable for *_, p, moduli in terms for x in (p, moduli))
@@ -835,7 +836,7 @@ def test_theta_kernel_builds_each_polynomial_once(monkeypatch, m):
 def test_sigma_theta_and_product_formula_build_one_polynomial(monkeypatch):
     # sigma_theta_path contracts P_kl, and the product formula is the
     # theta path's P_00 contraction at m = 0: each P_kl is built once per
-    # annulus and number type, shared by both, with one stop pass per sum
+    # annulus and number type, shared by both, with one Lambert call per sum
     built, stops = _theta_builds(monkeypatch)
     for _ in range(2):
         sigma_theta_path(0, 1, Z0, W0, P43)

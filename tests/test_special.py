@@ -21,7 +21,6 @@ from annulus_kernels.kernels import _theta_polynomial
 from annulus_kernels.special import (
     DEFAULT_SERIES,
     JacobiParams,
-    LambertTable,
     SeriesControl,
     _binomial_table,
     arccot,
@@ -30,6 +29,7 @@ from annulus_kernels.special import (
     jacobi_coefficients,
     jacobi_poly,
     jacobi_product_bateman,
+    lambert_log_derivatives,
     log_gamma,
     pochhammer,
     routh_coefficients,
@@ -572,14 +572,14 @@ def test_theta4_log_derivative_vs_mpmath_reference(R, z):
         f = lambda u: mp.log(mp.jtheta(4, u, 1 / mp.mpf(R)))
         reference = list(mp.diffs(f, mp.mpc(z), 6))[1:]
     extended = SeriesControl(tolerance=1e-40, max_terms=100_000)
-    with mp.workdps(34):
-        table = LambertTable(mp.mpc(z), mp.mpf(R))  # one table for every order
+    with mp.workdps(34):  # one call for every order
+        sums, _ = lambert_log_derivatives(mp.mpc(z), mp.mpf(R), range(1, 7), extended)
     for order, ref in enumerate(reference, start=1):
         gross = _lambert_gross(order, z, R)
         got = theta4_log_derivative(order, z, R)
         assert abs(got - ref) <= 1e-11 * abs(ref) + 16.0 * 2.0**-52 * gross, order
         with mp.workdps(34):
-            got, summed = table.derivative(order, extended)
+            got, summed = sums[order - 1]
             assert isinstance(got, mp.mpc)
             assert abs(got) <= summed <= gross, order  # the moduli summed
             assert abs(got - ref) <= 1e-28 * abs(ref) + 16.0 * mp.eps * gross, order
@@ -588,57 +588,64 @@ def test_theta4_log_derivative_vs_mpmath_reference(R, z):
 def test_lambert_table_serves_every_order_from_one_table():
     mp = pytest.importorskip("mpmath")
     z, R = 0.4 + 0.3j, 4.0
-    table = LambertTable(z, R)
-    for order in (5, 1, 2, 8, 3):
+    orders = [5, 1, 2, 8, 3]
+    sums, terms = lambert_log_derivatives(z, R, orders)
+    for order, (value, _) in zip(orders, sums):
         alone = theta4_log_derivative(order, z, R)
-        value = table.derivative(order)[0]
         assert type(value) is complex
         assert abs(value - alone) <= 1e-15 * abs(alone)
     # an mpc z sums in mpmath: its values are mpc
     with mp.workdps(34):
-        assert isinstance(LambertTable(mp.mpc(z), R).derivative(2)[0], mp.mpc)
-    # higher orders need more terms; the table reports the largest j summed
-    single = LambertTable(z, R)
-    single.derivative(1)
-    assert 0 < single.terms < table.terms
+        [(value, _)], _ = lambert_log_derivatives(mp.mpc(z), R, [2])
+        assert isinstance(value, mp.mpc)
+    # higher orders need more terms; a call reports the largest j summed
+    assert 0 < lambert_log_derivatives(z, R, [1])[1] < terms
 
 
-def test_lambert_table_builds_each_index_once(monkeypatch):
-    # every row index j is built once per number type: across orders taken
-    # in any order, across the binary64 doubling a tight tolerance forces,
-    # and at 34 digits, whose rows reach the largest j an order summed
-    mp = pytest.importorskip("mpmath")
-    built = {}
-    rows = special._lambert_rows
+def _count_rows(monkeypatch) -> dict:
+    """The index blocks of every _lambert_rows call from now on, by dtype."""
+    built, rows = {}, special._lambert_rows
 
     def counted(num, x, y, log_R, j):
         built.setdefault(num.dtype, []).append([int(i) for i in j])
         return rows(num, x, y, log_R, j)
 
     monkeypatch.setattr(special, "_lambert_rows", counted)
+    return built
+
+
+def test_lambert_table_builds_each_index_once(monkeypatch):
+    # within one call every row index j is built once per number type:
+    # across the binary64 doubling that order 8 near the strip edge forces
+    # (the first window is sized from q and the tolerance, not the order's
+    # weight), and at 34 digits, whose
+    # rows reach the largest j an order summed; a call keeps no rows, so
+    # the next one builds its own
+    mp = pytest.importorskip("mpmath")
+    built = _count_rows(monkeypatch)
 
     def assert_once(dtype, last):
         indices = [i for block in built[dtype] for i in block]
         assert indices == list(range(1, last + 1))
 
     z, R = 0.4 + 0.3j, 4.0
-    table = LambertTable(z, R)
-    for order in (5, 1, 8, 2, 7, 3, 6, 4):
-        table.derivative(order)
-    assert len(built[float]) == 1
-    table.derivative(1, SeriesControl(tolerance=1e-300, max_terms=100_000))
-    assert len(built[float]) > 2  # doubled at least twice
+    orders = [5, 1, 8, 2, 7, 3, 6, 4]
+    for _ in range(2):
+        built.clear()
+        lambert_log_derivatives(z, R, orders)
+        assert len(built[float]) == 1 and object not in built
+    built.clear()
+    lambert_log_derivatives(_strip_point(1.5, 3.0, -0.9), 1.5, orders)
+    assert len(built[float]) > 1  # doubled
     assert_once(float, sum(map(len, built[float])))
-    assert object not in built
 
     built.clear()
     with mp.workdps(34):
-        table = LambertTable(mp.mpc(z), mp.mpf(R))
-        for order in (3, 8, 1, 6, 2, 7, 4, 5):
-            table.derivative(order, SeriesControl(tolerance=1e-34))
+        _, terms = lambert_log_derivatives(mp.mpc(z), mp.mpf(R), orders,
+                                           SeriesControl(tolerance=1e-34))
     assert_once(float, sum(map(len, built[float])))
-    assert_once(object, table.terms)
-    assert len(built[object]) > 1  # grown order by order
+    assert_once(object, terms)
+    assert len(built[object]) == 1
 
 
 def _bits(x) -> tuple:
@@ -652,37 +659,28 @@ def _bits(x) -> tuple:
 @pytest.mark.parametrize("in_mpmath", [False, True])
 @pytest.mark.parametrize("R, z", LAMBERT_REFERENCE_POINTS)
 def test_lambert_table_one_stop_pass_is_each_orders_own(R, z, in_mpmath):
-    # orders 1-8 asked of one table in one stop pass get, bit for bit, the
-    # stopping j, partial sum and gross of a pass for each order alone (as
-    # derivative takes them, one order at a time), and the same values;
-    # the table's terms match.  A second, far tighter tolerance forces the
-    # stop rows to double (1e-300 in binary64, 1e-60 for an mpc z, whose
-    # own rows then reach the largest j of any order)
+    # orders 1-8 in one call (one stop pass) get, bit for bit, the value and
+    # gross of a call for each order alone, and the call's terms is the
+    # largest of theirs: at the default tolerance, where order 8 makes the
+    # binary64 rows double at four of the points (3 - 0.9 i h and 1.1 - 0.5 i h
+    # at R = 1.5, -0.1 - 0.95 i h at R = 4, 0.2 + 1.91i at R = 50), and at
+    # a far tighter one (1e-300 in binary64, 1e-60 for an mpc z, whose own
+    # rows then reach the largest j of any order)
     mp = pytest.importorskip("mpmath")
     orders = list(range(1, 9))
     tight = SeriesControl(tolerance=1e-60 if in_mpmath else 1e-300, max_terms=100_000)
     with mp.workdps(34):
         point = (mp.mpc(z), mp.mpf(R)) if in_mpmath else (z, R)
-        alone, together = LambertTable(*point), LambertTable(*point)
         for ctrl in (DEFAULT_SERIES, tight):
-            size = together._stop_rows[-1].size
-            ns, partials, grosses = together._stop(np.array(orders), ctrl)
-            for s, n, partial, gross in zip(orders, ns, partials, grosses):
-                (n1,), (partial1,), (gross1,) = alone._stop(np.array([s]), ctrl)
-                assert (n, _bits(complex(partial)), gross) == (n1, _bits(complex(partial1)), gross1)
-            want = [alone.derivative(s, ctrl) for s in orders]
-            got = together._derivatives(orders, ctrl)
-            assert [(_bits(v), g) for v, g in got] == [(_bits(v), g) for v, g in want]
-            assert together.terms == alone.terms == ns.max()
-        assert together._stop_rows[-1].size >= 2 * size > 0
+            alone = [lambert_log_derivatives(*point, [s], ctrl) for s in orders]
+            got, terms = lambert_log_derivatives(*point, orders, ctrl)
+            assert [(_bits(v), g) for v, g in got] == [(_bits(v), g) for [(v, g)], _ in alone]
+            assert terms == max(n for _, n in alone)
 
 
 def test_lambert_table_terms_grow_with_tolerance():
-    table = LambertTable(0.2 + 0.6j, 4.0)
-    counts = []
-    for tol in (1e-4, 1e-8, 1e-12, 1e-15):
-        table.derivative(2, SeriesControl(tolerance=tol))
-        counts.append(table.terms)
+    counts = [lambert_log_derivatives(0.2 + 0.6j, 4.0, [2], SeriesControl(tolerance=tol))[1]
+              for tol in (1e-4, 1e-8, 1e-12, 1e-15)]
     assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
 
@@ -698,7 +696,9 @@ def test_lambert_table_validation():
     with pytest.raises(DomainError):
         theta4_log_derivative(0, 0.1, 4.0)
     with pytest.raises(DomainError):
-        LambertTable(0.1, 1.0)
+        lambert_log_derivatives(0.1, 4.0, [2, 0])
+    with pytest.raises(DomainError):
+        lambert_log_derivatives(0.1, 1.0, [1])
 
 
 def test_series_control_validation():
@@ -706,4 +706,11 @@ def test_series_control_validation():
         SeriesControl(tolerance=0.0)
     with pytest.raises(DomainError):
         SeriesControl(max_terms=3)
+    # a float cap, even above 16, is refused (math.isqrt once raised a
+    # bare TypeError on it in theta4); a numpy integer passes
+    with pytest.raises(DomainError, match="integer"):
+        SeriesControl(max_terms=4096.5)
+    with pytest.raises(DomainError, match="integer"):
+        SeriesControl(max_terms=4096.0)
+    assert SeriesControl(max_terms=np.int64(64)).max_terms == 64
     assert DEFAULT_SERIES.tolerance == 1e-12
