@@ -376,12 +376,18 @@ def _sum_window(
 
 def _prefactor(m: int, num: _Numbers, R, B, log_R):
     """K_m = (2 pi)^(2B-3) (2B-2m-1) / (R^B log(R)^(2B-1) Gamma(2B-m)) times
-    the (k, l) contraction, in the number type num."""
-    return (
+    the (k, l) contraction, in the number type num.  A binary64 prefactor
+    that is 0 or not finite (its denominator past the range, which a float
+    product reaches without an OverflowError) raises DomainError naming B:
+    the contraction's Gamma(2B - n) would carry the size it lost."""
+    pref = (
         (2 * num.pi) ** (2 * B - 3)
         * (2 * B - 2 * m - 1)
         / (R**B * log_R ** (2 * B - 1) * num.gamma(2 * B - m))
     )
+    if num is _BINARY64 and not (pref != 0.0 and math.isfinite(pref)):
+        raise DomainError(f"B={B:g} is past binary64's range (the level-{m} prefactor is {pref})")
+    return pref
 
 
 def _level_polynomial(m: int, num: _Numbers, B) -> Callable:

@@ -210,6 +210,9 @@ def jacobi_poly(params: JacobiParams, x):
     and C(k+beta, l) = (beta+k-l+1)_l / l!.  The sum is finite and exact; for
     real parameters and argument no complex arithmetic occurs at all.  A
     tuple of points gives the tuple of their values, from one binomial set.
+    Parameters and points may be arrays of one shape (or broadcast to it),
+    evaluated elementwise: the basis-sum oracle's and the special-functions
+    suite's form.
     """
     k, points = params.degree, x if isinstance(x, tuple) else (x,)
     alpha, beta, *points = (v.real if isinstance(v, complex) and v.imag == 0.0 else v
@@ -268,14 +271,17 @@ def jacobi_product_bateman(params: JacobiParams, x, y):
     binomials), so equality of the two is a nontrivial identity check.
     Parameter combinations where Gamma(alpha+m+1) or Gamma(beta+m+1) hits a
     pole are outside the expansion's validity and raise a pole error.
+
+    Parameters and points may be arrays of one shape (or broadcast to it),
+    as jacobi_poly's: the products come back elementwise as a complex
+    array.  A scalar call returns a scalar: a float where the product is
+    real, a complex otherwise.
     """
     m = params.degree
     a, b = params.alpha, params.beta
-    pref = (
-        (-1.0) ** m
-        * cmath.exp(log_gamma(a + m + 1) + log_gamma(b + m + 1))
-        / math.factorial(m)
-    )
+    log_pref = log_gamma(a + m + 1) + log_gamma(b + m + 1)
+    exp = np.exp if isinstance(log_pref, np.ndarray) else cmath.exp
+    pref = (-1.0) ** m * exp(log_pref) / math.factorial(m)
     rgamma = _scipy_special().rgamma
     u = (1 - x) * (1 - y)
     v = (1 + x) * (1 + y)

@@ -80,6 +80,14 @@ def test_non_finite_annulus_exits_2(argv):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_eval_past_binary64_range_exits_2():
+    # the prefactor underflows to 0 at (50, 60): eval printed "abs": 0.0
+    # with tail_bound 0.0 and exited 0
+    code, out, err = run_cli(["eval", "--R", "50", "--B", "60", "--z", "2.27", "--w", "2.27"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "B=60" in err
+
+
 def test_eval_theta_on_a_wide_annulus_exits_0():
     # decay ratio 0.912 at (50, 2): the theta path's tail bound once
     # overflowed there, a traceback with exit 1

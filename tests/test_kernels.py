@@ -1169,6 +1169,25 @@ def test_out_of_range_B_raises_a_typed_error(R, B, overflowing):
                 assert (R, B, name) == (4.0, 90.0, "sigma_theta_path")
 
 
+@pytest.mark.parametrize("R, B, z", [(50.0, 52.0, 2.27), (50.0, 60.0, 2.27), (4.0, 72.0, 2.0),
+                                     (50.0, 80.0, 2.27)])
+def test_underflowing_prefactor_raises_a_typed_error(R, B, z):
+    # R^B log(R)^(2B-1) Gamma(2B-m) is inf with no OverflowError here, so the
+    # prefactor was 0: the diagonal read 0j with tail bound 0.0 (nan with an
+    # overflow warning at (50, 80)); binary64 refuses it, naming B
+    p = AnnulusParams(R=R, B=B)
+    with pytest.raises(DomainError, match=f"B={B:g}"):
+        kernel_km(0, z, z, p)
+    with pytest.raises(DomainError, match=f"B={B:g}"):
+        kernel_km_grid(0, z, np.array([z, 1j * z]), p)
+
+
+def test_largest_finite_prefactor_still_evaluates():
+    # (50, 51), next to the first refused cell: its product is about 2e306
+    value = kernel_km(0, 2.27, 2.27, AnnulusParams(R=50.0, B=51.0)).value
+    assert value.real == pytest.approx(4.3723e-24, rel=1e-4) and value.imag == 0.0
+
+
 # both grids' rounding, seen at most 1e-15 x max|K| on these rows
 GRID_ROUNDING = 16 * np.finfo(float).eps
 

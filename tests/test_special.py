@@ -289,6 +289,82 @@ def test_jacobi_product_bateman_degree_zero_is_one():
     )
 
 
+# the array forms, which the special-functions suite and the basis-sum
+# oracle evaluate: elementwise the scalar calls, to a few roundings of the
+# terms' moduli (numpy's loops may round a product or power differently)
+ARRAY_ULPS = 8 * np.finfo(float).eps
+
+
+def _jacobi_gross(a, b, k, x):
+    """sum_l |C(k+a, k-l) C(k+b, l)| |(x-1)/2|^l |(x+1)/2|^(k-l), the moduli
+    of jacobi_poly's terms."""
+    return sum(abs(c) * abs((x - 1) / 2) ** l * abs((x + 1) / 2) ** (k - l)
+               for l, c in enumerate(special._jacobi_binomials(a, b, k)))
+
+
+def _bateman_gross(a, b, m, x, y):
+    """jacobi_product_bateman's double sum with every factor's modulus."""
+    from scipy.special import rgamma
+
+    f = math.factorial
+    u, v = abs((1 - x) * (1 - y)), abs((1 + x) * (1 + y))
+    pref = abs(cmath.exp(log_gamma(a + m + 1) + log_gamma(b + m + 1))) / f(m)
+    return pref * sum(
+        abs(pochhammer(a + b + m + 1, k)) / (4.0**k * f(m - k))
+        * sum(u**l * v ** (k - l) / (f(l) * f(k - l))
+              * abs(rgamma(a + l + 1) * rgamma(b + k - l + 1)) for l in range(k + 1))
+        for k in range(m + 1))
+
+
+def _complex_uniform(rng, bound, n):
+    return rng.uniform(-bound, bound, n) + 1j * rng.uniform(-bound, bound, n)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_jacobi_poly_on_arrays_is_the_scalar_calls(k):
+    rng = np.random.default_rng(280 + k)
+    a, b = _complex_uniform(rng, 3.0, 25), _complex_uniform(rng, 3.0, 25)
+    x, y = _complex_uniform(rng, 2.0, 25), _complex_uniform(rng, 2.0, 25)
+    p = JacobiParams(a, b, k)
+    at_x, (tuple_x, tuple_y) = jacobi_poly(p, x), jacobi_poly(p, (x, y))
+    for i in range(25):
+        q = JacobiParams(complex(a[i]), complex(b[i]), k)
+        for point, values in ((x[i], (at_x, tuple_x)), (y[i], (tuple_y,))):
+            want, scale = jacobi_poly(q, complex(point)), _jacobi_gross(q.alpha, q.beta, k, point)
+            for got in values:  # degree 0 is the number 1 for any shape
+                assert abs(np.broadcast_to(got, (25,))[i] - want) <= ARRAY_ULPS * scale
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("real", [True, False])
+def test_jacobi_product_bateman_on_arrays_is_the_scalar_calls(k, real):
+    rng = np.random.default_rng(290 + k)
+    if real:  # the special-functions suite's cases, Gamma(a + 1) off its poles
+        a, b = rng.uniform(-0.45, 3.0, 25), rng.uniform(-0.45, 3.0, 25)
+        x, y = rng.uniform(-2.0, 2.0, 25), rng.uniform(-2.0, 2.0, 25)
+    else:
+        a, b = _complex_uniform(rng, 3.0, 25), _complex_uniform(rng, 3.0, 25)
+        x, y = _complex_uniform(rng, 2.0, 25), _complex_uniform(rng, 2.0, 25)
+    got = jacobi_product_bateman(JacobiParams(a, b, k), x, y)
+    assert isinstance(got, np.ndarray) and got.shape == (25,) and got.dtype == complex
+    for i in range(25):
+        q = JacobiParams(a[i].item(), b[i].item(), k)
+        want = jacobi_product_bateman(q, x[i].item(), y[i].item())
+        assert abs(got[i] - want) <= ARRAY_ULPS * _bateman_gross(a[i], b[i], k, x[i], y[i])
+
+
+def test_scalar_jacobi_calls_keep_their_types():
+    real, cplx = JacobiParams(0.7, -0.3, 3), JacobiParams(0.3 + 0.7j, -0.2 - 0.7j, 3)
+    assert type(jacobi_poly(real, 0.2)) is float
+    assert type(jacobi_poly(cplx, 0.2)) is complex
+    assert type(jacobi_poly(real, (0.2, -1.4))[1]) is float
+    assert type(jacobi_product_bateman(real, 0.2, -1.4)) is float
+    assert type(jacobi_product_bateman(JacobiParams(0.7, -0.3, 0), 0.2, -1.4)) is float
+    assert type(jacobi_product_bateman(real, 0.2j, -1.4)) is complex
+    value = jacobi_product_bateman(cplx, 0.4j, -1.1j)
+    assert isinstance(value, complex) and np.ndim(value) == 0 and value.imag != 0.0
+
+
 # ---------------------------------------------------------------------------
 # Routh-Romanovski, as the package evaluates it: its monomial coefficients
 
