@@ -55,10 +55,10 @@ def admissible_levels(params: AnnulusParams) -> list[int]:
 
 def require_admissible(m: int, params: AnnulusParams) -> None:
     """Raise InadmissibleLevelError unless m indexes a valid Landau level."""
-    if m < 0 or 2.0 * (params.B - m) - 1.0 <= NORM_MARGIN:
+    if not isinstance(m, (int, np.integer)) or m < 0 or 2.0 * (params.B - m) - 1.0 <= NORM_MARGIN:
         raise InadmissibleLevelError(
-            f"level m={m} is not admissible for B={params.B}: requires "
-            f"0 <= m and 2(B - m) - 1 > {NORM_MARGIN}"
+            f"level m={m!r} is not admissible for B={params.B}: requires an "
+            f"integer 0 <= m with 2(B - m) - 1 > {NORM_MARGIN}"
         )
 
 
@@ -119,8 +119,8 @@ def basis_phi_nodes(
     (quadrature rules are; basis_phi checks).
     """
     require_admissible(m, params)
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise DomainError(f"order must be a nonnegative integer, got {order!r}")
     idx = np.atleast_1d(j)
     if idx.ndim > 1 or idx.size == 0 or not np.array_equal(idx, idx.astype(int)):
         raise DomainError(

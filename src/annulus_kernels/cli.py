@@ -1,20 +1,29 @@
 """Command-line front end: evaluate kernels, export grids, print spectral
 info, run verification suites.
 
-Subcommands
------------
+Subcommands and the flags each takes
+------------------------------------
 info    admissible Landau levels, their eigenvalues, and which
         representation paths the parameters support
+        --R --B --seed --out --format
 eval    one kernel value K_m(z, w) along a chosen path, with truncation
         diagnostics
+        --R --B --m --z --w --path --tol --max-terms --seed --out
 grid    CSV of K_m(z, w_fixed) over a log-radial x uniform-angular grid
+        --R --B --m --w --tol --max-terms --n-ang --n-rad --out
 verify  run a verification suite and emit its JSON report
+        SUITE --R --B --tol --max-terms --n-ang --n-rad --seed --out
 
-Every command is deterministic given its flags plus --seed, and the seed
-is echoed in all JSON output.  A JSON config file may supply any flag
-value; explicitly passed flags win over the file.  Exit codes: 0 success,
-1 verification failure, 2 invalid parameters, 3 convergence failure,
-4 unsupported path.
+Each setting is declared once, in _SETTINGS; _COMMANDS names the settings
+each subcommand reads, and any other flag, or an abbreviated one, is a
+usage error (exit 2).  --format belongs to info: json prints the JSON
+listing, csv the text listing.  Every subcommand also takes --config, a
+JSON file that may supply any of the settings: its keys are shared by all
+subcommands, so one file serves several, each reading the keys it needs.
+Explicitly passed flags win over the file.  Every command is deterministic
+given its flags plus --seed, and the seed is echoed in the JSON output of
+info, eval and verify.  Exit codes: 0 success, 1 verification failure,
+2 invalid parameters, 3 convergence failure, 4 unsupported path.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,40 +60,36 @@ _EXIT_UNSUPPORTED = 4
 
 _FORMATS = ("csv", "json")
 
+# each setting, declared once: its type (argparse converts a flag's token
+# with it, merge_config a config value's str), default and help
+_SETTINGS = {
+    "R": (float, 4.0, "outer radius (> 1)"),
+    "B": (float, 1.0, "magnetic weight (> 1/2)"),
+    "m": (int, 0, "Landau level index"),
+    "z": (str, None, "first point 'a+bi'"),
+    "w": (str, None, "second point 'a+bi' (grid: the fixed one)"),
+    "path": (str, "closed", "closed | oracle | theta | product (or canonical library names)"),
+    "tol": (float, 1e-12, "relative series tolerance"),
+    "max_terms": (int, 4096, "series term budget"),
+    "n_ang": (int, 128, "angular node / grid count"),
+    "n_rad": (int, 96, "radial node / grid count"),
+    "seed": (int, 7, "sampling seed"),
+    "out": (str, None, "output file path"),
+    "format": (str, None, "json: the JSON listing; csv (or left out): the text listing"),
+}
 
-@dataclass
-class CliConfig:
-    """Merged settings of one invocation: defaults, then config-file
-    values, then explicitly passed flags (flags win)."""
-
-    R: float = 4.0
-    B: float = 1.0
-    m: int = 0
-    z: str | None = None
-    w: str | None = None
-    path: str = "closed"
-    tol: float = 1e-12
-    max_terms: int = 4096
-    n_ang: int = 128
-    n_rad: int = 96
-    seed: int = 7
-    out: str | None = None
-    format: str | None = None
-
-    def params(self) -> AnnulusParams:
-        return AnnulusParams(R=self.R, B=self.B)
-
-    def control(self) -> SeriesControl:
-        return SeriesControl(tolerance=self.tol, max_terms=self.max_terms)
-
-    def canonical_path(self) -> str:
-        name = PATH_ALIASES.get(self.path, self.path)
-        if name not in KERNEL_PATHS:
-            choices = sorted(set(PATH_ALIASES) | set(KERNEL_PATHS))
-            raise DomainError(
-                f"unknown path {self.path!r}; choose from {', '.join(choices)}"
-            )
-        return name
+# each subcommand: its help and the settings it reads, one flag each; main
+# calls cmd_<subcommand>
+_COMMANDS = {
+    "info": ("admissible levels, eigenvalues, available paths",
+             ("R", "B", "seed", "out", "format")),
+    "eval": ("evaluate K_m(z, w) along one path",
+             ("R", "B", "m", "z", "w", "path", "tol", "max_terms", "seed", "out")),
+    "grid": ("CSV of K_m(z, w_fixed) over a log-radial x angular grid",
+             ("R", "B", "m", "w", "tol", "max_terms", "n_ang", "n_rad", "out")),
+    "verify": ("run a verification suite",
+               ("R", "B", "tol", "max_terms", "n_ang", "n_rad", "seed", "out")),
+}
 
 
 def parse_complex(text: str) -> complex:
@@ -107,77 +111,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--R", type=float, default=None, help="outer radius (> 1)")
-        p.add_argument("--B", type=float, default=None, help="magnetic weight (> 1/2)")
-        p.add_argument("--m", type=int, default=None, help="Landau level index")
+    for command, (summary, names) in _COMMANDS.items():
+        # no prefix matching: verify would read --m as --max-terms
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        if command == "verify":
+            p.add_argument("suite", type=str, help=f"one of: {', '.join(SUITE_NAMES)}")
+        for name in names:
+            kind, _, help_text = _SETTINGS[name]
+            # no default: a flag left out is None, so a config value shows
+            p.add_argument(f"--{name.replace('_', '-')}", type=kind, help=help_text,
+                           choices=_FORMATS if name == "format" else None)
         p.add_argument(
-            "--tol", type=float, default=None, help="relative series tolerance"
+            "--config", type=str, help="JSON file of setting values (any subcommand's)"
         )
-        p.add_argument(
-            "--max-terms", type=int, default=None, help="series term budget"
-        )
-        p.add_argument(
-            "--n-ang", type=int, default=None, help="angular node / grid count"
-        )
-        p.add_argument(
-            "--n-rad", type=int, default=None, help="radial node / grid count"
-        )
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
-        p.add_argument(
-            "--config", type=str, default=None, help="JSON file with flag values"
-        )
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument(
-            "--format",
-            choices=_FORMATS,
-            default=None,
-            help="output format where a choice exists (info: text vs json)",
-        )
-
-    p_info = sub.add_parser(
-        "info", help="admissible levels, eigenvalues, available paths"
-    )
-    add_common(p_info)
-
-    p_eval = sub.add_parser("eval", help="evaluate K_m(z, w) along one path")
-    add_common(p_eval)
-    p_eval.add_argument("--z", type=str, default=None, help="first point 'a+bi'")
-    p_eval.add_argument("--w", type=str, default=None, help="second point 'a+bi'")
-    p_eval.add_argument(
-        "--path",
-        type=str,
-        default=None,
-        help="closed | oracle | theta | product (or canonical library names)",
-    )
-
-    p_grid = sub.add_parser(
-        "grid", help="CSV of K_m(z, w_fixed) over a log-radial x angular grid"
-    )
-    add_common(p_grid)
-    p_grid.add_argument("--w", type=str, default=None, help="fixed second point 'a+bi'")
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    add_common(p_verify)
-    p_verify.add_argument(
-        "suite",
-        type=str,
-        help=f"one of: {', '.join(SUITE_NAMES)}",
-    )
     return parser
 
 
-# each setting's type, as its flag's argparse type converts the token
-_CONFIG_TYPES = {
-    f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(CliConfig)
-}
-
-
-def merge_config(args: argparse.Namespace) -> CliConfig:
+def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Defaults, overridden by the --config file, overridden by flags."""
-    cfg = CliConfig()
-    if getattr(args, "config", None) is not None:
+    cfg = {name: default for name, (_, default, _) in _SETTINGS.items()}
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -189,22 +142,19 @@ def merge_config(args: argparse.Namespace) -> CliConfig:
             raise DomainError("config file must hold a JSON object of flag values")
         for key, value in loaded.items():
             name = key.replace("-", "_")
-            if name not in _CONFIG_TYPES:
+            if name not in _SETTINGS:
                 raise DomainError(f"unknown config key {key!r}")
-            kind = _CONFIG_TYPES[name]
+            kind = _SETTINGS[name][0]
             try:
                 value = None if value is None and kind is str else kind(str(value))
             except ValueError:
                 need = "an integer" if kind is int else "a number"
                 raise DomainError(f"config {key} must be {need}, got {value!r}") from None
-            setattr(cfg, name, value)
-        if cfg.format not in (None, *_FORMATS):
+            cfg[name] = value
+        if cfg["format"] not in (None, *_FORMATS):
             raise DomainError(f"config format must be one of {', '.join(_FORMATS)}")
-    for name in _CONFIG_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    return cfg
+    cfg.update((name, value) for name, value in vars(args).items() if value is not None)
+    return argparse.Namespace(**cfg)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -219,8 +169,8 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_info(cfg: CliConfig) -> int:
-    params = cfg.params()
+def cmd_info(cfg: argparse.Namespace) -> int:
+    params = AnnulusParams(R=cfg.R, B=cfg.B)
     levels = admissible_levels(params)
     # + 0.0 normalizes the signed zero of the ground level for display
     eigen = {m: landau_level_eigenvalue(m, params) + 0.0 for m in levels}
@@ -249,13 +199,17 @@ def cmd_info(cfg: CliConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_eval(cfg: CliConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     if cfg.z is None or cfg.w is None:
         raise DomainError("eval requires both --z and --w")
-    params = cfg.params()
+    params = AnnulusParams(R=cfg.R, B=cfg.B)
     zc, wc = parse_complex(cfg.z), parse_complex(cfg.w)
-    path = cfg.canonical_path()
-    ev = kernel_by_path(path, cfg.m, zc, wc, params, cfg.control())
+    path = PATH_ALIASES.get(cfg.path, cfg.path)
+    if path not in KERNEL_PATHS:
+        choices = sorted(set(PATH_ALIASES) | set(KERNEL_PATHS))
+        raise DomainError(f"unknown path {cfg.path!r}; choose from {', '.join(choices)}")
+    ctrl = SeriesControl(tolerance=cfg.tol, max_terms=cfg.max_terms)
+    ev = kernel_by_path(path, cfg.m, zc, wc, params, ctrl)
     payload = {
         "command": "eval",
         "params": {"R": cfg.R, "B": cfg.B},
@@ -276,10 +230,10 @@ def cmd_eval(cfg: CliConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_grid(cfg: CliConfig) -> int:
+def cmd_grid(cfg: argparse.Namespace) -> int:
     if cfg.w is None:
         raise DomainError("grid requires --w (the fixed second argument)")
-    params = cfg.params()
+    params = AnnulusParams(R=cfg.R, B=cfg.B)
     wc = parse_complex(cfg.w)
     n_r, n_theta = cfg.n_rad, cfg.n_ang
     if n_r < 1 or n_theta < 1:
@@ -293,7 +247,8 @@ def cmd_grid(cfg: CliConfig) -> int:
     z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     # K_m(z, w_fixed) via Hermitian symmetry of the kernel:
     # K_m(z, w) = conj(K_m(w, z)), and the grid evaluator fixes the first slot
-    K = np.conj(kernel_km_grid(cfg.m, wc, z, params, cfg.control()))
+    ctrl = SeriesControl(tolerance=cfg.tol, max_terms=cfg.max_terms)
+    K = np.conj(kernel_km_grid(cfg.m, wc, z, params, ctrl))
     # round-trip decimal form (17 significant digits), the whole table in one
     # format pass; abs_K is np.hypot, the libm hypot of Python's
     # abs(complex), which np.abs can miss by an ulp
@@ -303,15 +258,15 @@ def cmd_grid(cfg: CliConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_verify(suite: str, cfg: CliConfig) -> int:
-    params = cfg.params()
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    params = AnnulusParams(R=cfg.R, B=cfg.B)
     opts = SuiteOptions(
         seed=cfg.seed,
         n_angular=cfg.n_ang,
         n_radial=cfg.n_rad,
-        ctrl=cfg.control(),
+        ctrl=SeriesControl(tolerance=cfg.tol, max_terms=cfg.max_terms),
     )
-    report = run_suite(suite, params, opts)
+    report = run_suite(cfg.suite, params, opts)
     _emit(_json_dump(report.to_json_dict()), cfg.out)
     return _EXIT_OK if report.passed else _EXIT_VERIFY_FAIL
 
@@ -341,14 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; surface the code
         return int(exc.code or 0)
     try:
-        cfg = merge_config(args)
-        if args.command == "info":
-            return cmd_info(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        return cmd_verify(args.suite, cfg)
+        # the handler is looked up by name at each call, so a wrapper
+        # installed as the module attribute (span tracing) is the one called
+        return globals()[f"cmd_{args.command}"](merge_config(args))
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONVERGENCE

@@ -58,12 +58,13 @@ class QuadratureSpec:
     weight_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_angular < 2 or self.n_angular % 2 != 0:
+        if not (isinstance(self.n_angular, (int, np.integer)) and self.n_angular >= 2
+                and self.n_angular % 2 == 0):
             raise DomainError(
-                f"n_angular must be a positive even number, got {self.n_angular}"
+                f"n_angular must be a positive even integer, got {self.n_angular!r}"
             )
-        if self.n_radial < 32:
-            raise DomainError(f"n_radial must be at least 32, got {self.n_radial}")
+        if not (isinstance(self.n_radial, (int, np.integer)) and self.n_radial >= 32):
+            raise DomainError(f"n_radial must be an integer >= 32, got {self.n_radial!r}")
 
     def resolve_exponent(self, params: AnnulusParams) -> float:
         e = 2.0 * params.B - 2.0 if self.weight_exponent is None else self.weight_exponent

@@ -73,8 +73,8 @@ class JacobiParams:
     degree: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.degree <= 64):
-            raise DomainError(f"degree must lie in 0..64, got {self.degree}")
+        if not (isinstance(self.degree, (int, np.integer)) and 0 <= self.degree <= 64):
+            raise DomainError(f"degree must be an integer in 0..64, got {self.degree!r}")
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -513,8 +513,8 @@ def lambert_log_derivatives(
             f"log-derivative series ratio exp(2|Im z|)/R = {q:.6g} is "
             f"within {BOUNDARY_MARGIN} of 1 (|Im z| must stay below log(R)/2)"
         )
-    if min(orders) < 1:
-        raise DomainError(f"derivative order must be >= 1, got {min(orders)}")
+    if not orders or not all(isinstance(s, (int, np.integer)) and s >= 1 for s in orders):
+        raise DomainError(f"derivative orders must be integers >= 1, got {orders!r}")
     orders = np.array(orders)
     reach = math.log(min(ctrl.tolerance, 1.0)) / math.log(q)  # q^j = tolerance
     n, rows = min(ctrl.max_terms, 2 * math.ceil(reach) + 16), (np.empty(0),) * 5

@@ -40,7 +40,7 @@ from .basis import (
     log_basis_norm_sq,
     sturm_liouville_apply,
 )
-from .errors import UnknownSuiteError, UnsupportedPathError
+from .errors import DomainError, UnknownSuiteError, UnsupportedPathError
 from .geometry import (
     AnnulusParams,
     invert_point,
@@ -115,6 +115,10 @@ class SuiteOptions:
     n_angular: int = 128
     n_radial: int = 96
     ctrl: SeriesControl = field(default_factory=SeriesControl)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
 
     def spec(self) -> QuadratureSpec:
         return QuadratureSpec(n_angular=self.n_angular, n_radial=self.n_radial)

@@ -301,7 +301,7 @@ def test_criterion_11_large_R_trend():
             for R in (8.0, 16.0, 32.0):
                 p = AnnulusParams(R=R, B=B)
                 finite = kernel_km(0, z, w, p, CTRL).value
-                limit = kernel_limit_R_inf(z, w, B, CTRL)
+                limit = kernel_limit_R_inf(z, w, B)
                 deltas.append(abs(finite - limit))
             decreasing = deltas[0] > deltas[1] > deltas[2]
             ok = ok and decreasing

@@ -354,6 +354,13 @@ def test_cr_order_validation():
         basis_phi(0, 1, 4.0, P43, 1)
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_cr_order_must_be_an_integer(m):
+    # order 0.5 once returned 0j at m = 0 and raised a bare TypeError at m = 2
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        basis_phi(0, m, 2.0, P43, order=0.5)
+
+
 def test_cr_ladder_starts_at_phi():
     # rung 0 from the coefficient array against the Jacobi sum
     for m in admissible_levels(P43):

@@ -8,12 +8,14 @@ import io
 import contextlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from annulus_kernels.basis import admissible_levels
-from annulus_kernels.cli import build_parser, main, parse_complex
+from annulus_kernels.cli import _glue_complex_flags, build_parser, main, parse_complex
 from annulus_kernels.errors import DomainError
 from annulus_kernels.geometry import AnnulusParams, polar_point
 from annulus_kernels.kernels import kernel_km_grid
@@ -439,3 +441,51 @@ def test_workers_flag_removed(tmp_path):
 def test_usage_error_exits_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--m", "1"],
+    ["info", "--tol", "1e-3"],
+    ["info", "--max-terms", "64"],
+    ["info", "--n-ang", "8"],
+    ["info", "--n-rad", "8"],
+    ["eval", "--z", "1.5", "--w", "2", "--n-ang", "8"],
+    ["eval", "--z", "1.5", "--w", "2", "--n-rad", "8"],
+    ["eval", "--z", "1.5", "--w", "2", "--format", "csv"],
+    ["grid", "--w", "2", "--n-rad", "2", "--n-ang", "2", "--seed", "3"],
+    ["grid", "--w", "2", "--n-rad", "2", "--n-ang", "2", "--format", "json"],
+    ["verify", "gram", "--m", "1"],
+    ["verify", "geometry", "--format", "json"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(argv):
+    # each was parsed and ignored: verify gram --m 1 still reported every
+    # level, eval --format csv still printed JSON
+    code, out, err = run_cli([*argv, "--R", "4", "--B", "3"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_config_keys_are_shared_by_every_subcommand(tmp_path):
+    # one file may serve several subcommands: info skips the keys it does
+    # not read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 4.0, "B": 3.0, "m": 1, "n_ang": 8, "tol": 1e-3,
+                               "format": "json"}))
+    code, out, err = run_cli(["info", "--config", str(cfg)])
+    assert code == 0, err
+    assert len(json.loads(out)["levels"]) == 3
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("annulus-kernels ")]
+
+
+def test_readme_commands_parse():
+    # parse only: verify all takes minutes
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"info", "eval", "grid", "verify"}
+    for argv in commands:
+        build_parser().parse_args(_glue_complex_flags(argv))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from annulus_kernels.errors import (
     ConvergenceError,
     DomainError,
+    InadmissibleLevelError,
     UnsupportedPathError,
 )
 from annulus_kernels.geometry import AnnulusParams, polar_point
@@ -573,8 +574,41 @@ def test_limit_trend_strictly_decreasing(B):
 def test_limit_kernel_validation():
     with pytest.raises(DomainError):
         kernel_limit_R_inf(1.4, 1.8, 2.5)
+    with pytest.raises(DomainError):
+        kernel_limit_R_inf(1.4, 1.8, 0.0)
     with pytest.raises(ConvergenceError):
         kernel_limit_R_inf(1.0001, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("kernel", [kernel_km, kernel_basis_sum_oracle])
+@pytest.mark.parametrize("m", [0.5, 1.0])
+def test_non_integer_level_is_inadmissible(kernel, m):
+    # a float m once reached the Gamma ladder and raised a bare TypeError
+    with pytest.raises(InadmissibleLevelError, match=f"m={m}"):
+        kernel(m, 2.0, 2.1, P43)
+
+
+def test_numpy_integer_level_is_the_int_level():
+    assert kernel_km(np.int64(1), 2.0, 2.1, P43).value == kernel_km(1, 2.0, 2.1, P43).value
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 5, 8])
+def test_limit_kernel_matches_the_polylog(B):
+    # the finite Stirling form against 50-digit mpmath: sum_j j^n x^j is
+    # Li_(-n)(x).  A truncated loop over j was 1.0e-5 off at B = 8 and
+    # (1.2i, -1.1), and at (-1.02, 1 + 0.01i) 2.9e-6 off at B = 3 and
+    # non-convergent at B = 5 and 8
+    import mpmath as mp
+
+    pairs = [(1.2j, -1.1), (-1.02, 1 + 0.01j), (1.5 + 0.2j, 2.2 - 0.5j),
+             (2.5, 1.3 + 1.1j), (3.0, 3.0), (6.0, 6.0), (1.4, 1.8)]
+    with mp.workdps(50):
+        for z, w in pairs:
+            x = 1 / (mp.mpc(z) * mp.conj(mp.mpc(w)))
+            want = (mp.mpf(4) ** (B - 1) / (mp.pi * mp.gamma(2 * B - 1))
+                    * x ** B * mp.polylog(1 - 2 * B, x))
+            got = kernel_limit_R_inf(z, w, float(B))
+            assert abs(got - want) <= 1e-11 * abs(want), (z, w)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,15 @@ def test_spec_validation():
     QuadratureSpec()  # defaults fine
 
 
+@pytest.mark.parametrize("counts", [{"n_radial": 40.0}, {"n_angular": 128.0}])
+def test_spec_node_counts_must_be_integers(counts):
+    # n_radial=40.0 once passed, and annulus_nodes then raised a bare
+    # "TypeError: deg must be an integer"
+    with pytest.raises(DomainError, match="integer"):
+        QuadratureSpec(**counts)
+    QuadratureSpec(n_angular=np.int64(64), n_radial=np.int32(40))
+
+
 def test_unweighted_area():
     # e = 0: plain area pi (R^2 - 1)
     p = AnnulusParams(R=3.0, B=2.0)

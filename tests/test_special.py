@@ -262,6 +262,14 @@ def test_jacobi_degree_cap():
         JacobiParams(0.0, 0.0, 65)
 
 
+def test_jacobi_degree_must_be_an_integer():
+    # a float degree once passed, and jacobi_poly then raised a bare TypeError
+    with pytest.raises(DomainError, match="integer"):
+        JacobiParams(0.5, 0.5, 2.0)
+    assert jacobi_poly(JacobiParams(0.5, 0.5, np.int64(2)), 0.3) == jacobi_poly(
+        JacobiParams(0.5, 0.5, 2), 0.3)
+
+
 def test_jacobi_product_bateman_matches_direct_product():
     # the double-sum product expansion against the plain product of two
     # evaluations, over seeded real parameters and arguments
@@ -766,6 +774,18 @@ def test_lambert_table_term_cap():
     with pytest.raises(ConvergenceError, match="64-term cap"):
         theta4_log_derivative(1, z, 1.5, SeriesControl(max_terms=64))
     assert math.isfinite(abs(theta4_log_derivative(1, z, 1.5)))
+
+
+def test_log_derivative_order_must_be_an_integer():
+    # order 1.5 once returned 0.6688610044130724j, a value of no derivative
+    with pytest.raises(DomainError, match="integers >= 1"):
+        theta4_log_derivative(1.5, 0.1j, 4.0)
+
+
+def test_log_derivatives_of_no_order_are_refused():
+    # an empty order list once raised a bare ValueError from min()
+    with pytest.raises(DomainError, match="integers >= 1"):
+        lambert_log_derivatives(0.1j, 4.0, [])
 
 
 def test_lambert_table_validation():

@@ -58,6 +58,12 @@ def test_unknown_suite_rejected():
         run_suite("bogus", P43)
 
 
+def test_suite_point_budget_must_be_an_integer():
+    # n_points=2.5 once passed, and run_suite then raised a bare TypeError
+    with pytest.raises(DomainError, match="n_points"):
+        SuiteOptions(n_points=2.5)
+
+
 def test_integer_only_suites_reject_fractional_B():
     # 2B = 5.5: neither the inversion rule nor the theta path holds
     p = AnnulusParams(R=4.0, B=2.75)
