@@ -39,17 +39,18 @@ power (_plan).  The images sit at x = Re xi_nu = (2 pi nu - arg t)/c,
 for x > 0 (B - k and |x| for x < 0): a geometric tail.  A few images, more
 as log R grows, reach binary64 rounding.  kernel_km, sigma_kl and
 kernel_km_grid sum through one closed-form summation (_closed_form), on
-one pair geometry (_pair) for a point or a node array w, with one stop
-test for every node.  All that does not depend on the pair is one plan
-per number type, annulus, contraction (the level m, or sigma_kl's (k, l))
-and ctrl (_plan), cached and built at its first use: the contraction's
-coefficients and their moduli, the prefactor, the image counts and, per
-count, the window of images and each side's tail-bound factor and ends;
-so a pair pays for its images only.  The elementwise stage runs in row
-blocks of about _BLOCK node-images, so the temporaries of a quadrature row
-stay cache-sized and are reused from call to call rather than mapped
-afresh; a pair, or an array of at most 2 _BLOCK node-images, is one block.
-A pair's value is its node's in any grid to the last bits only: numpy's
+one pair geometry (_pair) for a point or a node array w.  All that does
+not depend on the pair is one plan per number type, annulus, contraction
+(the level m, or sigma_kl's (k, l)) and ctrl (_plan), cached and built at
+its first use: the contraction's coefficients and their moduli, the
+prefactor, and one window of images with each side's tail-bound factor
+and ends.  Every pair sums that window once, under one stop test for
+every node, and a pair whose tail bound misses it is refused; so a pair
+pays for its images only.  The elementwise stage runs in row blocks of
+about _BLOCK node-images, so the temporaries of a quadrature row stay
+cache-sized and are reused from call to call rather than mapped afresh; a
+pair, or an array of at most 2 _BLOCK node-images, is one block.  A
+pair's value is its node's in any grid to the last bits only: numpy's
 vector loops round an element by its position.
 
 The theta path takes every order s of (log theta_4)^(s) at z0 = (i/2) log t
@@ -96,6 +97,7 @@ and the prefactor carries no alternating sign.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -202,10 +204,10 @@ def _pair(z, w, params: AnnulusParams, num: _Numbers = _BINARY64) -> PairGeometr
 def _rounding_exceeds(num: _Numbers, condition, rounding_rtol: float | None) -> bool:
     """Whether a sum of this condition, in the number type num, rounds past
     the budget: num.eps x condition against rounding_rtol, at 34 digits or
-    binary64's eps if that is larger (the value is returned in binary64).
-    Without a budget nothing does."""
+    binary64's eps if that is larger (the value is returned in binary64);
+    a NaN condition exceeds any budget.  Without a budget nothing does."""
     floor = 0.0 if num is _BINARY64 else _BINARY64.eps
-    return rounding_rtol is not None and num.eps * condition > max(rounding_rtol, floor)
+    return rounding_rtol is not None and not num.eps * condition <= max(rounding_rtol, floor)
 
 
 def _evaluate(
@@ -220,8 +222,9 @@ def _evaluate(
     without a budget), summed re-runs on the pair rebuilt from the binary64
     inputs in 34-digit numbers and every field is that sum's, its value
     returned in binary64; a sum whose own rounding still exceeds the budget
-    is refused (ConvergenceError).  A binary64 sum whose constants overflow
-    (Gamma(2B), (2 pi)^(2B) at a large B) raises DomainError naming B.
+    is refused (ConvergenceError), as is a value, tail bound or condition
+    that is not finite.  A binary64 sum whose constants overflow (Gamma(2B),
+    (2 pi)^(2B) at a large B) raises DomainError naming B.
     """
     g = _pair(z, w, params)
     _decay_ratios(g)
@@ -242,7 +245,11 @@ def _evaluate(
                     f"{rounding_rtol:.3g}: condition {float(condition):.3g}"
                 )
         precision = "extended"
-    return KernelEvaluation(value, path, terms, float(tail), float(condition), precision)
+    tail, condition = float(tail), float(condition)
+    finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)
+    if not (finite and math.isfinite(tail) and math.isfinite(condition)):
+        raise ConvergenceError(f"{precision} {path} sum is not finite (condition {condition})")
+    return KernelEvaluation(value, path, terms, tail, condition, precision)
 
 
 def _integer_B(params: AnnulusParams, what: str) -> int:
@@ -421,19 +428,18 @@ def _level_polynomial(m: int, num: _Numbers, B) -> Callable:
 
 
 @functools.lru_cache(maxsize=128, typed=True)
-def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Callable, object]:
+def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> Callable:
     """The closed form's plan: all of its evaluation that does not depend
     on the pair, for one number type num (R, B and log R in it), one ctrl
     and one contraction, series = m for kernel_km's level m
-    (_level_polynomial and _prefactor) or (k, l) for sigma_kl.  Returns the
-    pair's image sum (image_sum, below) and the prefactor.  Built at the
-    first evaluation of its key (typed: an int R or B is its own key), a
-    34-digit plan in the 34-digit context, and read-only after.
-
-    image_sum(g) gives the image sums of sum_{k,l} coef_{k,l} sigma_{k,l}(t)
-    / Gamma(2B-k-l) at the pair's t (one row per node), given poly(a, b, V)
-    = sum coef_{k,l} a^k b^l over k <= k_max, l <= l_max at the pair
-    coordinate V (with modulus=True: the coefficients' moduli).
+    (_level_polynomial and _prefactor) or (k, l) for sigma_kl.  Built at
+    the first evaluation of its key (typed: an int R or B is its own key),
+    a 34-digit plan in the 34-digit context, and read-only after.  Returns
+    the closed form's summed (_evaluate): the prefactor x the image sums of
+    sum_{k,l} coef_{k,l} sigma_{k,l}(t) / Gamma(2B-k-l), poly(a, b, V) =
+    sum coef_{k,l} a^k b^l (k <= k_max, l <= l_max; modulus=True: their
+    moduli), at the pair's t and V: row 0's value, condition and tail bound
+    at a point, the values with the worst node's at nodes.
 
     Over a family the term bound of the module docstring sums to
     (2 pi/c) |t|^(-B) e^(-BX) (1 - e^-X)^(-2B) poly(1 - e^-X, e^X - 1) at
@@ -442,13 +448,12 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
     of n images omits |x| >= X = (n + 1/2) d.  The counts solve that bound
     in closed form for the smaller of ctrl.tolerance and eps times
     e^(-B d/2) poly(1, 1), the central image's lower size: more images add
-    no numpy call, a second pass costs a whole one.  While a tail bound
-    exceeds ctrl.tolerance x |sum| + eps x the rounding majorant, both
-    counts grow by the steps the slowest decay asks for; past
-    ctrl.max_terms images the sum is refused.  image_sum returns the sums,
-    tail bounds, majorants and images.  Per pair of counts (images) the
-    plan keeps the window e^(d nu/2), 2 pi i B nu (and (-1)^nu at odd 2B)
-    over nu = -n_minus..n_plus and each side's bound factor and ends.
+    no numpy call, a second pass costs a whole one.  The plan holds one
+    window, e^(d nu/2), 2 pi i B nu (and (-1)^nu at odd 2B) over nu =
+    -n_minus..n_plus, with each side's bound factor and ends, and refuses
+    more than ctrl.max_terms images.  Every pair sums that window once,
+    under one stop test for every node; a pair whose tail bound exceeds
+    ctrl.tolerance x |sum| + eps x the majorant is refused (ConvergenceError).
 
     The weight h_nu = e^(2 pi i B nu) s_nu^(-2B), s_nu = 2 cosh(xi_nu/2),
     has two forms.  Where 2B is exactly an integer in binary64 (decided
@@ -460,8 +465,7 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
     relative error is about 2B times that of s_nu, which carries the
     rounding of q0 and of the image step.
 
-    Every node sums one window of images under one stop test; its
-    elementwise stage runs over row blocks of about _BLOCK node-images
+    The elementwise stage runs over row blocks of about _BLOCK node-images
     (_row_blocks), so that its temporaries stay small, each block
     contracted at its own rows of V.  A pair's sum is its node's in any
     batch only to the last bits: numpy's vector loops (exp, log) round an
@@ -482,33 +486,32 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
     eps, d, b = num.eps, float(spacing), float(B)
     rates = (b - l_max, b - k_max)  # of the + and - sides
     reach = b * d / 2 - math.log(min(ctrl.tolerance, eps)) - 2 * b * math.log(-math.expm1(-d / 2))
-    counts = tuple(
+    n_plus, n_minus = (
         max(math.ceil((reach - math.log(-math.expm1(-rate * d))) / (rate * d) - 0.5), 0)
         for rate in rates
     )
+    images = n_plus + n_minus + 1
+    if images > ctrl.max_terms:
+        raise ConvergenceError(f"image sum did not reach tolerance {ctrl.tolerance} within "
+                               f"{ctrl.max_terms} terms ({images} images needed)")
+    nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
+    # (-1)^nu, complex as the s it divides; 1 where 2B is even
+    sign = 1 - 2 * (nu % 2) + 0j if power and power % 2 else 1
+    step, phase = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu
+    step.flags.writeable = phase.flags.writeable = False
+    sides = []
+    for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
+        # no further out than binary64 holds e^(X max(k, l)): a smaller X
+        # only loosens the decreasing bound
+        X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
+        near, far = -math.expm1(-X), math.expm1(X)
+        factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
+        sides.append((factor, (far, near) if minus else (near, far)))
 
     # the stop test in binary64: numpy's arrays as they are, mpmath's converted
     cast = (lambda x, dtype: x) if num is _BINARY64 else np.asarray
 
-    @functools.lru_cache(maxsize=16)
-    def images(n_plus: int, n_minus: int) -> tuple:  # the window and bounds of a count
-        nu = np.arange(-n_minus, n_plus + 1, dtype=num.dtype)
-        # (-1)^nu, complex as the s it divides; 1 where 2B is even
-        sign = 1 - 2 * (nu % 2) + 0j if power and power % 2 else 1
-        window = num.exp(spacing / 2 * nu), 2j * num.pi * B * nu, sign
-        for x in window[:2]:
-            x.flags.writeable = False
-        sides = []
-        for n, rate, minus in zip((n_plus, n_minus), rates, (False, True)):
-            # no further out than binary64 holds e^(X max(k, l)): a smaller X
-            # only loosens the decreasing bound
-            X = min((n + 0.5) * d, 700.0 / max(k_max, l_max, 1))
-            near, far = -math.expm1(-X), math.expm1(X)
-            factor = math.exp(-b * X) * near ** (-2 * b) / -math.expm1(-rate * d)
-            sides.append((factor, (far, near) if minus else (near, far)))
-        return window, tuple(sides)
-
-    def stage(q0, V, step, phase, sign):  # net and gross image sums of a block of rows
+    def stage(q0, V):  # net and gross image sums of a block of rows
         q = q0 * step  # e^(xi_nu/2)
         q_inv = 1 / q
         s = q + q_inv  # 2 cosh(xi_nu/2)
@@ -520,37 +523,33 @@ def _plan(num: _Numbers, R, B, log_R, ctrl: SeriesControl, series) -> tuple[Call
             abs(h) * (1 + abs(log_h)) * poly(abs(a_nu), abs(b_nu), V, modulus=True)
         ).sum(axis=-1)
 
-    def image_sum(g: PairGeometry):
+    def summed(g: PairGeometry):
         log_t = num.clogs(np.asarray(g.t).reshape(-1, 1))  # one row per t
         t_powers = num.exp(exponents * log_t)  # e^(xi_0/2), xi_0 = i log(t)/c, and t^(-B)
         q0, unit = t_powers[0], spacing * t_powers[1]  # unit: (2 pi/c) t^(-B)
         scale = np.abs(cast(unit, complex))
-        n_plus, n_minus = counts
-        while n_plus + n_minus + 1 <= ctrl.max_terms:
-            window, sides = images(n_plus, n_minus)
-            blocks = _row_blocks(len(q0), n_plus + n_minus + 1)
-            if blocks is None:
-                net, gross = stage(q0, g.V, *window)
-            else:
-                net, gross = (np.concatenate(x) for x in zip(
-                    *(stage(q0[rows], g.V[rows], *window) for rows in blocks)))
-            total, gross = unit[:, 0] * net, scale[:, 0] * gross
-            bound = sum(factor * poly(*ends, g.V, modulus=True) for factor, ends in sides)
-            bound = (scale * cast(bound, float))[:, 0]
-            limit = ctrl.tolerance * np.abs(cast(total, complex))
-            excess = (bound / (limit + eps * cast(gross, float))).max()
-            if excess <= 1.0:
-                return total, bound, gross, n_plus + n_minus + 1
-            if not math.isfinite(excess):
-                raise ConvergenceError(f"image sum overflowed binary64 (R={float(R):g})")
-            step = max(math.ceil(math.log(excess) / (min(rates) * d)), 1)
-            n_plus, n_minus = n_plus + step, n_minus + step
-        raise ConvergenceError(
-            f"image sum did not reach tolerance {ctrl.tolerance} within "
-            f"{ctrl.max_terms} terms ({n_plus + n_minus + 1} images needed)"
-        )
+        blocks = _row_blocks(len(q0), images)
+        if blocks is None:
+            net, gross = stage(q0, g.V)
+        else:
+            net, gross = (np.concatenate(x) for x in zip(
+                *(stage(q0[rows], g.V[rows]) for rows in blocks)))
+        total, gross = unit[:, 0] * net, scale[:, 0] * gross
+        bound = sum(factor * poly(*ends, g.V, modulus=True) for factor, ends in sides)
+        bound = (scale * cast(bound, float))[:, 0]
+        limit = ctrl.tolerance * np.abs(cast(total, complex))
+        excess = (bound / (limit + eps * cast(gross, float))).max()
+        if not excess <= 1.0:  # no wider window: the plan's counts solve the bound
+            raise ConvergenceError(
+                f"image sum missed tolerance {ctrl.tolerance} by a factor {excess:.3g}"
+                if math.isfinite(excess) else f"image sum overflowed binary64 (R={float(R):g})")
+        if isinstance(g.t, np.ndarray):
+            condition = np.max(gross / np.maximum(np.abs(total), 1e-300))
+            return pref * total, condition, abs(pref) * np.max(bound), images
+        condition = gross[0] / max(abs(total[0]), 1e-300)
+        return complex(pref * total[0]), condition, abs(pref) * bound[0], images
 
-    return image_sum, pref
+    return summed
 
 
 def _power(x, n: int):
@@ -601,21 +600,8 @@ def sigma_kl(
 
 
 def _closed_form(series, ctrl: SeriesControl) -> Callable[[PairGeometry], tuple]:
-    """The closed form's summed (_evaluate): prefactor x the image sums of
-    the plan of series (_plan) in the pair's number type.  At a point its
-    value, condition and tail bound are row 0's; at nodes the values, with
-    the worst node's condition and tail bound."""
-
-    def summed(e: PairGeometry):
-        image_sum, pref = _plan(e.num, e.R, e.B, e.log_R, ctrl, series)
-        total, tail, gross, images = image_sum(e)
-        if isinstance(e.t, np.ndarray):
-            condition = np.max(gross / np.maximum(np.abs(total), 1e-300))
-            return pref * total, condition, abs(pref) * np.max(tail), images
-        condition = gross[0] / max(abs(total[0]), 1e-300)
-        return complex(pref * total[0]), condition, abs(pref) * tail[0], images
-
-    return summed
+    """The closed form's summed (_evaluate): series' plan in the pair's number type."""
+    return lambda e: _plan(e.num, e.R, e.B, e.log_R, ctrl, series)(e)
 
 
 def kernel_km(
@@ -755,7 +741,11 @@ def kernel_limit_R_inf(z, w, B: float) -> complex:
         sum_{j>=1} j^n x^j = sum_{k=1..n} k! S(n, k) x^k / (1 - x)^(k+1),
 
     S(n, k) the Stirling numbers of the second kind (exact ints from
-    S(n, k) = k S(n-1, k) + S(n-1, k-1)), evaluated by Horner in x/(1 - x).
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)), evaluated by Horner in x/(1 - x),
+    all in exact rationals at the binary64 z conj(w), rounded once before
+    the division by pi: near x = -1 a binary64 Horner loses 5 digits at
+    B = 8, and from B = 86 a binary64 prefactor or x^B leaves the range.
+    A value past binary64's range raises DomainError naming B.
     """
     from fractions import Fraction  # here: nothing else in the package needs it
 
@@ -769,17 +759,20 @@ def kernel_limit_R_inf(z, w, B: float) -> complex:
     n, stirling = int(2 * B - 1), [1]
     for _ in range(n):  # row r of S(r, k), k = 0..r, from row r - 1
         stirling = [k * a + b for k, (a, b) in enumerate(zip(stirling + [0], [0] + stirling))]
-    x = 1.0 / u
-    y = x / (1.0 - x)
-    # Horner in exact rationals at the binary64 y: near x = -1 the terms in
-    # y ~ -1/2 alternate, and a binary64 Horner loses 5 digits at B = 8
-    # (4e-11 at z = -1.02, w = 1 + 0.01i)
-    re, im, y_re, y_im = 0, 0, Fraction(y.real), Fraction(y.imag)
-    for k in range(n, -1, -1):
-        c = math.factorial(k) * stirling[k]
-        re, im = re * y_re - im * y_im + c, re * y_im + im * y_re
-    pref = 2.0 ** (2.0 * B - 2.0) / (math.pi * math.gamma(2.0 * B - 1.0))
-    return complex(pref * x ** int(B) * complex(float(re), float(im)) / (1.0 - x))
+    times = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    inverse = lambda re, im: (re / (re * re + im * im), -im / (re * re + im * im))
+    x, y = (inverse(Fraction(u.real) - s, Fraction(u.imag)) for s in (0, 1))  # 1/u, 1/(u - 1)
+    total = (0, 0)
+    for c in [math.factorial(k) * stirling[k] for k in range(n, -1, -1)] + [0]:
+        re, im = times(total, y)
+        total = re + c, im  # ends as y sum_k c_k y^k, x^B/(1 - x) = y x^(B-1)
+    for _ in range(int(B) - 1):
+        total = times(total, x)
+    scale = Fraction(4 ** (int(B) - 1), math.factorial(2 * int(B) - 2))  # 4^(B-1)/Gamma(2B-1)
+    try:
+        return complex(float(scale * total[0]), float(scale * total[1])) / math.pi
+    except OverflowError as exc:
+        raise DomainError(f"limit kernel at B={B:g} is past binary64's range") from exc
 
 
 def _theta_polynomial(k: int, l: int, B: int, log_R, pi=math.pi) -> np.ndarray:
@@ -954,20 +947,17 @@ def kernel_km_grid(
     ctrl: SeriesControl = DEFAULT_SERIES,
 ) -> np.ndarray:
     """K_m(z, w) for one fixed first argument and an array of second
-    arguments: kernel_km's driver and pair geometry on the whole node array,
-    over one common set of images.
-
-    One set of images, as many as the most demanding node needs, serves
-    every node, so each node's truncation is certified as kernel_km's, and
-    each node is kernel_km(m, z, w) within that value's certificate (tail
-    bound plus eps x condition x |K|); neither is reported.  The terms are
-    formed in row blocks of about _BLOCK node-images (_plan), which
-    changes neither the images nor the stop test; a node's value matches
-    kernel_km's to the last bits, as numpy's vector loops round an element
-    by its position.  Nodes are refused as pointwise pairs are: off the
-    interior (DomainError), a decay ratio within BOUNDARY_MARGIN of 1, or
-    more than ctrl.max_terms images (ConvergenceError).  Intended for
-    quadrature node sets and plot grids.
+    arguments, for quadrature node sets and plot grids: kernel_km's driver,
+    pair geometry and window of images (_plan) on the whole node array,
+    under one stop test, so each node is kernel_km(m, z, w) within that
+    value's certificate (tail bound plus eps x condition x |K|); neither is
+    reported.  The terms are formed in row blocks of about _BLOCK
+    node-images, which changes neither the images nor the stop test; a
+    node's value matches kernel_km's to the last bits, as numpy's vector
+    loops round an element by its position.  Nodes are refused as pointwise
+    pairs are: off the interior (DomainError), a decay ratio within
+    BOUNDARY_MARGIN of 1, a tail bound that misses, or a value that is not
+    finite (ConvergenceError).
     """
     require_admissible(m, params)
     w = np.asarray(w_nodes, dtype=complex)

@@ -178,6 +178,19 @@ def test_out_of_range_B_exits_2(command, R, B):
     assert err.startswith("error: ") and f"B={B:g}" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_eval_non_finite_sum_exits_3():
+    # the binary64 image sum overflows at this pair: eval printed "abs": NaN
+    # and exited 0
+    code, out, err = run_cli(
+        ["eval", "--R", "4", "--B", "70", "--z", "0.9595614287834191+0.2968271336499144j",
+         "--w", "1.0038243626663639+0.10071838825951601j"]
+    )
+    assert code == 3 and out == ""
+    assert "not finite" in err
+
+
 def test_eval_oracle_sums_up_to_its_term_cap():
     # at (4, 3) the oracle needs 179 terms at this pair (sample_pairs(p, 6,
     # 11)[3]): --max-terms 200 allows a window of 199
@@ -415,6 +428,21 @@ def test_config_bad_value_exits_2(tmp_path, values, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"R": 4.0, "B": 2.0, **values}))
     code, out, err = run_cli(["eval", "--config", str(cfg), "--w", "1.5+0.3i"])
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["info", "--config", "{missing}"], "cannot read config file"),
+    (["info", "--config", "{listing}"], "JSON object"),
+    (["grid", "--R", "4", "--B", "3"], "requires --w"),
+    (["grid", "--R", "4", "--B", "3", "--w", "2", "--n-rad", "0"], "positive node counts"),
+])
+def test_missing_or_malformed_input_exits_2(tmp_path, argv, named):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    paths = {"missing": tmp_path / "absent.json", "listing": listing}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
     assert code == 2 and out == ""
     assert named in err
 

@@ -580,6 +580,22 @@ def test_limit_kernel_validation():
         kernel_limit_R_inf(1.0001, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("B, want", [
+    (60, 6.613817740754165e-62), (86, 1.10582038793379e-88), (87, 1.02991923901265e-89),
+    (100, 4.0411200723556038e-103), (150, 9.6994953177308518e-155),
+])
+def test_limit_kernel_at_large_B(B, want):
+    # 60-digit values: the binary64 prefactor x x^B underflowed to 0j at
+    # B = 86, and Gamma(2B - 1) raised a bare OverflowError from B = 87
+    got = kernel_limit_R_inf(3.0, 3.0, float(B))
+    assert got.imag == 0.0 and got.real == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_limit_kernel_past_binary64_names_B():
+    with pytest.raises(DomainError, match="B=200"):
+        kernel_limit_R_inf(1.01, 1.0, 200.0)
+
+
 @pytest.mark.parametrize("kernel", [kernel_km, kernel_basis_sum_oracle])
 @pytest.mark.parametrize("m", [0.5, 1.0])
 def test_non_integer_level_is_inadmissible(kernel, m):
@@ -1080,6 +1096,42 @@ def test_warm_plans_keep_the_stop_rule():
     assert kernel_km(1, z, w, p, SeriesControl(tolerance=1e-20)).terms_used > 17
 
 
+@pytest.fixture
+def cold_plans():
+    """Plans built afresh in the test and dropped after it."""
+    kernels._plan.cache_clear()
+    yield
+    kernels._plan.cache_clear()
+
+
+def test_a_missed_tail_bound_is_refused(monkeypatch, cold_plans):
+    # the window is sized once per plan: a pair whose tail bound misses the
+    # stop test is refused, not summed over a wider window.  Here the
+    # modulus form is 1e20 times too large at the window's far ends
+    real = kernels._level_polynomial
+
+    def inflated(m, num, B):
+        poly = real(m, num, B)
+        return lambda a, b, V, modulus=False: (
+            poly(a, b, V, modulus) * (1e20 if modulus and np.ndim(a) == 0 else 1))
+
+    monkeypatch.setattr(kernels, "_level_polynomial", inflated)
+    with pytest.raises(ConvergenceError, match="missed tolerance 1e-12 by a factor"):
+        kernel_km(1, 2.0, 2.1 + 0.3j, P43)
+
+
+@pytest.mark.parametrize("B", [0.75, 1.0, 1.5, 2.0, 2.5, 2.75, 3.0])
+@pytest.mark.parametrize("R", [1.2, 1.5, 4.0, 50.0])
+def test_image_count_is_one_per_plan(R, B):
+    # every pair of a cell sums its plan's one window, at either precision
+    p = AnnulusParams(R=R, B=B)
+    pairs = sample_pairs(p, 6, 11)
+    for m in admissible_levels(p):
+        for budget in (None, 0.0):
+            counts = {kernel_km(m, z, w, p, rounding_rtol=budget).terms_used for z, w in pairs}
+            assert len(counts) == 1, (m, budget, counts)
+
+
 # ---------------------------------------------------------------------------
 # image weights at quantized field strength: (-1)^(2B nu) (1/s)^(2B)
 
@@ -1220,6 +1272,30 @@ def test_largest_finite_prefactor_still_evaluates():
     # (50, 51), next to the first refused cell: its product is about 2e306
     value = kernel_km(0, 2.27, 2.27, AnnulusParams(R=50.0, B=51.0)).value
     assert value.real == pytest.approx(4.3723e-24, rel=1e-4) and value.imag == 0.0
+
+
+# a pair at (4, 70) whose binary64 gross image sum overflows: its excess read
+# 0, and kernel_km returned nan+nanj with tail bound 0.0 and condition nan
+P470 = AnnulusParams(R=4.0, B=70.0)
+NAN_PAIR = (0.9595614287834191 + 0.2968271336499144j, 1.0038243626663639 + 0.10071838825951601j)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_sum_escalates_with_a_budget():
+    # a NaN condition exceeds any budget: the pair is summed at 34 digits
+    ev = kernel_km(0, *NAN_PAIR, P470, rounding_rtol=1e-10)
+    assert ev.precision == "extended"
+    assert ev.value == pytest.approx(-1.2088766577514694e139 + 9.724258758015249e139j, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_sum_is_refused_without_a_budget():
+    with pytest.raises(ConvergenceError, match="not finite"):
+        kernel_km(0, *NAN_PAIR, P470)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        kernel_km_grid(0, NAN_PAIR[0], np.array([NAN_PAIR[1]]), P470)
 
 
 # both grids' rounding, seen at most 1e-15 x max|K| on these rows

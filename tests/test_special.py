@@ -797,6 +797,19 @@ def test_lambert_table_validation():
         lambert_log_derivatives(0.1, 1.0, [1])
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: pochhammer(1.0, -1), DomainError),
+    (lambda: routh_leading_coefficient(1, 1.0), PoleError),
+    (lambda: routh_rodrigues_oracle(5, 0.8, -1.2, 0.2), DomainError),
+    (lambda: theta4(0.1, 1.0), DomainError),
+    (lambda: theta4(0.3j, 1.01, SeriesControl(max_terms=16)), ConvergenceError),
+], ids=["pochhammer-negative-n", "routh-pole", "rodrigues-degree", "theta4-R", "theta4-cap"])
+def test_typed_refusals(call, error):
+    # each refusal raises its typed error: a pole, a domain or a term cap
+    with pytest.raises(error):
+        call()
+
+
 def test_series_control_validation():
     with pytest.raises(DomainError):
         SeriesControl(tolerance=0.0)
